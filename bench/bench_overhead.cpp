@@ -13,7 +13,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -146,74 +145,11 @@ BM_GlobalPredictorAccess(benchmark::State &state)
 }
 BENCHMARK(BM_GlobalPredictorAccess)->Arg(1)->Arg(4)->Arg(16);
 
-/** A synthetic execution: n accesses round-robined over 4 pids. */
-sim::ExecutionInput
-makeInput(std::size_t n)
-{
-    sim::ExecutionInput input;
-    input.app = "synthetic";
-    for (std::size_t i = 0; i < n; ++i) {
-        trace::DiskAccess access;
-        access.time = static_cast<TimeUs>(i) * millisUs(10);
-        access.pid = static_cast<Pid>(i % 4);
-        access.pc = 0x08048000u + static_cast<std::uint32_t>(i);
-        input.accesses.push_back(access);
-    }
-    for (Pid pid = 0; pid < 4; ++pid) {
-        input.processes.push_back(
-            {pid, 0, static_cast<TimeUs>(n) * millisUs(10)});
-    }
-    return input;
-}
-
-/**
- * The old ExecutionInput::accessesOf: scan the whole stream and
- * copy the matching records into a fresh vector on every call.
- * Kept here as the baseline for the precomputed-slice version.
- */
-std::vector<trace::DiskAccess>
-accessesOfByCopy(const sim::ExecutionInput &input, Pid pid)
-{
-    std::vector<trace::DiskAccess> result;
-    for (const auto &access : input.accesses) {
-        if (access.pid == pid)
-            result.push_back(access);
-    }
-    return result;
-}
-
-void
-BM_AccessesOfCopy(benchmark::State &state)
-{
-    const sim::ExecutionInput input =
-        makeInput(static_cast<std::size_t>(state.range(0)));
-    Pid pid = 0;
-    for (auto _ : state) {
-        pid = (pid + 1) % 4;
-        benchmark::DoNotOptimize(accessesOfByCopy(input, pid));
-    }
-}
-BENCHMARK(BM_AccessesOfCopy)->Arg(1024)->Arg(65536);
-
-void
-BM_AccessesOfPrecomputed(benchmark::State &state)
-{
-    const sim::ExecutionInput input =
-        makeInput(static_cast<std::size_t>(state.range(0)));
-    input.accessesOf(0); // finalize outside the timed loop
-    Pid pid = 0;
-    for (auto _ : state) {
-        pid = (pid + 1) % 4;
-        benchmark::DoNotOptimize(input.accessesOf(pid).size());
-    }
-}
-BENCHMARK(BM_AccessesOfPrecomputed)->Arg(1024)->Arg(65536);
-
 /**
  * The GlobalShutdownPredictor slot store: per-access pid lookup
- * followed by a full scan combining decisions. Measured for both
- * map types to back the std::map → std::unordered_map switch in
- * core/global.hpp (see DESIGN.md for recorded numbers).
+ * followed by a full scan combining decisions, over the
+ * std::unordered_map core/global.hpp uses (see DESIGN.md for
+ * recorded numbers).
  */
 struct SlotLike
 {
@@ -246,10 +182,6 @@ BM_SlotStoreAccess(benchmark::State &state)
         benchmark::DoNotOptimize(best);
     }
 }
-BENCHMARK(BM_SlotStoreAccess<std::map<Pid, SlotLike>>)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64);
 BENCHMARK(BM_SlotStoreAccess<std::unordered_map<Pid, SlotLike>>)
     ->Arg(4)
     ->Arg(16)
@@ -383,12 +315,12 @@ BENCHMARK(BM_IdleSinkClassifyProvenance)
     ->Name("BM_IdleSinkClassify/provenance");
 
 /**
- * Batched SoA replay kernel (PR 6): one full execution replayed
- * through SimulationKernel per iteration, batched vs the scalar
- * reference loop, with and without an attached observer. The
- * "per_period" counter is seconds per idle period (displayed with an
- * SI suffix, so 2.5n reads as 2.5 ns/period); the uninstrumented
- * batched path is the one the <3 ns/period budget applies to.
+ * The replay kernel: one full execution replayed through
+ * SimulationKernel per iteration, against the NullObserver (the
+ * instantiation with instrumentation compiled out) and with an
+ * attached observer. The "per_period" counter is seconds per idle
+ * period (displayed with an SI suffix, so 2.5n reads as
+ * 2.5 ns/period).
  *
  * The input alternates two 100 ms gaps with one 30 s opportunity, so
  * the replay exercises classification, shutdown issuance and the
@@ -411,13 +343,12 @@ makeReplayInput(std::size_t periods)
     for (Pid pid = 0; pid < 4; ++pid)
         input.processes.push_back({pid, 0, t});
     input.endTime = t;
-    input.finalize();
     return input;
 }
 
-template <sim::KernelPath Path, bool WithObserver>
+template <bool WithObserver>
 void
-BM_KernelBatchReplay(benchmark::State &state)
+BM_KernelReplay(benchmark::State &state)
 {
     const std::size_t periods =
         static_cast<std::size_t>(state.range(0));
@@ -429,7 +360,7 @@ BM_KernelBatchReplay(benchmark::State &state)
     sim::SimObserver &observer =
         WithObserver ? static_cast<sim::SimObserver &>(histogram)
                      : sim::nullObserver();
-    sim::SimulationKernel kernel(params, observer, Path);
+    sim::SimulationKernel kernel(params, observer);
     sim::PolicySession session(sim::policyByName("TP"));
     sim::GlobalDriver driver(session);
     for (auto _ : state)
@@ -439,17 +370,11 @@ BM_KernelBatchReplay(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate |
             benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched, false>)
-    ->Name("BM_KernelBatchReplay/batched/null")
+BENCHMARK(BM_KernelReplay<false>)
+    ->Name("BM_KernelReplay/null")
     ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched, true>)
-    ->Name("BM_KernelBatchReplay/batched/observed")
-    ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Scalar, false>)
-    ->Name("BM_KernelBatchReplay/scalar/null")
-    ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Scalar, true>)
-    ->Name("BM_KernelBatchReplay/scalar/observed")
+BENCHMARK(BM_KernelReplay<true>)
+    ->Name("BM_KernelReplay/observed")
     ->Arg(65536);
 
 void

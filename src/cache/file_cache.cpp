@@ -259,11 +259,7 @@ filterTrace(const trace::Trace &trace, const CacheParams &params,
         cache.access(event, accesses);
     cache.flushAll(trace.endTime(), accesses);
 
-    std::stable_sort(accesses.begin(), accesses.end(),
-                     [](const trace::DiskAccess &a,
-                        const trace::DiskAccess &b) {
-                         return a.time < b.time;
-                     });
+    std::stable_sort(accesses.begin(), accesses.end(), accessBefore);
     if (stats_out)
         *stats_out = cache.stats();
     return accesses;

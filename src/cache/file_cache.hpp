@@ -158,9 +158,20 @@ class FileCache
 };
 
 /**
+ * The disk access order filterTrace emits and every replay feeds: by
+ * time, then by pid. filterTrace sorts stably, so accesses with equal
+ * keys keep the order the cache emitted them in.
+ */
+inline bool
+accessBefore(const trace::DiskAccess &a, const trace::DiskAccess &b)
+{
+    return a.time != b.time ? a.time < b.time : a.pid < b.pid;
+}
+
+/**
  * Convenience pipeline: filter a whole trace through a fresh cache,
- * returning the time-sorted disk access stream. @p stats_out, when
- * non-null, receives the cache statistics.
+ * returning the disk access stream in accessBefore order.
+ * @p stats_out, when non-null, receives the cache statistics.
  */
 std::vector<trace::DiskAccess>
 filterTrace(const trace::Trace &trace, const CacheParams &params,

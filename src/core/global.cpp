@@ -75,12 +75,11 @@ GlobalShutdownPredictor::globalDecisionDetailed() const
     TimeUs best_last_io = -1;
     Pid best_pid = -1;
     for (const auto &[pid, slot] : slots_) {
-        if (slot.decision.earliest == kTimeNever)
-            return {slot.decision, pid}; // someone never consents
-        // The latest earliest-time wins; ties go to the process that
-        // decided most recently ("last decision" attribution), then
-        // to the lowest pid so the combine is independent of the hash
-        // map's iteration order.
+        // The latest earliest-time wins, so a process that never
+        // consents (kTimeNever) always does. Ties go to the process
+        // that decided most recently ("last decision" attribution),
+        // then to the lowest pid so the combine is independent of the
+        // hash map's iteration order.
         if (first || slot.decision.earliest > best.earliest ||
             (slot.decision.earliest == best.earliest &&
              (slot.lastIoTime > best_last_io ||

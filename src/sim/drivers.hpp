@@ -42,10 +42,6 @@ class GlobalDriver final : public PolicyDriver
     GlobalDriver(PolicySession &session, Options options);
 
     bool usesDisk() const override { return true; }
-    ReplayOrder replayOrder() const override
-    {
-        return ReplayOrder::Schedule;
-    }
     void beginExecution(const ExecutionInput &input) override;
     void processStart(Pid pid, TimeUs time) override;
     void processExit(Pid pid, TimeUs time, IdleSink &sink) override;
@@ -71,9 +67,9 @@ class GlobalDriver final : public PolicyDriver
 /**
  * Diskless per-process replay: each process's accesses feed a
  * private local predictor, and each per-process idle period is
- * classified through the sink. Accesses are fed in trace order so
- * processes sharing a prediction table train it in the order it
- * would really fill.
+ * classified through the sink. Accesses arrive in the input's
+ * (time, pid) order, so processes sharing a prediction table train
+ * it in the same order as under the global replay.
  */
 class LocalDriver final : public PolicyDriver
 {
@@ -81,10 +77,6 @@ class LocalDriver final : public PolicyDriver
     explicit LocalDriver(PolicySession &session);
 
     bool usesDisk() const override { return false; }
-    ReplayOrder replayOrder() const override
-    {
-        return ReplayOrder::Trace;
-    }
     void beginExecution(const ExecutionInput &input) override;
     void onAccess(const trace::DiskAccess &access, TimeUs completion,
                   IdleSink &sink) override;
@@ -110,10 +102,6 @@ class BaseDriver final : public PolicyDriver
 {
   public:
     bool usesDisk() const override { return true; }
-    ReplayOrder replayOrder() const override
-    {
-        return ReplayOrder::Trace;
-    }
     void beginExecution(const ExecutionInput &input) override
     {
         (void)input;
@@ -136,10 +124,6 @@ class OracleDriver final : public PolicyDriver
 {
   public:
     bool usesDisk() const override { return true; }
-    ReplayOrder replayOrder() const override
-    {
-        return ReplayOrder::Trace;
-    }
     void beginExecution(const ExecutionInput &input) override;
     pred::ShutdownDecision standingDecision() const override
     {

@@ -16,8 +16,8 @@ HostExecutionSource::next()
     std::optional<trace::Trace> trace = stream_.next();
     if (!trace)
         return nullptr;
-    // fromTrace runs the cache filter and finalizes the replay
-    // schedule — identical to the materialized pipeline's per-trace
+    // fromTrace runs the cache filter and extracts the process
+    // spans — identical to the materialized pipeline's per-trace
     // step, so a pure single-app profile streams bit-equal inputs.
     slot_ = ExecutionInput::fromTrace(*trace, cacheParams_);
     return &slot_;

@@ -1,6 +1,7 @@
 #include "sim/input.hpp"
 
-#include <algorithm>
+#include <map>
+#include <unordered_map>
 
 #include "util/logging.hpp"
 
@@ -55,67 +56,7 @@ ExecutionInput::fromTrace(const trace::Trace &trace,
 
     for (const auto &[pid, span] : spans)
         input.processes.push_back(span);
-    input.finalize();
     return input;
-}
-
-void
-ExecutionInput::finalize()
-{
-    accessesByPid_.clear();
-    for (const auto &access : accesses)
-        accessesByPid_[access.pid].push_back(access);
-
-    simEvents_.clear();
-    simEvents_.reserve(accesses.size() + 2 * processes.size());
-    for (const auto &span : processes) {
-        simEvents_.push_back(
-            {span.start, SimEventKind::ProcessStart, span.pid, 0});
-        simEvents_.push_back(
-            {span.end, SimEventKind::ProcessExit, span.pid, 0});
-    }
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-        simEvents_.push_back({accesses[i].time, SimEventKind::Access,
-                              accesses[i].pid, i});
-    }
-    std::sort(simEvents_.begin(), simEvents_.end());
-
-    // SoA mirror of the sorted schedule for the batched kernel: the
-    // hot loop reads times and kinds as dense sequential streams
-    // instead of striding over 24-byte SimEvent records.
-    const std::size_t events = simEvents_.size();
-    eventTimes_.resize(events);
-    eventKinds_.resize(events);
-    eventPids_.resize(events);
-    eventAccessIndex_.resize(events);
-    for (std::size_t i = 0; i < events; ++i) {
-        const SimEvent &event = simEvents_[i];
-        eventTimes_[i] = event.time;
-        eventKinds_[i] = static_cast<std::uint8_t>(event.kind);
-        eventPids_[i] = event.pid;
-        eventAccessIndex_[i] =
-            static_cast<std::uint32_t>(event.accessIndex);
-    }
-    accessBlocks_.resize(accesses.size());
-    for (std::size_t i = 0; i < accesses.size(); ++i)
-        accessBlocks_[i] = accesses[i].blocks;
-    finalized_ = true;
-}
-
-void
-ExecutionInput::ensureFinalized() const
-{
-    if (!finalized_)
-        const_cast<ExecutionInput *>(this)->finalize();
-}
-
-const std::vector<trace::DiskAccess> &
-ExecutionInput::accessesOf(Pid pid) const
-{
-    static const std::vector<trace::DiskAccess> kEmpty;
-    ensureFinalized();
-    const auto it = accessesByPid_.find(pid);
-    return it == accessesByPid_.end() ? kEmpty : it->second;
 }
 
 const ProcessSpan &
@@ -146,29 +87,26 @@ ExecutionInput::countGlobalOpportunities(TimeUs breakeven) const
 std::uint64_t
 ExecutionInput::countLocalOpportunities(TimeUs breakeven) const
 {
+    // Last access time of each span pid, -1 before its first access.
+    std::unordered_map<Pid, TimeUs> prev;
+    for (const auto &span : processes)
+        prev.emplace(span.pid, -1);
+
     std::uint64_t count = 0;
+    for (const auto &access : accesses) {
+        const auto it = prev.find(access.pid);
+        if (it == prev.end())
+            continue;
+        if (it->second >= 0 && access.time - it->second > breakeven)
+            ++count;
+        it->second = access.time;
+    }
     for (const auto &span : processes) {
-        TimeUs prev = -1;
-        for (const auto &access : accessesOf(span.pid)) {
-            if (prev >= 0 && access.time - prev > breakeven)
-                ++count;
-            prev = access.time;
-        }
-        if (prev >= 0 && span.end - prev > breakeven)
+        const TimeUs last = prev.at(span.pid);
+        if (last >= 0 && span.end - last > breakeven)
             ++count;
     }
     return count;
-}
-
-bool
-ExecutionInput::sameContentAs(const ExecutionInput &other) const
-{
-    return app == other.app && execution == other.execution &&
-           endTime == other.endTime &&
-           tracedIos == other.tracedIos &&
-           cacheStats == other.cacheStats &&
-           accesses == other.accesses &&
-           processes == other.processes;
 }
 
 } // namespace pcap::sim

@@ -4,19 +4,15 @@
  * file-cache filter — the disk access stream, the process lifetimes
  * (from the traced fork/exit events) and the pdflush pseudo-process.
  *
- * An ExecutionInput is immutable once built, and the same input is
- * replayed by dozens of policy runs per bench invocation. It
- * therefore precomputes everything a replay needs that depends only
- * on the input: the per-process access slices (accessesOf used to
- * copy the whole stream per call) and the merged, time-sorted event
- * list the global simulation walks (previously re-sorted on every
- * run).
+ * An ExecutionInput is a plain aggregate, immutable once built: the
+ * replay kernel walks the access array in place and merges the
+ * process starts and exits into it, so an input carries no derived
+ * indexes and can be shared across threads as soon as it exists.
  */
 
 #ifndef PCAP_SIM_INPUT_HPP
 #define PCAP_SIM_INPUT_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -37,37 +33,11 @@ struct ProcessSpan
     bool operator==(const ProcessSpan &other) const = default;
 };
 
-/** Event kinds of the global replay, in same-time order. */
-enum class SimEventKind : std::uint8_t {
-    ProcessStart = 0,
-    Access = 1,
-    ProcessExit = 2,
-};
-
-/** One entry of the precomputed merged replay schedule. */
-struct SimEvent
-{
-    TimeUs time = 0;
-    SimEventKind kind = SimEventKind::Access;
-    Pid pid = 0;
-    std::size_t accessIndex = 0; ///< into ExecutionInput::accesses
-
-    bool operator<(const SimEvent &other) const
-    {
-        if (time != other.time)
-            return time < other.time;
-        if (kind != other.kind)
-            return static_cast<int>(kind) <
-                   static_cast<int>(other.kind);
-        return pid < other.pid;
-    }
-};
-
 /**
  * Everything the simulator needs about one execution: the post-cache
- * disk access stream (time-sorted), the process spans — including
- * the flush daemon, which lives for the whole execution — and trace
- * metadata.
+ * disk access stream in (time, pid) order — the order every replay
+ * feeds it — the process spans, one per pid, including the flush
+ * daemon, which lives for the whole execution, and trace metadata.
  */
 struct ExecutionInput
 {
@@ -86,75 +56,6 @@ struct ExecutionInput
      */
     static ExecutionInput fromTrace(const trace::Trace &trace,
                                     const cache::CacheParams &params);
-
-    /**
-     * Rebuild the derived read-only indexes (per-pid slices and the
-     * merged event schedule) from the primary fields above.
-     * fromTrace() and the deserializer call this; inputs assembled
-     * by hand (tests) are finalized lazily on first derived access.
-     * Lazy finalization is not thread-safe — finalize before
-     * sharing an input across threads (the library paths all do).
-     */
-    void finalize();
-
-    /**
-     * Accesses of one process, preserving time order. Returns a
-     * reference to a slice precomputed by finalize() — no per-call
-     * copy. Unknown pids get the shared empty vector.
-     */
-    const std::vector<trace::DiskAccess> &accessesOf(Pid pid) const;
-
-    /** The merged time-sorted replay schedule (see finalize()). */
-    const std::vector<SimEvent> &simEvents() const
-    {
-        ensureFinalized();
-        return simEvents_;
-    }
-
-    /**
-     * Struct-of-arrays mirror of simEvents(), in the same order —
-     * the batched replay kernel walks these instead of the AoS
-     * schedule so the hot loop streams 8-byte times and 1-byte kinds
-     * rather than whole SimEvent records. All four arrays share
-     * simEvents().size(); eventAccessIndex() is meaningful only at
-     * positions whose kind is Access.
-     */
-    const std::vector<TimeUs> &eventTimes() const
-    {
-        ensureFinalized();
-        return eventTimes_;
-    }
-
-    /** Event kinds (SimEventKind values), parallel to eventTimes(). */
-    const std::vector<std::uint8_t> &eventKinds() const
-    {
-        ensureFinalized();
-        return eventKinds_;
-    }
-
-    /** Event pids, parallel to eventTimes(). */
-    const std::vector<Pid> &eventPids() const
-    {
-        ensureFinalized();
-        return eventPids_;
-    }
-
-    /** Index into accesses for Access events, parallel to
-     * eventTimes(). */
-    const std::vector<std::uint32_t> &eventAccessIndex() const
-    {
-        ensureFinalized();
-        return eventAccessIndex_;
-    }
-
-    /** Block count of each access (accesses[i].blocks), indexed like
-     * the accesses array — the disk-model operand of the batched
-     * kernel. */
-    const std::vector<std::uint32_t> &accessBlocks() const
-    {
-        ensureFinalized();
-        return accessBlocks_;
-    }
 
     /** Span of one process; panics when the pid is unknown. */
     const ProcessSpan &spanOf(Pid pid) const;
@@ -177,22 +78,7 @@ struct ExecutionInput
      */
     std::uint64_t countLocalOpportunities(TimeUs breakeven) const;
 
-    /** Primary-field equality (derived indexes are excluded). */
-    bool sameContentAs(const ExecutionInput &other) const;
-
-  private:
-    void ensureFinalized() const;
-
-    mutable std::map<Pid, std::vector<trace::DiskAccess>>
-        accessesByPid_;
-    mutable std::vector<SimEvent> simEvents_;
-    // SoA mirror of simEvents_ (see eventTimes()).
-    mutable std::vector<TimeUs> eventTimes_;
-    mutable std::vector<std::uint8_t> eventKinds_;
-    mutable std::vector<Pid> eventPids_;
-    mutable std::vector<std::uint32_t> eventAccessIndex_;
-    mutable std::vector<std::uint32_t> accessBlocks_;
-    mutable bool finalized_ = false;
+    bool operator==(const ExecutionInput &other) const = default;
 };
 
 } // namespace pcap::sim

@@ -1,10 +1,12 @@
 #include "sim/input_cache.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <unistd.h>
@@ -18,6 +20,27 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'C', 'I', 'C'};
 constexpr std::uint32_t kFormatVersion = 1;
+
+/** What keeps @p input from being replayed as is, or empty. The
+ * replay kernel walks the access array in place, so it relies on the
+ * order filterTrace produced. */
+std::string
+replayProblem(const ExecutionInput &input)
+{
+    if (!std::is_sorted(input.accesses.begin(), input.accesses.end(),
+                        cache::accessBefore))
+        return "accesses out of (time, pid) order";
+    std::set<Pid> pids;
+    for (const ProcessSpan &span : input.processes) {
+        if (span.end < span.start) {
+            return "span of pid " + std::to_string(span.pid) +
+                   " ends before it starts";
+        }
+        if (!pids.insert(span.pid).second)
+            return "duplicate span of pid " + std::to_string(span.pid);
+    }
+    return {};
+}
 
 } // namespace
 
@@ -144,7 +167,11 @@ readExecutionInputs(std::istream &is, const WorkloadKey &key,
             }
             input.processes.push_back(span);
         }
-        input.finalize();
+        const std::string unreplayable = replayProblem(input);
+        if (!unreplayable.empty()) {
+            return "execution " + std::to_string(i) + ": " +
+                   unreplayable;
+        }
         out.push_back(std::move(input));
     }
     return {};

@@ -3,6 +3,7 @@
 #include "sim/execution_source.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 namespace pcap::sim {
 
@@ -71,32 +72,67 @@ PolicyDriver::endExecution(const ExecutionInput &input,
 
 // -- SimulationKernel ------------------------------------------
 
+namespace {
+
+/** A process start or exit, ordered for replay: by time, starts
+ * before exits, then by pid. */
+struct ProcessEvent
+{
+    TimeUs time = 0;
+    bool exit = false;
+    Pid pid = 0;
+
+    bool operator<(const ProcessEvent &other) const
+    {
+        return std::tie(time, exit, pid) <
+               std::tie(other.time, other.exit, other.pid);
+    }
+
+    /** Whether this event replays before an access at @p at: at
+     * equal times starts precede the access and exits follow it. */
+    bool precedes(TimeUs at) const
+    {
+        return time < at || (time == at && !exit);
+    }
+};
+
+std::vector<ProcessEvent>
+processEvents(const ExecutionInput &input)
+{
+    std::vector<ProcessEvent> events;
+    events.reserve(2 * input.processes.size());
+    for (const ProcessSpan &span : input.processes) {
+        events.push_back({span.start, false, span.pid});
+        events.push_back({span.end, true, span.pid});
+    }
+    std::sort(events.begin(), events.end());
+    return events;
+}
+
+} // namespace
+
 RunResult
 SimulationKernel::runExecution(const ExecutionInput &input,
                                PolicyDriver &driver)
 {
-    if (path_ == KernelPath::Scalar)
-        return runExecutionScalar(input, driver);
     // The template parameter hoists every observer dispatch out of
     // the replay loop: against the shared NullObserver the whole
     // execution runs with instrumentation compiled out.
     if (&observer_ == &nullObserver())
-        return runExecutionBatched<false>(input, driver);
-    return runExecutionBatched<true>(input, driver);
+        return replay<false>(input, driver);
+    return replay<true>(input, driver);
 }
 
 template <bool Instrumented>
 RunResult
-SimulationKernel::runExecutionBatched(const ExecutionInput &input,
-                                      PolicyDriver &driver)
+SimulationKernel::replay(const ExecutionInput &input,
+                         PolicyDriver &driver)
 {
     driver.beginExecution(input);
     if constexpr (Instrumented)
         observer_.onExecutionBegin(input);
 
     const bool with_disk = driver.usesDisk();
-    const bool trace_order =
-        driver.replayOrder() == ReplayOrder::Trace;
 
     power::PowerManagedDisk disk(params_.disk,
                                  Instrumented ? &observer_ : nullptr);
@@ -109,152 +145,6 @@ SimulationKernel::runExecutionBatched(const ExecutionInput &input,
     pred::DecisionSource shutdown_source = pred::DecisionSource::None;
     TimeUs last_completion = 0; ///< when the disk last went idle
     bool low_power_pending = false;
-    std::size_t access_cursor = 0;
-
-    // Identical semantics to the scalar loop's lambdas; see
-    // runExecutionScalar for the commentary. Observer notifications
-    // are compiled out of the uninstrumented instantiation.
-    auto issue_shutdown = [&](TimeUs gap_end) {
-        if (low_power_pending) {
-            const TimeUs at = std::max(last_completion, gap_start);
-            if (at < gap_end)
-                disk.enterLowPower(at);
-            low_power_pending = false;
-        }
-        if (shutdown_at < 0)
-            return;
-        const TimeUs at = std::max(shutdown_at, last_completion);
-        if (at >= gap_end || !disk.shutdown(at)) {
-            ++result.ignoredShutdowns;
-            if constexpr (Instrumented)
-                observer_.onShutdownIgnored(at);
-        } else {
-            if constexpr (Instrumented)
-                observer_.onShutdownIssued(at);
-        }
-    };
-
-    auto check_shutdown = [&](TimeUs until) {
-        if (gap_start < 0 || shutdown_at >= 0) {
-            seg_start = until;
-            return;
-        }
-        const pred::ShutdownDecision d = driver.standingDecision();
-        if (d.earliest != kTimeNever) {
-            const TimeUs candidate = std::max(d.earliest, seg_start);
-            if (candidate < until) {
-                shutdown_at = candidate;
-                shutdown_source = d.source;
-                if constexpr (Instrumented)
-                    observer_.onShutdownLatched(candidate, d.source);
-            }
-        }
-        seg_start = until;
-    };
-
-    // The SoA mirror of the merged schedule: the batch loop streams
-    // dense time/kind arrays instead of striding over SimEvent
-    // records, and the batch boundary is where instrumented runs
-    // get their onBatchFlush notification.
-    const std::vector<trace::DiskAccess> &accesses = input.accesses;
-    const std::vector<TimeUs> &times = input.eventTimes();
-    const std::vector<std::uint8_t> &kinds = input.eventKinds();
-    const std::vector<Pid> &pids = input.eventPids();
-    const std::vector<std::uint32_t> &access_index =
-        input.eventAccessIndex();
-    const std::vector<std::uint32_t> &blocks = input.accessBlocks();
-    const std::size_t events = times.size();
-    constexpr auto kAccess =
-        static_cast<std::uint8_t>(SimEventKind::Access);
-    constexpr auto kStart =
-        static_cast<std::uint8_t>(SimEventKind::ProcessStart);
-
-    for (std::size_t base = 0; base < events;
-         base += kKernelBatchEvents) {
-        const std::size_t batch_end =
-            std::min(events, base + kKernelBatchEvents);
-        for (std::size_t i = base; i < batch_end; ++i) {
-            const TimeUs time = times[i];
-            if (with_disk)
-                check_shutdown(time);
-            const std::uint8_t kind = kinds[i];
-            if (kind == kAccess) {
-                // Same trace-order substitution as the scalar loop:
-                // the k-th trace access stands in at the k-th access
-                // event, and both sequences are sorted by time, so
-                // times[i] equals the substituted access's time.
-                const std::size_t index =
-                    trace_order ? access_cursor : access_index[i];
-                ++access_cursor;
-                if (with_disk) {
-                    if (gap_start >= 0) {
-                        sink.classify(kMergedStreamPid, gap_start,
-                                      time, shutdown_at,
-                                      shutdown_source);
-                    }
-                    issue_shutdown(time);
-                    last_completion = disk.request(time, blocks[index]);
-                }
-                driver.onAccess(accesses[index], last_completion,
-                                sink);
-                low_power_pending = with_disk && driver.parkLowPower();
-                gap_start = time;
-                seg_start = time;
-                shutdown_at = -1;
-                shutdown_source = pred::DecisionSource::None;
-            } else if (kind == kStart) {
-                driver.processStart(pids[i], time);
-            } else {
-                driver.processExit(pids[i], time, sink);
-            }
-        }
-        if constexpr (Instrumented)
-            observer_.onBatchFlush(batch_end - base);
-    }
-
-    if (with_disk) {
-        // Trailing idle period to the end of the execution.
-        check_shutdown(input.endTime);
-        if (gap_start >= 0) {
-            sink.classify(kMergedStreamPid, gap_start, input.endTime,
-                          shutdown_at, shutdown_source);
-            issue_shutdown(input.endTime);
-        }
-        disk.finish(input.endTime);
-
-        result.energy = disk.ledger();
-        result.shutdowns = disk.shutdownCount();
-        result.spinUps = disk.spinUpCount();
-        result.totalSpinUpDelay = disk.totalSpinUpDelay();
-    }
-    driver.endExecution(input, sink);
-    if constexpr (Instrumented)
-        observer_.onExecutionEnd(input, result);
-    return result;
-}
-
-RunResult
-SimulationKernel::runExecutionScalar(const ExecutionInput &input,
-                                     PolicyDriver &driver)
-{
-    driver.beginExecution(input);
-    observer_.onExecutionBegin(input);
-
-    const bool with_disk = driver.usesDisk();
-    const bool trace_order =
-        driver.replayOrder() == ReplayOrder::Trace;
-
-    power::PowerManagedDisk disk(params_.disk, &observer_);
-    RunResult result;
-    IdleSink sink(params_.breakeven(), result.accuracy, observer_);
-
-    TimeUs gap_start = -1;  ///< arrival of the last access
-    TimeUs seg_start = -1;  ///< earliest instant not yet checked
-    TimeUs shutdown_at = -1;
-    pred::DecisionSource shutdown_source = pred::DecisionSource::None;
-    TimeUs last_completion = 0; ///< when the disk last went idle
-    bool low_power_pending = false;
-    std::size_t access_cursor = 0;
 
     // Issue the pending spin-down to the disk. The power manager's
     // order stands from shutdown_at on; if the disk is still busy
@@ -275,9 +165,11 @@ SimulationKernel::runExecutionScalar(const ExecutionInput &input,
         const TimeUs at = std::max(shutdown_at, last_completion);
         if (at >= gap_end || !disk.shutdown(at)) {
             ++result.ignoredShutdowns;
-            observer_.onShutdownIgnored(at);
+            if constexpr (Instrumented)
+                observer_.onShutdownIgnored(at);
         } else {
-            observer_.onShutdownIssued(at);
+            if constexpr (Instrumented)
+                observer_.onShutdownIssued(at);
         }
     };
 
@@ -295,54 +187,48 @@ SimulationKernel::runExecutionScalar(const ExecutionInput &input,
             if (candidate < until) {
                 shutdown_at = candidate;
                 shutdown_source = d.source;
-                observer_.onShutdownLatched(candidate, d.source);
+                if constexpr (Instrumented)
+                    observer_.onShutdownLatched(candidate, d.source);
             }
         }
         seg_start = until;
     };
 
-    // The merged schedule is precomputed once per input and shared
-    // by every policy run replaying it (see ExecutionInput::finalize).
-    for (const SimEvent &event : input.simEvents()) {
+    auto replay_process = [&](const ProcessEvent &event) {
         if (with_disk)
             check_shutdown(event.time);
-        switch (event.kind) {
-          case SimEventKind::ProcessStart:
-            driver.processStart(event.pid, event.time);
-            break;
-          case SimEventKind::ProcessExit:
+        if (event.exit)
             driver.processExit(event.pid, event.time, sink);
-            break;
-          case SimEventKind::Access: {
-            // Trace-order drivers take the k-th access of the trace
-            // at the k-th access event: both sequences are sorted by
-            // time, so the substitution is time-identical — it only
-            // restores the trace's relative order of equal-timestamp
-            // accesses, which these modes historically replayed.
-            const trace::DiskAccess &access =
-                trace_order ? input.accesses[access_cursor]
-                            : input.accesses[event.accessIndex];
-            ++access_cursor;
-            if (with_disk) {
-                if (gap_start >= 0) {
-                    sink.classify(kMergedStreamPid, gap_start,
-                                  access.time, shutdown_at,
-                                  shutdown_source);
-                }
-                issue_shutdown(access.time);
-                last_completion =
-                    disk.request(access.time, access.blocks);
+        else
+            driver.processStart(event.pid, event.time);
+    };
+
+    // Two cursors: the access array, already in (time, pid) order,
+    // and the execution's few process events, sorted here.
+    const std::vector<ProcessEvent> processes = processEvents(input);
+    std::size_t next_process = 0;
+    for (const trace::DiskAccess &access : input.accesses) {
+        while (next_process < processes.size() &&
+               processes[next_process].precedes(access.time))
+            replay_process(processes[next_process++]);
+        if (with_disk) {
+            check_shutdown(access.time);
+            if (gap_start >= 0) {
+                sink.classify(kMergedStreamPid, gap_start, access.time,
+                              shutdown_at, shutdown_source);
             }
-            driver.onAccess(access, last_completion, sink);
-            low_power_pending = with_disk && driver.parkLowPower();
-            gap_start = access.time;
-            seg_start = access.time;
-            shutdown_at = -1;
-            shutdown_source = pred::DecisionSource::None;
-            break;
-          }
+            issue_shutdown(access.time);
+            last_completion = disk.request(access.time, access.blocks);
         }
+        driver.onAccess(access, last_completion, sink);
+        low_power_pending = with_disk && driver.parkLowPower();
+        gap_start = access.time;
+        seg_start = access.time;
+        shutdown_at = -1;
+        shutdown_source = pred::DecisionSource::None;
     }
+    while (next_process < processes.size())
+        replay_process(processes[next_process++]);
 
     if (with_disk) {
         // Trailing idle period to the end of the execution.
@@ -360,7 +246,8 @@ SimulationKernel::runExecutionScalar(const ExecutionInput &input,
         result.totalSpinUpDelay = disk.totalSpinUpDelay();
     }
     driver.endExecution(input, sink);
-    observer_.onExecutionEnd(input, result);
+    if constexpr (Instrumented)
+        observer_.onExecutionEnd(input, result);
     return result;
 }
 

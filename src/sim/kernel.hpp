@@ -5,15 +5,16 @@
  * Historically the simulator grew five hand-rolled replay loops
  * (local, global, multi-state global, base, ideal), each duplicating
  * event replay, idle-gap classification and disk accounting. The
- * kernel collapses them: it walks an ExecutionInput's merged
- * SimEvent schedule exactly once and delegates every policy decision
- * to a PolicyDriver strategy — so classifyGap (now IdleSink),
- * shutdown issuance and RunResult assembly exist in one place, and a
- * new evaluation mode is a new driver, not a sixth loop.
+ * kernel collapses them: it replays an ExecutionInput's accesses and
+ * process starts/exits exactly once, in time order, and delegates
+ * every policy decision to a PolicyDriver strategy — so classifyGap
+ * (now IdleSink), shutdown issuance and RunResult assembly exist in
+ * one place, and a new evaluation mode is a new driver, not a sixth
+ * loop.
  *
  * A SimObserver (observer.hpp) can be attached for per-idle-period
- * instrumentation; the default NullObserver costs one virtual call
- * per classified period and nothing else.
+ * instrumentation; against the default NullObserver the replay is
+ * compiled with every notification removed.
  */
 
 #ifndef PCAP_SIM_KERNEL_HPP
@@ -149,22 +150,6 @@ class IdleSink
 };
 
 /**
- * Which access order a driver replays.
- *
- * The merged schedule orders same-time events (start < access <
- * exit, then by pid); the trace order is the access array exactly as
- * the file cache emitted it. The two differ only in the relative
- * order of equal-timestamp accesses — but that order is observable:
- * processes sharing a prediction table train it in feed order, and
- * the historical per-mode loops disagreed on it. Schedule preserves
- * the global modes' behaviour, Trace the local/base/ideal modes'.
- */
-enum class ReplayOrder {
-    Schedule, ///< accesses in merged-schedule order
-    Trace,    ///< accesses in trace (array) order
-};
-
-/**
  * Strategy interface the kernel delegates policy decisions to. One
  * driver instance replays any number of executions; beginExecution
  * resets per-execution state. Everything except beginExecution and
@@ -180,9 +165,6 @@ class PolicyDriver
      * merged-stream gaps (false: the driver classifies its own
      * streams through the sink, e.g. per-process local replay). */
     virtual bool usesDisk() const = 0;
-
-    /** Which access order this driver expects (see ReplayOrder). */
-    virtual ReplayOrder replayOrder() const = 0;
 
     /** A new execution starts; reset per-execution state. */
     virtual void beginExecution(const ExecutionInput &input) = 0;
@@ -219,40 +201,23 @@ class PolicyDriver
 };
 
 /**
- * Which replay loop SimulationKernel::runExecution uses. Both walk
- * the same schedule in the same order and produce bit-identical
- * RunResults and observer callback sequences (enforced by the
- * KernelPathParity tests); Scalar exists as the readable reference
- * the batched loop is checked against.
- */
-enum class KernelPath {
-    Batched, ///< SoA batch loop, null-observer fast path (default)
-    Scalar,  ///< per-event loop over the AoS SimEvent schedule
-};
-
-/** Events per batch of the batched replay loop (and the unit of
- * SimObserver::onBatchFlush notifications). */
-constexpr std::size_t kKernelBatchEvents = 256;
-
-/**
  * Replays executions against a driver, owning the disk model, the
  * merged-stream gap state machine and shutdown issuance. Results
  * are bit-identical to the historical per-mode loops.
  *
- * The default Batched path walks the ExecutionInput's SoA event
- * arrays in kKernelBatchEvents-sized batches; when the attached
- * observer is the shared NullObserver the whole replay is compiled
- * with instrumentation statically off — no observer virtual calls,
- * no IdlePeriodRecord construction, a disk model without
- * notifications (<3 ns per classified period, see bench_overhead).
+ * The replay walks the access array in order and merges in the
+ * process starts and exits; at equal times starts come first, then
+ * accesses, then exits. When the attached observer is the shared
+ * NullObserver the whole replay is compiled with instrumentation
+ * statically off — no observer virtual calls, no IdlePeriodRecord
+ * construction, a disk model without notifications.
  */
 class SimulationKernel
 {
   public:
     explicit SimulationKernel(const SimParams &params,
-                              SimObserver &observer = nullObserver(),
-                              KernelPath path = KernelPath::Batched)
-        : params_(params), observer_(observer), path_(path)
+                              SimObserver &observer = nullObserver())
+        : params_(params), observer_(observer)
     {
     }
 
@@ -274,23 +239,15 @@ class SimulationKernel
 
     const SimParams &params() const { return params_; }
 
-    KernelPath path() const { return path_; }
-
   private:
-    /** The batched SoA loop; Instrumented compiles observer
-     * dispatch in or out (chosen once per execution, not per
-     * event). */
+    /** The replay loop; Instrumented compiles observer dispatch in
+     * or out (chosen once per execution, not per event). */
     template <bool Instrumented>
-    RunResult runExecutionBatched(const ExecutionInput &input,
-                                  PolicyDriver &driver);
-
-    /** The historical per-event reference loop. */
-    RunResult runExecutionScalar(const ExecutionInput &input,
-                                 PolicyDriver &driver);
+    RunResult replay(const ExecutionInput &input,
+                     PolicyDriver &driver);
 
     SimParams params_;
     SimObserver &observer_;
-    KernelPath path_;
 };
 
 } // namespace pcap::sim

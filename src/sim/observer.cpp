@@ -142,13 +142,6 @@ TeeObserver::onShutdownIgnored(TimeUs at)
 }
 
 void
-TeeObserver::onBatchFlush(std::size_t eventCount)
-{
-    for (SimObserver *observer : observers_)
-        observer->onBatchFlush(eventCount);
-}
-
-void
 TeeObserver::onDiskStateChange(TimeUs time, power::DiskState from,
                                power::DiskState to)
 {
@@ -351,10 +344,6 @@ MetricsObserver::MetricsObserver(obs::ScopedMetrics scope,
           scope_.counter("pcap_disk_spin_up_delay_us_total")),
       stateTransitions_(
           scope_.counter("pcap_disk_state_transitions_total")),
-      batches_(scope_.counter("pcap_sim_kernel_batches_total")),
-      batchEvents_(
-          scope_.counter("pcap_sim_kernel_batch_events_total")),
-      batchFlush_(scope_.timer("pcap_sim_batch_flush_seconds")),
       uppers_(idleLengthUppers(breakeven)),
       localBuckets_(uppers_.size() + 1, 0)
 {
@@ -380,10 +369,6 @@ MetricsObserver::MetricsObserver(obs::ScopedMetrics scope,
 void
 MetricsObserver::flush()
 {
-    // One lap per execution flush: the lap count is deterministic
-    // and diffed by tools/metrics_diff.py; the seconds are wall time
-    // and ignored there.
-    const obs::PhaseTimer::Scope lap = batchFlush_.measure();
     for (std::size_t i = 0; i < localOutcomes_.size(); ++i) {
         if (localOutcomes_[i]) {
             idlePeriods_[i]->inc(localOutcomes_[i]);
@@ -409,11 +394,6 @@ MetricsObserver::flush()
             stateUs_[i]->inc(localStateUs_[i]);
             localStateUs_[i] = 0;
         }
-    }
-    if (localBatches_) {
-        batches_.inc(localBatches_);
-        batchEvents_.inc(localBatchEvents_);
-        localBatches_ = localBatchEvents_ = 0;
     }
 }
 
@@ -452,13 +432,6 @@ MetricsObserver::onIdlePeriod(const IdlePeriodRecord &record)
     ++localBuckets_[index];
     ++localIdleCount_;
     localIdleSum_ += length;
-}
-
-void
-MetricsObserver::onBatchFlush(std::size_t eventCount)
-{
-    ++localBatches_;
-    localBatchEvents_ += static_cast<std::uint64_t>(eventCount);
 }
 
 void

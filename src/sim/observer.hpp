@@ -118,19 +118,6 @@ class SimObserver : public power::DiskObserver
     /** A spin-down order could not be served (disk busy past the
      * gap, or already down). */
     virtual void onShutdownIgnored(TimeUs at) { (void)at; }
-
-    /**
-     * The batched replay loop finished one event batch of
-     * @p eventCount events (at most sim::kKernelBatchEvents). Fires
-     * only on the instrumented batched path — the scalar reference
-     * loop has no batch structure, and the uninstrumented path makes
-     * no observer calls at all — so it is excluded from the
-     * scalar-vs-batched callback-parity contract.
-     */
-    virtual void onBatchFlush(std::size_t eventCount)
-    {
-        (void)eventCount;
-    }
 };
 
 /** The do-nothing observer every uninstrumented run shares. */
@@ -188,7 +175,6 @@ class TeeObserver final : public SimObserver
                            pred::DecisionSource source) override;
     void onShutdownIssued(TimeUs at) override;
     void onShutdownIgnored(TimeUs at) override;
-    void onBatchFlush(std::size_t eventCount) override;
     void onDiskStateChange(TimeUs time, power::DiskState from,
                            power::DiskState to) override;
     void onSpinUpServed(TimeUs time, TimeUs delay) override;
@@ -303,19 +289,13 @@ class MetricsObserver final : public SimObserver
     void onIdlePeriod(const IdlePeriodRecord &record) override;
     void onShutdownIssued(TimeUs at) override;
     void onShutdownIgnored(TimeUs at) override;
-    void onBatchFlush(std::size_t eventCount) override;
     void onDiskStateChange(TimeUs time, power::DiskState from,
                            power::DiskState to) override;
     void onSpinUpServed(TimeUs time, TimeUs delay) override;
 
   private:
     /** Push the execution-local tallies into the shared series and
-     * zero them. The push is timed into the
-     * pcap_sim_batch_flush_seconds series: its lap count (one per
-     * execution flush) is deterministic and diffed by
-     * tools/metrics_diff.py, while the seconds part is wall time and
-     * ignored there.
-     */
+     * zero them. */
     void flush();
 
     obs::ScopedMetrics scope_;
@@ -330,9 +310,6 @@ class MetricsObserver final : public SimObserver
     obs::Counter &spinUpDelayUs_;
     std::array<obs::Counter *, 4> stateUs_;
     obs::Counter &stateTransitions_;
-    obs::Counter &batches_;
-    obs::Counter &batchEvents_;
-    obs::PhaseTimer &batchFlush_;
 
     // Execution-local tallies (the replay of one execution is
     // single-threaded; see flush()).
@@ -347,8 +324,6 @@ class MetricsObserver final : public SimObserver
     std::uint64_t localSpinUpDelay_ = 0;
     std::uint64_t localTransitions_ = 0;
     std::array<std::uint64_t, 4> localStateUs_{};
-    std::uint64_t localBatches_ = 0;
-    std::uint64_t localBatchEvents_ = 0;
 
     power::DiskState lastState_ = power::DiskState::Idle;
     TimeUs lastChange_ = 0;

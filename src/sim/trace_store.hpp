@@ -61,8 +61,8 @@ generateTraces(std::uint64_t seed, const std::string &app,
 
 /**
  * The cache-dependent half of input generation: filter each trace
- * through a cold file cache with @p params and finalize the replay
- * schedule. Bit-identical to the fused path for equal traces.
+ * through a cold file cache with @p params and extract its process
+ * spans. Bit-identical to the fused path for equal traces.
  */
 std::vector<ExecutionInput>
 inputsFromTraces(const std::vector<trace::Trace> &traces,

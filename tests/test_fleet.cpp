@@ -189,7 +189,7 @@ TEST(HostExecutionSource, SingleAppStreamMatchesMaterializedPath)
     std::size_t i = 0;
     while (const ExecutionInput *input = source.next()) {
         ASSERT_LT(i, expected.size());
-        EXPECT_TRUE(input->sameContentAs(expected[i]));
+        EXPECT_TRUE(*input == expected[i]);
         ++i;
     }
     EXPECT_EQ(i, expected.size());

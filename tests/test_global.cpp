@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/global.hpp"
 #include "core/pcap.hpp"
@@ -131,6 +132,38 @@ TEST(GlobalPredictor, NeverDecisionDominates)
     gsp.onAccess(access(secondsUs(2), 2));
     EXPECT_EQ(gsp.globalDecision().earliest, kTimeNever);
     EXPECT_EQ(gsp.globalDecision().source, DecisionSource::None);
+}
+
+TEST(GlobalPredictor, NeverConsentAttributionIsOrderIndependent)
+{
+    // Pids 3 and 5 both never consent after their I/O. Attribution
+    // follows the consent path's rule — the latest lastIoTime, then
+    // the lowest pid — whichever order the slots were created in.
+    const auto factory = [](Pid, TimeUs start)
+        -> std::unique_ptr<pred::ShutdownPredictor> {
+        PcapConfig config;
+        config.backupEnabled = false;
+        return std::make_unique<PcapPredictor>(
+            config, std::make_shared<PredictionTable>(), start);
+    };
+    for (const bool low_first : {true, false}) {
+        GlobalShutdownPredictor gsp(factory);
+        for (const Pid pid : low_first ? std::vector<Pid>{3, 5}
+                                       : std::vector<Pid>{5, 3})
+            gsp.processStart(pid, 0);
+
+        gsp.onAccess(access(secondsUs(1), 3));
+        gsp.onAccess(access(secondsUs(1), 5));
+        GlobalShutdownPredictor::AttributedDecision decision =
+            gsp.globalDecisionDetailed();
+        EXPECT_EQ(decision.decision.earliest, kTimeNever);
+        EXPECT_EQ(decision.pid, 3) << "tie on lastIoTime: lowest pid";
+
+        gsp.onAccess(access(secondsUs(2), 5));
+        decision = gsp.globalDecisionDetailed();
+        EXPECT_EQ(decision.decision.earliest, kTimeNever);
+        EXPECT_EQ(decision.pid, 5) << "latest lastIoTime";
+    }
 }
 
 TEST(GlobalPredictor, AttributionFollowsTheLastDecision)

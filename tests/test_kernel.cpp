@@ -7,10 +7,12 @@
  *    bench/reference/BENCH_RESULTS.ref.json line for line.
  *  - Observer ordering: a scripted execution with hand-computable
  *    shutdowns must fire the callbacks in replay order.
- *  - Kernel path parity: the batched SoA loop must match the scalar
- *    reference loop — RunResult, observer callback sequence and
- *    AccuracyStats reconciliation — for every registered policy and
- *    every driver kind.
+ *  - Instrumented parity: the null-observer instantiation of the
+ *    replay loop must match the instrumented one, whose records
+ *    reconcile with its AccuracyStats, for every registered policy
+ *    and every driver kind.
+ *  - Same-time order: the file-cache filter emits accesses in
+ *    (time, pid, emission) order and every driver replays that order.
  *  - Policy registry: the names resolve, unknown names are rejected.
  *  - JSONL traces: per-idle-period records reconcile with the
  *    AccuracyStats the same run reports.
@@ -23,8 +25,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 #include <unistd.h>
 
@@ -34,6 +38,7 @@
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
 #include "sim/simulator.hpp"
+#include "trace/builder.hpp"
 
 namespace pcap::sim {
 namespace {
@@ -403,12 +408,9 @@ TEST(ObserverOrdering, HistogramBoundariesMustAscend)
 }
 
 // ---------------------------------------------------------------
-// Kernel path parity: the batched SoA loop is checked against the
-// scalar reference loop — identical RunResults and identical
-// observer callback sequences for every registered policy and every
-// driver kind. onBatchFlush is batched-path bookkeeping, not replay
-// semantics, and is deliberately outside this contract (the
-// RecordingObserver does not record it).
+// Instrumented parity: the replay loop is compiled twice, with and
+// without observer dispatch. Both instantiations must produce the
+// same RunResult for every registered policy and every driver kind.
 // ---------------------------------------------------------------
 
 void
@@ -435,26 +437,6 @@ expectSameResult(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.spinUps, b.spinUps) << label;
     EXPECT_EQ(a.ignoredShutdowns, b.ignoredShutdowns) << label;
     EXPECT_EQ(a.totalSpinUpDelay, b.totalSpinUpDelay) << label;
-}
-
-void
-expectSameObservations(const RecordingObserver &a,
-                       const RecordingObserver &b,
-                       const std::string &label)
-{
-    EXPECT_EQ(a.events, b.events) << label;
-    ASSERT_EQ(a.records.size(), b.records.size()) << label;
-    for (std::size_t i = 0; i < a.records.size(); ++i) {
-        const IdlePeriodRecord &ra = a.records[i];
-        const IdlePeriodRecord &rb = b.records[i];
-        EXPECT_EQ(ra.pid, rb.pid) << label << " record " << i;
-        EXPECT_EQ(ra.start, rb.start) << label << " record " << i;
-        EXPECT_EQ(ra.end, rb.end) << label << " record " << i;
-        EXPECT_EQ(ra.shutdownAt, rb.shutdownAt)
-            << label << " record " << i;
-        EXPECT_EQ(ra.source, rb.source) << label << " record " << i;
-        EXPECT_EQ(ra.outcome, rb.outcome) << label << " record " << i;
-    }
 }
 
 std::uint64_t
@@ -496,9 +478,9 @@ expectRecordsReconcile(const RecordingObserver &observer,
         << label;
 }
 
-/** Realistic multi-execution inputs: enough events to cross many
- * kKernelBatchEvents boundaries, forks, and real idle structure. */
-const std::vector<ExecutionInput> &
+/** Realistic multi-execution inputs (forks, real idle structure)
+ * plus the tiny scripted execution. */
+std::vector<ExecutionInput>
 parityInputs()
 {
     static Evaluation *eval = [] {
@@ -506,93 +488,136 @@ parityInputs()
         config.maxExecutions = 2;
         return new Evaluation(config);
     }();
-    return eval->inputs("mozilla");
-}
-
-TEST(KernelPathParity, EveryPolicyGlobalReplayMatchesScalar)
-{
-    const std::vector<ExecutionInput> &inputs = parityInputs();
-    ASSERT_FALSE(inputs.empty());
-    std::size_t events = 0;
-    for (const ExecutionInput &input : inputs)
-        events += input.eventTimes().size();
-    ASSERT_GT(events, kKernelBatchEvents)
-        << "parity inputs must cross a batch boundary";
-
-    for (const std::string &name : policyNames()) {
-        RecordingObserver scalar_obs, batched_obs;
-        SimulationKernel scalar(SimParams{}, scalar_obs,
-                                KernelPath::Scalar);
-        SimulationKernel batched(SimParams{}, batched_obs,
-                                 KernelPath::Batched);
-        PolicySession scalar_session(policyByName(name));
-        PolicySession batched_session(policyByName(name));
-        GlobalDriver scalar_driver(scalar_session);
-        GlobalDriver batched_driver(batched_session);
-
-        const RunResult a = scalar.run(inputs, scalar_driver);
-        const RunResult b = batched.run(inputs, batched_driver);
-        expectSameResult(a, b, name);
-        expectSameObservations(scalar_obs, batched_obs, name);
-        expectRecordsReconcile(batched_obs, b, name);
-
-        // The uninstrumented batched fast path (compile-time null
-        // observer, notification-free disk) must produce the same
-        // RunResult as the instrumented scalar reference.
-        SimulationKernel fast{SimParams{}};
-        PolicySession fast_session(policyByName(name));
-        GlobalDriver fast_driver(fast_session);
-        const RunResult c = fast.run(inputs, fast_driver);
-        expectSameResult(a, c, name + " (uninstrumented)");
-    }
-}
-
-TEST(KernelPathParity, EveryDriverKindMatchesScalar)
-{
-    // One representative input set per replay order plus the tiny
-    // scripted execution (shorter than one batch: tail-only path).
-    std::vector<ExecutionInput> inputs = parityInputs();
+    std::vector<ExecutionInput> inputs = eval->inputs("mozilla");
     inputs.push_back(scriptedInput());
+    return inputs;
+}
 
-    const auto compare = [&](PolicyDriver &scalar_driver,
-                             PolicyDriver &batched_driver,
-                             const std::string &label) {
-        RecordingObserver scalar_obs, batched_obs;
-        SimulationKernel scalar(SimParams{}, scalar_obs,
-                                KernelPath::Scalar);
-        SimulationKernel batched(SimParams{}, batched_obs,
-                                 KernelPath::Batched);
-        const RunResult a = scalar.run(inputs, scalar_driver);
-        const RunResult b = batched.run(inputs, batched_driver);
+TEST(InstrumentedParity, EveryDriverMatchesItsNullObserverReplay)
+{
+    const std::vector<ExecutionInput> inputs = parityInputs();
+
+    // @p make builds a driver over a fresh @p policy session, once
+    // for the null-observer replay and once for the recorded one.
+    const auto compare = [&](const std::string &label,
+                             const std::string &policy,
+                             const auto &make) {
+        SimulationKernel plain{SimParams{}};
+        RecordingObserver observer;
+        SimulationKernel observed(SimParams{}, observer);
+        PolicySession plain_session(policyByName(policy));
+        PolicySession observed_session(policyByName(policy));
+        const auto plain_driver = make(plain_session);
+        const auto observed_driver = make(observed_session);
+        const RunResult a = plain.run(inputs, *plain_driver);
+        const RunResult b = observed.run(inputs, *observed_driver);
         expectSameResult(a, b, label);
-        expectSameObservations(scalar_obs, batched_obs, label);
-        expectRecordsReconcile(batched_obs, b, label);
+        expectRecordsReconcile(observer, b, label);
     };
 
-    {
-        PolicySession a(policyByName("PCAP"));
-        PolicySession b(policyByName("PCAP"));
-        LocalDriver scalar_driver(a), batched_driver(b);
-        compare(scalar_driver, batched_driver, "local/PCAP");
+    for (const std::string &name : policyNames()) {
+        compare("global/" + name, name, [](PolicySession &session) {
+            return std::make_unique<GlobalDriver>(session);
+        });
     }
+    compare("local/PCAP", "PCAP", [](PolicySession &session) {
+        return std::make_unique<LocalDriver>(session);
+    });
+    compare("global-multistate/PCAPa", "PCAPa",
+            [](PolicySession &session) {
+                GlobalDriver::Options options;
+                options.multiState = true;
+                return std::make_unique<GlobalDriver>(session, options);
+            });
+    compare("base", "TP", [](PolicySession &) {
+        return std::make_unique<BaseDriver>();
+    });
+    compare("oracle", "TP", [](PolicySession &) {
+        return std::make_unique<OracleDriver>();
+    });
+}
+
+// ---------------------------------------------------------------
+// Same-time order: what the file cache emits at one microsecond is
+// what every driver replays.
+// ---------------------------------------------------------------
+
+/** Records the (pid, file) of every access it is fed. */
+class AccessRecorder final : public PolicyDriver
+{
+  public:
+    explicit AccessRecorder(bool disk) : disk_(disk) {}
+
+    std::vector<std::pair<Pid, FileId>> fed;
+
+    bool usesDisk() const override { return disk_; }
+    void beginExecution(const ExecutionInput &) override {}
+    void onAccess(const trace::DiskAccess &access, TimeUs,
+                  IdleSink &) override
     {
-        GlobalDriver::Options options;
-        options.multiState = true;
-        PolicySession a(policyByName("PCAPa"));
-        PolicySession b(policyByName("PCAPa"));
-        GlobalDriver scalar_driver(a, options);
-        GlobalDriver batched_driver(b, options);
-        compare(scalar_driver, batched_driver,
-                "global-multistate/PCAPa");
+        fed.emplace_back(access.pid, access.file);
     }
-    {
-        BaseDriver scalar_driver, batched_driver;
-        compare(scalar_driver, batched_driver, "base");
-    }
-    {
-        OracleDriver scalar_driver, batched_driver;
-        compare(scalar_driver, batched_driver, "oracle");
-    }
+
+  private:
+    bool disk_;
+};
+
+TEST(SameTimeOrder, FilterAndEveryReplayUseTimePidEmissionOrder)
+{
+    // Pid 20 dirties a block at 1 s; the flush daemon writes it back
+    // at the 35 s flush check. At that same microsecond pid 20 reads
+    // files 2 and 3 and its child, pid 10, reads file 4 — every read
+    // a miss. The builder emits the child's read first; the second
+    // trace moves the parent's reads ahead of it.
+    constexpr Pid kParent = 20;
+    constexpr Pid kChild = 10;
+    const TimeUs at = secondsUs(35);
+    trace::TraceBuilder builder("same-time", 0, kParent);
+    builder.io(secondsUs(1), kParent, trace::EventType::Write, 0x1000,
+               3, 1, 0, 4096);
+    builder.fork(secondsUs(2), kParent, kChild);
+    builder.io(at, kParent, trace::EventType::Read, 0x2000, 4, 2, 0,
+               4096);
+    builder.io(at, kParent, trace::EventType::Read, 0x3000, 5, 3, 0,
+               4096);
+    builder.io(at, kChild, trace::EventType::Read, 0x4000, 6, 4, 0,
+               4096);
+    const trace::Trace child_first = builder.finish(secondsUs(60));
+    std::vector<trace::TraceEvent> events = child_first.events();
+    std::stable_partition(events.begin(), events.end(),
+                          [&](const trace::TraceEvent &event) {
+                              return event.time < at ||
+                                     (event.time == at &&
+                                      event.pid == kParent);
+                          });
+    trace::Trace parent_first("same-time", 0);
+    for (const trace::TraceEvent &event : events)
+        parent_first.append(event);
+
+    const std::vector<std::pair<Pid, FileId>> expected = {
+        {kFlushDaemonPid, 1}, {kChild, 4}, {kParent, 2}, {kParent, 3}};
+    const auto check = [&](const trace::Trace &trace,
+                           const std::string &label) {
+        const ExecutionInput input =
+            ExecutionInput::fromTrace(trace, cache::CacheParams{});
+        std::vector<std::pair<Pid, FileId>> array_order, same_time;
+        for (const trace::DiskAccess &access : input.accesses) {
+            array_order.emplace_back(access.pid, access.file);
+            if (access.time == at)
+                same_time.emplace_back(access.pid, access.file);
+        }
+        EXPECT_EQ(same_time, expected) << label;
+
+        // Global-style (disk) and local-style (diskless) replays.
+        for (const bool disk : {true, false}) {
+            AccessRecorder recorder(disk);
+            SimulationKernel(SimParams{}).runExecution(input, recorder);
+            EXPECT_EQ(recorder.fed, array_order)
+                << label << (disk ? ", disk" : ", diskless");
+        }
+    };
+    check(child_first, "child first");
+    check(parent_first, "parent first");
 }
 
 // ---------------------------------------------------------------

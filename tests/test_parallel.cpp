@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <utility>
 #include <unistd.h>
 
 #include "sim/experiment.hpp"
@@ -97,7 +98,7 @@ TEST(ParallelEvaluation, MatchesSerialForAllAppsAndModes)
         const auto &pi = parallel.inputs(app);
         ASSERT_EQ(si.size(), pi.size());
         for (std::size_t i = 0; i < si.size(); ++i)
-            EXPECT_TRUE(si[i].sameContentAs(pi[i]));
+            EXPECT_TRUE(si[i] == pi[i]);
 
         const auto srow = serial.table1(app);
         const auto prow = parallel.table1(app);
@@ -166,12 +167,8 @@ TEST(InputCache, StreamRoundTripsByteIdentically)
     std::vector<ExecutionInput> loaded;
     ASSERT_EQ(readExecutionInputs(is, key, loaded), "");
     ASSERT_EQ(loaded.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        EXPECT_TRUE(inputs[i].sameContentAs(loaded[i]));
-        // Derived indexes must be rebuilt, not left empty.
-        EXPECT_EQ(inputs[i].simEvents().size(),
-                  loaded[i].simEvents().size());
-    }
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        EXPECT_TRUE(inputs[i] == loaded[i]);
 
     // Serializing the loaded inputs reproduces the exact bytes.
     std::ostringstream second;
@@ -200,6 +197,32 @@ TEST(InputCache, RejectsKeyMismatchAndCorruption)
         std::vector<ExecutionInput> loaded;
         EXPECT_NE(readExecutionInputs(is, key, loaded), "");
     }
+
+    // Well-formed bytes the replay cannot take as they are.
+    const auto rejects = [&](const std::string &what,
+                             const auto &corrupt) {
+        std::vector<ExecutionInput> bad = inputs;
+        corrupt(bad.front());
+        std::ostringstream out;
+        writeExecutionInputs(bad, key, out);
+        std::istringstream is(out.str());
+        std::vector<ExecutionInput> loaded;
+        EXPECT_NE(readExecutionInputs(is, key, loaded).find(what),
+                  std::string::npos)
+            << what;
+    };
+    ASSERT_GE(inputs.front().accesses.size(), 2u);
+    ASSERT_GE(inputs.front().processes.size(), 2u);
+    rejects("out of (time, pid) order", [](ExecutionInput &input) {
+        std::swap(input.accesses.front(), input.accesses.back());
+    });
+    rejects("ends before it starts", [](ExecutionInput &input) {
+        ProcessSpan &span = input.processes.front();
+        span.end = span.start - 1;
+    });
+    rejects("duplicate span", [](ExecutionInput &input) {
+        input.processes.push_back(input.processes.front());
+    });
 }
 
 TEST(WorkloadCache, DiskRoundTripMatchesGeneration)
@@ -222,7 +245,7 @@ TEST(WorkloadCache, DiskRoundTripMatchesGeneration)
     EXPECT_EQ(second.generatedApps(), 0u);
     ASSERT_EQ(generated.size(), loaded.size());
     for (std::size_t i = 0; i < generated.size(); ++i)
-        EXPECT_TRUE(generated[i].sameContentAs(loaded[i]));
+        EXPECT_TRUE(generated[i] == loaded[i]);
 
     // And the simulation on loaded inputs matches the serial path.
     Evaluation serial(fastConfig());

@@ -34,13 +34,9 @@ import math
 import re
 import sys
 
-# pcap_sim_batch_flush_seconds is a phase timer: its lap count (one
-# per execution flush) is deterministic and stays compared, but the
-# accumulated seconds are wall time.
 DEFAULT_IGNORE = (
     r"wall|thread_pool|workload_cache|workload_generated"
     r"|trace_store"
-    r"|pcap_sim_batch_flush_seconds.*/seconds"
     # Span-tracer volume depends on scheduling (pool-task spans, ring
     # drops); timelines are opt-in artifacts checked by
     # compare_bench.py --timeline-dir, not a metrics family to diff.
