@@ -16,6 +16,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "cache/file_cache.hpp"
 #include "core/global.hpp"
 #include "core/pcap.hpp"
 #include "obs/metrics.hpp"
@@ -27,6 +28,7 @@
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
 #include "sim/policy.hpp"
+#include "workload/app_model.hpp"
 
 using namespace pcap;
 
@@ -376,6 +378,56 @@ BENCHMARK(BM_KernelReplay<false>)
 BENCHMARK(BM_KernelReplay<true>)
     ->Name("BM_KernelReplay/observed")
     ->Arg(65536);
+
+/**
+ * The input layers: the file-cache filter and the generation
+ * metrics, over the first mplayer execution generated at seed 42
+ * (the largest application's trace; generated once per process).
+ * BM_FilterTrace's argument is the cache capacity in 4 KB blocks:
+ * 64 is the paper's 256 KB cache, 1024 the 4 MB row of the cache
+ * sweep. Its "per_io" counter is seconds per traced I/O, the unit
+ * of the ledger's cache.filter.ns_per_io.
+ */
+const trace::Trace &
+mplayerTrace()
+{
+    static const trace::Trace trace = [] {
+        Rng rng(42 ^ hashString("mplayer"));
+        return workload::makeApp("mplayer")->generate(0, rng.fork(0));
+    }();
+    return trace;
+}
+
+void
+BM_FilterTrace(benchmark::State &state)
+{
+    const trace::Trace &trace = mplayerTrace();
+    cache::CacheParams params;
+    params.capacityBytes =
+        static_cast<std::size_t>(state.range(0)) * params.blockSize;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(cache::filterTrace(trace, params));
+    state.counters["per_io"] = benchmark::Counter(
+        static_cast<double>(trace.ioCount()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FilterTrace)->Arg(64)->Arg(1024);
+
+void
+BM_RecordTraceMetrics(benchmark::State &state)
+{
+    const trace::Trace &trace = mplayerTrace();
+    obs::MetricsRegistry registry;
+    const obs::ScopedMetrics scope(&registry, {{"app", "mplayer"}});
+    for (auto _ : state)
+        workload::recordTraceMetrics(trace, scope);
+    state.counters["per_event"] = benchmark::Counter(
+        static_cast<double>(trace.events().size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RecordTraceMetrics);
 
 void
 BM_TimeoutOnIo(benchmark::State &state)

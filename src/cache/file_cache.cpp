@@ -39,6 +39,18 @@ FileCache::FileCache(const CacheParams &params)
     const std::string problem = params_.validate();
     if (!problem.empty())
         fatal("FileCache: bad parameters: " + problem);
+    const std::size_t capacity = params_.capacityBlocks();
+    if (capacity >= kNil)
+        fatal("FileCache: capacity exceeds 32-bit slot indices");
+    std::size_t cells = 2;
+    indexShift_ = 63;
+    while (cells < 2 * capacity) {
+        cells *= 2;
+        --indexShift_;
+    }
+    slots_.resize(capacity);
+    index_.resize(cells);
+    clear();
 }
 
 FileCache::BlockKey
@@ -50,44 +62,116 @@ FileCache::makeKey(FileId file, std::uint64_t block_index)
 }
 
 std::size_t
-FileCache::dirtyBlocks() const
+FileCache::homeOf(BlockKey key) const
 {
-    std::size_t count = 0;
-    for (const auto &block : lru_) {
-        if (block.dirty)
-            ++count;
+    // Fibonacci hashing: the multiply spreads file ids (high half)
+    // and block indices (low half) into the top bits.
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                    indexShift_);
+}
+
+std::size_t
+FileCache::findCell(BlockKey key) const
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t cell = homeOf(key);
+    while (index_[cell] != kNil && slots_[index_[cell]].key != key)
+        cell = (cell + 1) & mask;
+    return cell;
+}
+
+void
+FileCache::eraseCell(std::size_t cell)
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = cell;
+    for (std::size_t next = (hole + 1) & mask; index_[next] != kNil;
+         next = (next + 1) & mask) {
+        // The entry at next may fill the hole only if the hole lies
+        // on its probe path, i.e. between its home cell and next.
+        const std::size_t home = homeOf(slots_[index_[next]].key);
+        if (((next - home) & mask) >= ((next - hole) & mask)) {
+            index_[hole] = index_[next];
+            hole = next;
+        }
     }
-    return count;
+    index_[hole] = kNil;
+}
+
+void
+FileCache::unlink(Slot slot)
+{
+    Block &block = slots_[slot];
+    if (block.prev != kNil)
+        slots_[block.prev].next = block.next;
+    else
+        head_ = block.next;
+    if (block.next != kNil)
+        slots_[block.next].prev = block.prev;
+    else
+        tail_ = block.prev;
+}
+
+void
+FileCache::pushFront(Slot slot)
+{
+    Block &block = slots_[slot];
+    block.prev = kNil;
+    block.next = head_;
+    if (head_ != kNil)
+        slots_[head_].prev = slot;
+    else
+        tail_ = slot;
+    head_ = slot;
 }
 
 void
 FileCache::clear()
 {
-    lru_.clear();
-    map_.clear();
+    std::fill(index_.begin(), index_.end(), kNil);
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        slots_[i].next = i + 1 < slots_.size() ? static_cast<Slot>(i + 1)
+                                               : kNil;
+    free_ = 0;
+    head_ = kNil;
+    tail_ = kNil;
+    resident_ = 0;
+    dirty_ = 0;
     nextFlush_ = params_.flushCheckPeriod;
+}
+
+void
+FileCache::emitWriteback(TimeUs time, FileId file, std::uint32_t blocks,
+                         std::vector<trace::DiskAccess> &out)
+{
+    trace::DiskAccess writeback;
+    writeback.time = time;
+    writeback.pid = kFlushDaemonPid;
+    writeback.pc = kFlushDaemonPc;
+    writeback.fd = -1;
+    writeback.file = file;
+    writeback.isWrite = true;
+    writeback.blocks = blocks;
+    out.push_back(writeback);
+    stats_.writebackBlocks += blocks;
 }
 
 void
 FileCache::evictOne(TimeUs time, std::vector<trace::DiskAccess> &out)
 {
-    if (lru_.empty())
+    if (tail_ == kNil)
         panic("FileCache::evictOne: cache empty");
-    const Block victim = lru_.back();
-    map_.erase(victim.key);
-    lru_.pop_back();
+    const Slot victim = tail_;
+    const Block &block = slots_[victim];
+    eraseCell(findCell(block.key));
+    unlink(victim);
+    slots_[victim].next = free_;
+    free_ = victim;
+    --resident_;
     ++stats_.evictions;
-    if (victim.dirty) {
-        trace::DiskAccess writeback;
-        writeback.time = time;
-        writeback.pid = kFlushDaemonPid;
-        writeback.pc = kFlushDaemonPc;
-        writeback.fd = -1;
-        writeback.file = fileOfKey(victim.key);
-        writeback.isWrite = true;
-        writeback.blocks = 1;
-        out.push_back(writeback);
-        ++stats_.writebackBlocks;
+    if (block.dirty) {
+        --dirty_;
+        emitWriteback(time, fileOfKey(block.key), 1, out);
     }
 }
 
@@ -96,28 +180,64 @@ FileCache::touchBlock(BlockKey key, bool dirty, TimeUs time,
                       std::vector<trace::DiskAccess> &out)
 {
     ++stats_.lookups;
-    auto it = map_.find(key);
-    if (it != map_.end()) {
+    std::size_t cell = findCell(key);
+    if (index_[cell] != kNil) {
         ++stats_.hits;
+        const Slot slot = index_[cell];
         // Move to MRU position.
-        lru_.splice(lru_.begin(), lru_, it->second);
+        if (slot != head_) {
+            unlink(slot);
+            pushFront(slot);
+        }
         if (dirty) {
             // Re-dirtying refreshes the write-back timer, so data
             // being actively overwritten chases forward to the next
             // quiet period (the flush-timer behaviour the paper
             // notes was being tuned in the Linux community).
-            it->second->dirty = true;
-            it->second->dirtySince = time;
+            Block &block = slots_[slot];
+            if (!block.dirty)
+                ++dirty_;
+            block.dirty = true;
+            block.dirtySince = time;
         }
         return true;
     }
 
     ++stats_.misses;
-    while (map_.size() >= params_.capacityBlocks())
+    if (resident_ >= slots_.size()) {
         evictOne(time, out);
-    lru_.push_front(Block{key, dirty, time});
-    map_[key] = lru_.begin();
+        // The backward shift may have moved entries into the probe
+        // run this key's search ended on.
+        cell = findCell(key);
+    }
+    const Slot slot = free_;
+    Block &block = slots_[slot];
+    free_ = block.next;
+    block.key = key;
+    block.dirty = dirty;
+    block.dirtySince = time;
+    pushFront(slot);
+    index_[cell] = slot;
+    ++resident_;
+    if (dirty)
+        ++dirty_;
     return false;
+}
+
+std::uint32_t
+FileCache::cleanAll(FileId &last_file)
+{
+    std::uint32_t cleaned = 0;
+    for (Slot slot = head_; slot != kNil; slot = slots_[slot].next) {
+        Block &block = slots_[slot];
+        if (block.dirty) {
+            block.dirty = false;
+            ++cleaned;
+            last_file = fileOfKey(block.key);
+        }
+    }
+    dirty_ = 0;
+    return cleaned;
 }
 
 void
@@ -127,13 +247,17 @@ FileCache::advanceTo(TimeUs time, std::vector<trace::DiskAccess> &out)
         const TimeUs flush_time = nextFlush_;
         nextFlush_ += params_.flushCheckPeriod;
         ++stats_.flushRuns;
+        if (dirty_ == 0)
+            continue;
 
         // Age-based write-back, like Linux pdflush: once any block
         // has been dirty for the full flush interval, the daemon
         // syncs the whole dirty set in one batch (coalescing avoids
         // back-to-back partial flushes).
         bool expired = false;
-        for (const auto &block : lru_) {
+        for (Slot slot = head_; slot != kNil;
+             slot = slots_[slot].next) {
+            const Block &block = slots_[slot];
             if (block.dirty &&
                 flush_time - block.dirtySince >=
                     params_.flushInterval) {
@@ -141,28 +265,10 @@ FileCache::advanceTo(TimeUs time, std::vector<trace::DiskAccess> &out)
                 break;
             }
         }
-        std::uint32_t flushed = 0;
-        FileId any_file = 0;
         if (expired) {
-            for (auto &block : lru_) {
-                if (block.dirty) {
-                    block.dirty = false;
-                    ++flushed;
-                    any_file = fileOfKey(block.key);
-                }
-            }
-        }
-        if (flushed > 0) {
-            trace::DiskAccess writeback;
-            writeback.time = flush_time;
-            writeback.pid = kFlushDaemonPid;
-            writeback.pc = kFlushDaemonPc;
-            writeback.fd = -1;
-            writeback.file = any_file;
-            writeback.isWrite = true;
-            writeback.blocks = flushed;
-            out.push_back(writeback);
-            stats_.writebackBlocks += flushed;
+            FileId last_file = 0;
+            const std::uint32_t flushed = cleanAll(last_file);
+            emitWriteback(flush_time, last_file, flushed, out);
         }
     }
 }
@@ -226,27 +332,11 @@ void
 FileCache::flushAll(TimeUs time, std::vector<trace::DiskAccess> &out)
 {
     advanceTo(time, out);
-    std::uint32_t flushed = 0;
-    FileId any_file = 0;
-    for (auto &block : lru_) {
-        if (block.dirty) {
-            block.dirty = false;
-            ++flushed;
-            any_file = fileOfKey(block.key);
-        }
-    }
-    if (flushed > 0) {
-        trace::DiskAccess writeback;
-        writeback.time = time;
-        writeback.pid = kFlushDaemonPid;
-        writeback.pc = kFlushDaemonPc;
-        writeback.fd = -1;
-        writeback.file = any_file;
-        writeback.isWrite = true;
-        writeback.blocks = flushed;
-        out.push_back(writeback);
-        stats_.writebackBlocks += flushed;
-    }
+    if (dirty_ == 0)
+        return;
+    FileId last_file = 0;
+    const std::uint32_t flushed = cleanAll(last_file);
+    emitWriteback(time, last_file, flushed, out);
 }
 
 std::vector<trace::DiskAccess>
@@ -259,7 +349,11 @@ filterTrace(const trace::Trace &trace, const CacheParams &params,
         cache.access(event, accesses);
     cache.flushAll(trace.endTime(), accesses);
 
-    std::stable_sort(accesses.begin(), accesses.end(), accessBefore);
+    // The cache emits in time order; only same-time accesses of
+    // different pids can be out of accessBefore order.
+    if (!std::is_sorted(accesses.begin(), accesses.end(), accessBefore))
+        std::stable_sort(accesses.begin(), accesses.end(),
+                         accessBefore);
     if (stats_out)
         *stats_out = cache.stats();
     return accesses;

@@ -13,9 +13,7 @@
 #define PCAP_CACHE_FILE_CACHE_HPP
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -92,6 +90,12 @@ void recordCacheMetrics(const CacheStats &stats,
  * Feed events in non-decreasing time order via access(), calling
  * advanceTo() liberally so periodic flushes happen on schedule;
  * flushAll() drains the dirty set at the end of a trace.
+ *
+ * Storage is allocated once, at construction: a slot array of
+ * capacityBlocks() blocks chained MRU→LRU by 32-bit indices, and an
+ * open-addressing index (linear probing, backward-shift deletion)
+ * from block key to slot. Hits, misses and evictions never touch
+ * the heap, and clear() keeps the memory for the next execution.
  */
 class FileCache
 {
@@ -118,10 +122,10 @@ class FileCache
     const CacheStats &stats() const { return stats_; }
 
     /** Number of blocks currently resident. */
-    std::size_t residentBlocks() const { return map_.size(); }
+    std::size_t residentBlocks() const { return resident_; }
 
     /** Number of resident blocks that are dirty. */
-    std::size_t dirtyBlocks() const;
+    std::size_t dirtyBlocks() const { return dirty_; }
 
     /** Drop all cached state (used between executions: cold cache). */
     void clear();
@@ -130,14 +134,42 @@ class FileCache
     /** Identity of one cached block: file id + block index. */
     using BlockKey = std::uint64_t;
 
+    /** Slot index; kNil ends a chain and marks an empty index cell. */
+    using Slot = std::uint32_t;
+    static constexpr Slot kNil = ~Slot{0};
+
     struct Block
     {
-        BlockKey key;
-        bool dirty = false;
+        BlockKey key = 0;
         TimeUs dirtySince = 0; ///< when the block first became dirty
+        Slot prev = kNil;      ///< towards the MRU end
+        Slot next = kNil;      ///< towards the LRU end (free list link)
+        bool dirty = false;
     };
 
     static BlockKey makeKey(FileId file, std::uint64_t block_index);
+
+    /** Home cell of @p key in index_. */
+    std::size_t homeOf(BlockKey key) const;
+
+    /** index_ cell holding @p key, or the empty cell ending its
+     * probe run. */
+    std::size_t findCell(BlockKey key) const;
+
+    /** Remove index_ cell @p cell, shifting later entries of its
+     * probe run back so no tombstone is left. */
+    void eraseCell(std::size_t cell);
+
+    void unlink(Slot slot);
+    void pushFront(Slot slot);
+
+    /** Clean every dirty block, walking MRU→LRU; returns how many
+     * were dirty and sets @p last_file to the LRU-most one's file. */
+    std::uint32_t cleanAll(FileId &last_file);
+
+    /** Append one flush-daemon write-back of @p blocks blocks. */
+    void emitWriteback(TimeUs time, FileId file, std::uint32_t blocks,
+                       std::vector<trace::DiskAccess> &out);
 
     /**
      * Look up one block; on miss, insert it (evicting as needed and
@@ -151,9 +183,14 @@ class FileCache
 
     CacheParams params_;
     CacheStats stats_;
-    // Front = most recently used.
-    std::list<Block> lru_;
-    std::unordered_map<BlockKey, std::list<Block>::iterator> map_;
+    std::vector<Block> slots_; ///< capacityBlocks() entries
+    std::vector<Slot> index_;  ///< power of two >= 2 x capacity
+    unsigned indexShift_ = 0;  ///< 64 - log2(index_.size())
+    Slot head_ = kNil;         ///< most recently used
+    Slot tail_ = kNil;         ///< least recently used
+    Slot free_ = kNil;         ///< unused slots, linked by next
+    std::size_t resident_ = 0;
+    std::size_t dirty_ = 0;
     TimeUs nextFlush_;
 };
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "util/logging.hpp"
@@ -44,9 +43,11 @@ void
 copyDetail(std::array<char, kSpanDetailBytes> &dst,
            std::string_view src)
 {
+    // copy_n, not memcpy: an empty detail may carry a null data()
+    // pointer, which memcpy must not be given even for zero bytes.
     const std::size_t n =
         std::min(src.size(), kSpanDetailBytes - 1);
-    std::memcpy(dst.data(), src.data(), n);
+    std::copy_n(src.data(), n, dst.data());
     dst[n] = '\0';
 }
 
@@ -109,8 +110,8 @@ TraceRecorder::threadBuffer()
 {
     if (tSlot.owner != generation_) {
         std::lock_guard<std::mutex> lock(mutex_);
-        // The perf side array exists only when counter attribution
-        // is armed at registration time; bench_all installs both
+        // Perf side arrays exist only when counter attribution is
+        // armed at registration time; bench_all installs both
         // sinks before any span runs.
         auto buffer = std::make_unique<ThreadBuffer>(capacity_,
                                                      perfEnabled());
@@ -133,17 +134,26 @@ TraceRecorder::append(const char *name, std::string_view detail,
     ThreadBuffer &buffer = threadBuffer();
     const std::uint64_t used =
         buffer.size.load(std::memory_order_relaxed);
-    if (used >= buffer.events.size()) {
+    if (used >= capacity_) {
         buffer.dropped.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    TraceEvent &event = buffer.events[used];
+    std::unique_ptr<Chunk> &chunk =
+        buffer.chunks[used / kTraceChunkEvents];
+    if (!chunk) {
+        chunk = std::make_unique<Chunk>();
+        if (buffer.withPerf)
+            chunk->perf =
+                std::make_unique<PerfCounts[]>(kTraceChunkEvents);
+    }
+    const std::size_t offset = used % kTraceChunkEvents;
+    TraceEvent &event = chunk->events[offset];
     event.startNs = startNs;
     event.durNs = durNs;
     event.name = name;
     copyDetail(event.detail, detail);
-    if (perf && used < buffer.perf.size()) {
-        buffer.perf[used] = *perf;
+    if (perf && chunk->perf) {
+        chunk->perf[offset] = *perf;
         event.hasPerf = true;
     }
     // Publish after the payload so a post-join reader never sees a
@@ -181,14 +191,14 @@ TraceRecorder::threadCount() const
 void
 TraceRecorder::writeChromeTrace(const std::string &path) const
 {
-    // A full ring silently truncates the profile's tail; surface
+    // A full buffer silently truncates the profile's tail; surface
     // that once, at write time, so a "why is this phase missing"
     // hunt starts from the drop count instead of the rendered file.
     const std::uint64_t dropped = totalDropped();
     if (dropped > 0 &&
         !dropWarned_.exchange(true, std::memory_order_relaxed)) {
         warn("trace profile dropped " + std::to_string(dropped) +
-             " spans (per-thread ring capacity " +
+             " spans (per-thread buffer capacity " +
              std::to_string(capacity_) +
              "); raise TraceRecorder capacity or trace less");
     }
@@ -213,7 +223,9 @@ TraceRecorder::writeChromeTrace(const std::string &path) const
         const std::uint64_t count =
             buffer.size.load(std::memory_order_acquire);
         for (std::uint64_t i = 0; i < count; ++i) {
-            const TraceEvent &event = buffer.events[i];
+            const Chunk &chunk = *buffer.chunks[i / kTraceChunkEvents];
+            const TraceEvent &event =
+                chunk.events[i % kTraceChunkEvents];
             os << ",\n    {\"name\": ";
             writeEscaped(os, event.name);
             os << ", \"cat\": \"pcap\", \"ph\": \"X\", \"ts\": ";
@@ -230,7 +242,8 @@ TraceRecorder::writeChromeTrace(const std::string &path) const
                     firstArg = false;
                 }
                 if (event.hasPerf) {
-                    const PerfCounts &perf = buffer.perf[i];
+                    const PerfCounts &perf =
+                        chunk.perf[i % kTraceChunkEvents];
                     char num[64];
                     const auto arg =
                         [&](const char *key,

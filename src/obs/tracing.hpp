@@ -6,11 +6,11 @@
  * resolves *wall* time: where does a bench run actually spend its
  * seconds — workload generation, per-cell replay, report rendering,
  * fleet shards, thread-pool tasks. RAII Spans record into per-thread
- * fixed-capacity buffers (single-writer, no locks on the hot path,
- * overflow drops the newest spans and counts them — the same
- * flight-recorder discipline as the provenance ring) and the whole
- * recorder serializes to Chrome trace-event JSON, loadable in
- * Perfetto or chrome://tracing.
+ * bounded buffers (single-writer, no locks on the hot path, storage
+ * allocated lazily in fixed chunks, overflow drops the newest spans
+ * and counts them — the same flight-recorder discipline as the
+ * provenance ring) and the whole recorder serializes to Chrome
+ * trace-event JSON, loadable in Perfetto or chrome://tracing.
  *
  * Tracing is opt-in and process-global: bench_all installs a
  * recorder via setTraceRecorder for --trace-profile; with none
@@ -36,6 +36,9 @@ namespace pcap::obs {
 /** Inline payload bytes per span (truncating, NUL-terminated). */
 constexpr std::size_t kSpanDetailBytes = 48;
 
+/** Spans per storage chunk of a thread's trace buffer. */
+constexpr std::size_t kTraceChunkEvents = 1024;
+
 /** One completed span: a Chrome "X" (complete) event. */
 struct TraceEvent
 {
@@ -47,20 +50,24 @@ struct TraceEvent
     /** True when a counter delta was recorded over the span (a
      * PerfProfiler installed alongside the recorder:
      * --trace-profile --perf). The delta itself lives at this
-     * event's index in the thread buffer's perf side array —
-     * embedding the ~80-byte PerfCounts here would double every
-     * per-thread trace buffer even with --perf off. Rendered as
-     * ipc/cycles/miss args on the trace event. */
+     * event's index in its chunk's perf side array — embedding
+     * the ~80-byte PerfCounts here would double every trace chunk
+     * even with --perf off. Rendered as ipc/cycles/miss args on the
+     * trace event. */
     bool hasPerf = false;
 };
 
 /**
  * Collects spans from any number of threads.
  *
- * Each thread gets its own fixed-capacity buffer on first use
- * (registration takes a mutex once per thread; appends are plain
- * single-writer stores with a release size publish). Buffers never
- * reallocate, so readers may walk them after the writers go idle.
+ * Each thread gets its own buffer of up to `capacity` spans on first
+ * use (registration takes a mutex once per thread; appends are plain
+ * single-writer stores with a release size publish). A buffer is a
+ * chunk-pointer table sized at registration; the writer allocates
+ * each kTraceChunkEvents-span chunk when it first reaches it, so a
+ * thread that records a handful of spans costs one chunk, not the
+ * whole capacity. Chunks never move, so readers may walk them after
+ * the writers go idle.
  */
 class TraceRecorder
 {
@@ -86,19 +93,28 @@ class TraceRecorder
     void writeChromeTrace(const std::string &path) const;
 
   private:
+    struct Chunk
+    {
+        std::array<TraceEvent, kTraceChunkEvents> events;
+        /** Counter deltas parallel to events, allocated with the
+         * chunk only when a PerfProfiler was installed at
+         * registration; null — and deltas dropped — otherwise. */
+        std::unique_ptr<PerfCounts[]> perf;
+    };
+
     struct ThreadBuffer
     {
         ThreadBuffer(std::size_t capacity, bool withPerf)
-            : events(capacity), perf(withPerf ? capacity : 0)
+            : chunks((capacity + kTraceChunkEvents - 1) /
+                     kTraceChunkEvents),
+              withPerf(withPerf)
         {
         }
 
-        std::vector<TraceEvent> events;
-        /** Counter deltas parallel to events, preallocated (never
-         * reallocates, same single-writer discipline) only when a
-         * PerfProfiler was installed at registration; empty — and
-         * deltas dropped — otherwise. */
-        std::vector<PerfCounts> perf;
+        /** Span i lives in chunks[i / kTraceChunkEvents]; written by
+         * the owning thread before the size publish that covers i. */
+        std::vector<std::unique_ptr<Chunk>> chunks;
+        const bool withPerf;
         std::atomic<std::uint64_t> size{0}; ///< published count
         std::atomic<std::uint64_t> dropped{0};
         std::string name;

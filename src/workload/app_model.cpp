@@ -1,5 +1,7 @@
 #include "workload/app_model.hpp"
 
+#include <array>
+
 #include "workload/apps.hpp"
 
 namespace pcap::workload {
@@ -46,11 +48,22 @@ recordTraceMetrics(const trace::Trace &trace,
     scope.counter("pcap_workload_generated_span_us_total")
         .inc(static_cast<std::uint64_t>(trace.endTime() -
                                         trace.startTime()));
-    for (const trace::TraceEvent &event : trace.events()) {
+    // Count locally, then resolve one series per type that occurs:
+    // a registry lookup per event would serialize parallel
+    // generation on the registry mutex.
+    constexpr std::size_t kTypes =
+        static_cast<std::size_t>(trace::EventType::Exit) + 1;
+    std::array<std::uint64_t, kTypes> counts{};
+    for (const trace::TraceEvent &event : trace.events())
+        ++counts[static_cast<std::size_t>(event.type)];
+    for (std::size_t type = 0; type < kTypes; ++type) {
+        if (counts[type] == 0)
+            continue;
         scope
             .counter("pcap_workload_generated_events_total",
-                     {{"type", trace::eventTypeName(event.type)}})
-            .inc();
+                     {{"type", trace::eventTypeName(
+                                   static_cast<trace::EventType>(type))}})
+            .inc(counts[type]);
     }
 }
 

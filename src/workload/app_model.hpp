@@ -60,9 +60,11 @@ std::vector<std::string> standardAppNames();
 /**
  * Add one freshly generated trace to @p scope's
  * pcap_workload_generated_* counters (events by type, traced span).
- * Only generation records these — cache-loaded inputs skip the
- * generator entirely — so they are excluded from metric diffs by
- * default.
+ * Events are tallied locally and each type that occurs costs one
+ * counter update, so parallel generators do not contend on the
+ * registry; a type absent from every trace gets no series. Only
+ * generation records these — cache-loaded inputs skip the generator
+ * entirely — so they are excluded from metric diffs by default.
  */
 void recordTraceMetrics(const trace::Trace &trace,
                         const obs::ScopedMetrics &scope);

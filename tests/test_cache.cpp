@@ -1,14 +1,19 @@
 /**
  * @file
  * File-cache tests: LRU behaviour, write-allocate semantics,
- * age-based coalesced flushes, eviction write-backs and the
- * trace-filter pipeline.
+ * age-based coalesced flushes, eviction write-backs, the
+ * trace-filter pipeline, and a differential check of FileCache
+ * against a straightforward list + hash-map LRU reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+
 #include "cache/file_cache.hpp"
 #include "trace/builder.hpp"
+#include "util/rng.hpp"
 
 namespace pcap::cache {
 namespace {
@@ -328,6 +333,308 @@ TEST(FilterTrace, HitRatioReflectsRereads)
     CacheStats stats;
     filterTrace(trace, smallCache(8), &stats);
     EXPECT_DOUBLE_EQ(stats.hitRatio(), 0.9);
+}
+
+/**
+ * Reference LRU with FileCache's flush rules, kept deliberately
+ * plain: a std::list in MRU→LRU order and a hash map from block key
+ * to list position. The differential tests below require FileCache
+ * to match it event for event.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheParams &params)
+        : params_(params), nextFlush_(params.flushCheckPeriod)
+    {
+    }
+
+    void advanceTo(TimeUs time, std::vector<trace::DiskAccess> &out)
+    {
+        while (nextFlush_ <= time) {
+            const TimeUs flush_time = nextFlush_;
+            nextFlush_ += params_.flushCheckPeriod;
+            ++stats_.flushRuns;
+            bool expired = false;
+            for (const Block &block : lru_) {
+                if (block.dirty &&
+                    flush_time - block.dirtySince >=
+                        params_.flushInterval)
+                    expired = true;
+            }
+            if (expired)
+                writeBackAll(flush_time, out);
+        }
+    }
+
+    void access(const trace::TraceEvent &event,
+                std::vector<trace::DiskAccess> &out)
+    {
+        advanceTo(event.time, out);
+        const bool is_write = event.type == trace::EventType::Write;
+        std::uint32_t missed = 0;
+        if (event.type == trace::EventType::Read || is_write) {
+            const std::uint64_t span = event.size == 0 ? 1 : event.size;
+            for (std::uint64_t block = event.offset / params_.blockSize;
+                 block <= (event.offset + span - 1) / params_.blockSize;
+                 ++block) {
+                if (!touch(key(event.file, block), is_write,
+                           event.time, out))
+                    ++missed;
+            }
+        } else if (event.type == trace::EventType::Open) {
+            if (!touch(key(event.file, 0xffffffffull), false,
+                       event.time, out))
+                ++missed;
+        } else {
+            return;
+        }
+        if (missed > 0) {
+            trace::DiskAccess access;
+            access.time = event.time;
+            access.pid = event.pid;
+            access.pc = event.pc;
+            access.fd = event.fd;
+            access.file = event.file;
+            access.isWrite = is_write;
+            access.blocks = missed;
+            out.push_back(access);
+        }
+    }
+
+    void flushAll(TimeUs time, std::vector<trace::DiskAccess> &out)
+    {
+        advanceTo(time, out);
+        writeBackAll(time, out);
+    }
+
+    void clear()
+    {
+        lru_.clear();
+        map_.clear();
+        nextFlush_ = params_.flushCheckPeriod;
+    }
+
+    const CacheStats &stats() const { return stats_; }
+    std::size_t residentBlocks() const { return map_.size(); }
+    std::size_t dirtyBlocks() const
+    {
+        std::size_t count = 0;
+        for (const Block &block : lru_)
+            count += block.dirty ? 1 : 0;
+        return count;
+    }
+
+  private:
+    struct Block
+    {
+        std::uint64_t key;
+        bool dirty;
+        TimeUs dirtySince;
+    };
+
+    static std::uint64_t key(FileId file, std::uint64_t block)
+    {
+        return (static_cast<std::uint64_t>(file) << 32) | block;
+    }
+
+    static trace::DiskAccess writeback(TimeUs time, std::uint64_t key,
+                                       std::uint32_t blocks)
+    {
+        trace::DiskAccess access;
+        access.time = time;
+        access.pid = kFlushDaemonPid;
+        access.pc = kFlushDaemonPc;
+        access.fd = -1;
+        access.file = static_cast<FileId>(key >> 32);
+        access.isWrite = true;
+        access.blocks = blocks;
+        return access;
+    }
+
+    /** Clean the whole dirty set as one write-back naming the
+     * LRU-most dirty block's file. */
+    void writeBackAll(TimeUs time, std::vector<trace::DiskAccess> &out)
+    {
+        std::uint32_t flushed = 0;
+        std::uint64_t last_key = 0;
+        for (Block &block : lru_) {
+            if (block.dirty) {
+                block.dirty = false;
+                ++flushed;
+                last_key = block.key;
+            }
+        }
+        if (flushed > 0) {
+            out.push_back(writeback(time, last_key, flushed));
+            stats_.writebackBlocks += flushed;
+        }
+    }
+
+    bool touch(std::uint64_t block_key, bool dirty, TimeUs time,
+               std::vector<trace::DiskAccess> &out)
+    {
+        ++stats_.lookups;
+        const auto it = map_.find(block_key);
+        if (it != map_.end()) {
+            ++stats_.hits;
+            lru_.splice(lru_.begin(), lru_, it->second);
+            if (dirty) {
+                it->second->dirty = true;
+                it->second->dirtySince = time;
+            }
+            return true;
+        }
+        ++stats_.misses;
+        if (map_.size() >= params_.capacityBlocks()) {
+            const Block victim = lru_.back();
+            map_.erase(victim.key);
+            lru_.pop_back();
+            ++stats_.evictions;
+            if (victim.dirty) {
+                out.push_back(writeback(time, victim.key, 1));
+                ++stats_.writebackBlocks;
+            }
+        }
+        lru_.push_front(Block{block_key, dirty, time});
+        map_[block_key] = lru_.begin();
+        return false;
+    }
+
+    CacheParams params_;
+    CacheStats stats_;
+    std::list<Block> lru_;
+    std::unordered_map<std::uint64_t, std::list<Block>::iterator> map_;
+    TimeUs nextFlush_;
+};
+
+/** One random event over @p files, touching block indices below
+ * @p blocks: multi-block and unaligned reads and writes, opens and
+ * closes, separated mostly by short gaps and now and then by gaps
+ * that cross several flush periods. */
+trace::TraceEvent
+randomEvent(Rng &rng, TimeUs &now, const std::vector<FileId> &files,
+            std::uint64_t blocks)
+{
+    const double gap = rng.uniform01();
+    if (gap < 0.05)
+        now += secondsUs(rng.uniformReal(5.0, 70.0));
+    else if (gap < 0.3)
+        now += millisUs(rng.uniformReal(0.0, 2000.0));
+    // else: same microsecond as the previous event.
+
+    const FileId file = files[static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(files.size()) - 1))];
+    const std::uint64_t offset =
+        static_cast<std::uint64_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(blocks) - 1)) *
+            4096 +
+        (rng.chance(0.3) ? static_cast<std::uint64_t>(
+                               rng.uniformInt(1, 4095))
+                         : 0);
+    const std::uint32_t size =
+        static_cast<std::uint32_t>(rng.uniformInt(0, 4 * 4096));
+
+    trace::TraceEvent event = readEvent(now, file, offset, size);
+    const double kind = rng.uniform01();
+    if (kind < 0.45)
+        event.type = trace::EventType::Read;
+    else if (kind < 0.8)
+        event.type = trace::EventType::Write;
+    else if (kind < 0.92)
+        event.type = trace::EventType::Open;
+    else
+        event.type = trace::EventType::Close;
+    event.pid = static_cast<Pid>(10 + rng.uniformInt(0, 2));
+    return event;
+}
+
+/** Drive a FileCache and the reference with the same events,
+ * checking output, stats, residency and dirtiness after each. */
+void
+expectSameAsReference(std::size_t capacity, std::uint64_t seed,
+                      const std::vector<FileId> &files,
+                      std::uint64_t blocks, int events)
+{
+    const CacheParams params = smallCache(capacity);
+    FileCache cache(params);
+    ReferenceCache reference(params);
+    Rng rng(seed);
+    TimeUs now = 0;
+    std::vector<trace::DiskAccess> got;
+    std::vector<trace::DiskAccess> want;
+
+    const auto check = [&](int step) {
+        ASSERT_EQ(got, want) << "capacity " << capacity << " seed "
+                             << seed << " step " << step;
+        got.clear();
+        want.clear();
+        ASSERT_EQ(cache.stats(), reference.stats()) << step;
+        ASSERT_EQ(cache.residentBlocks(), reference.residentBlocks())
+            << step;
+        ASSERT_EQ(cache.dirtyBlocks(), reference.dirtyBlocks())
+            << step;
+    };
+
+    for (int round = 0; round < 2; ++round) {
+        // The second round reuses the cache after clear().
+        for (int step = 0; step < events; ++step) {
+            if (rng.chance(0.02)) {
+                now += secondsUs(rng.uniformReal(0.0, 20.0));
+                cache.advanceTo(now, got);
+                reference.advanceTo(now, want);
+            } else {
+                const trace::TraceEvent event =
+                    randomEvent(rng, now, files, blocks);
+                cache.access(event, got);
+                reference.access(event, want);
+            }
+            check(step);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+        now += secondsUs(1.0);
+        cache.flushAll(now, got);
+        reference.flushAll(now, want);
+        check(events);
+        if (testing::Test::HasFatalFailure())
+            return;
+        cache.clear();
+        reference.clear();
+        now = 0;
+        ASSERT_EQ(cache.residentBlocks(), 0u);
+        ASSERT_EQ(cache.dirtyBlocks(), 0u);
+    }
+}
+
+TEST(FileCacheDifferential, MatchesReferenceLruAtEveryCapacity)
+{
+    const std::vector<FileId> files = {1, 2, 3, 7, 42};
+    for (const std::size_t capacity : {1u, 2u, 3u, 64u, 1024u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            // Block ranges around the capacity give a mix of hits,
+            // misses and evictions.
+            expectSameAsReference(capacity, seed * 7919 + capacity,
+                                  files, capacity / 2 + 3, 3000);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(FileCacheDifferential, CollidingKeysChurnThroughTheIndex)
+{
+    // File ids that differ only in high bits and dense low block
+    // indices: many keys share their low bits, so probe runs grow
+    // long and deletes shift entries across the index's end.
+    const std::vector<FileId> files = {1u << 8, 1u << 16, 1u << 24,
+                                       (1u << 16) | (1u << 24), 0};
+    for (const std::size_t capacity : {2u, 3u, 64u, 1024u}) {
+        expectSameAsReference(capacity, 99 + capacity, files,
+                              2 * capacity + 1, 6000);
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 } // namespace

@@ -8,9 +8,9 @@
  *  - LogSketch: quantiles within the configured relative accuracy,
  *    merge equivalent to bulk insertion (the fleet determinism
  *    contract), and a sane median-absolute-deviation.
- *  - TraceRecorder/Span: events recorded per thread, ring overflow
- *    counted as drops (never reallocation), and the exported Chrome
- *    trace JSON well-formed.
+ *  - TraceRecorder/Span: events recorded per thread, overflow
+ *    counted as drops (never reallocation), span order kept across
+ *    storage chunks, and the exported Chrome trace JSON well-formed.
  *  - TimelineObserver: an observer-driven cell reconciles residency
  *    with simulated time and energy with the disk's power draws,
  *    across executions.
@@ -286,6 +286,42 @@ TEST(TraceRecorder, RingOverflowDropsInsteadOfGrowing)
     obs::setTraceRecorder(nullptr);
     EXPECT_EQ(recorder.totalEvents(), 4u);
     EXPECT_EQ(recorder.totalDropped(), 6u);
+}
+
+TEST(TraceRecorder, ChunkedBufferKeepsOrderAndDropsPastCapacity)
+{
+    // A capacity that is not a multiple of the chunk size: the last
+    // chunk is only partly usable and the overflow check must still
+    // stop at the capacity.
+    constexpr std::size_t kCapacity = 1500;
+    static_assert(kCapacity % obs::kTraceChunkEvents != 0);
+    obs::TraceRecorder recorder(kCapacity);
+    obs::setTraceRecorder(&recorder);
+    for (int i = 0; i < 1600; ++i)
+        obs::Span span("seq", "span-" + std::to_string(i));
+    obs::setTraceRecorder(nullptr);
+    EXPECT_EQ(recorder.totalEvents(), kCapacity);
+    EXPECT_EQ(recorder.totalDropped(), 100u);
+
+    const std::string path =
+        testing::TempDir() + "/pcap-trace-chunk-test.json";
+    recorder.writeChromeTrace(path);
+    std::ifstream is(path);
+    ASSERT_TRUE(is);
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    const std::string text = buffer.str();
+
+    // Spans come out in append order, across the chunk boundary.
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+        const std::string needle =
+            "\"span-" + std::to_string(i) + "\"";
+        const std::size_t found = text.find(needle, at);
+        ASSERT_NE(found, std::string::npos) << needle;
+        at = found + needle.size();
+    }
+    EXPECT_EQ(text.find("\"span-1500\""), std::string::npos);
 }
 
 TEST(Span, IsANoOpWithoutARecorder)

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <set>
 
+#include "obs/metrics.hpp"
+#include "trace/builder.hpp"
 #include "workload/app_model.hpp"
 #include "workload/apps.hpp"
 
@@ -218,6 +220,103 @@ TEST(XemacsShape, MostlySingleProcess)
     }
     EXPECT_GT(multi, 0);
     EXPECT_LT(multi, 8);
+}
+
+/** Value of pcap_workload_generated_events_total{type=@p type};
+ * -1 when the registry has no such series. */
+std::int64_t
+generatedEvents(const obs::MetricsRegistry &registry,
+                const std::string &type)
+{
+    for (const auto &series : registry.snapshot()) {
+        if (series.name != "pcap_workload_generated_events_total")
+            continue;
+        for (const auto &[key, value] : series.labels) {
+            if (key == "type" && value == type)
+                return static_cast<std::int64_t>(
+                    series.counter->value());
+        }
+    }
+    return -1;
+}
+
+/** Events of @p trace with type @p type. */
+std::int64_t
+eventsOfType(const trace::Trace &trace, trace::EventType type)
+{
+    return std::count_if(trace.events().begin(), trace.events().end(),
+                         [type](const trace::TraceEvent &event) {
+                             return event.type == type;
+                         });
+}
+
+constexpr trace::EventType kAllTypes[] = {
+    trace::EventType::Read,  trace::EventType::Write,
+    trace::EventType::Open,  trace::EventType::Close,
+    trace::EventType::Fork,  trace::EventType::Exit};
+
+TEST(TraceMetrics, CountsEachTypeAndSkipsAbsentTypes)
+{
+    trace::TraceBuilder builder("app", 0, 10);
+    builder.io(secondsUs(1), 10, trace::EventType::Open, 0x1000, 3, 5,
+               0, 0);
+    builder.fork(secondsUs(2), 10, 11);
+    for (int i = 0; i < 5; ++i) {
+        builder.io(secondsUs(3 + i), 10 + i % 2,
+                   trace::EventType::Read, 0x2000, 3, 5, 4096u * i,
+                   4096);
+    }
+    builder.io(secondsUs(9), 10, trace::EventType::Close, 0x3000, 3, 5,
+               0, 0);
+    const trace::Trace trace = builder.finish(secondsUs(20));
+    ASSERT_EQ(eventsOfType(trace, trace::EventType::Write), 0);
+
+    obs::MetricsRegistry registry;
+    recordTraceMetrics(trace, obs::ScopedMetrics(&registry));
+    EXPECT_EQ(generatedEvents(registry, "write"), -1);
+    EXPECT_EQ(generatedEvents(registry, "read"), 5);
+    EXPECT_EQ(generatedEvents(registry, "open"), 1);
+    EXPECT_EQ(generatedEvents(registry, "close"), 1);
+    EXPECT_EQ(generatedEvents(registry, "fork"), 1);
+    EXPECT_EQ(generatedEvents(registry, "exit"), 2);
+    EXPECT_EQ(registry.counter("pcap_workload_generated_traces_total")
+                  .value(),
+              1u);
+}
+
+TEST(TraceMetrics, GeneratedTracesAccumulatePerType)
+{
+    const auto model = makeApp("mplayer");
+    const trace::Trace first = model->generate(0, seedFor("mplayer", 0));
+    const trace::Trace second =
+        model->generate(1, seedFor("mplayer", 1));
+
+    obs::MetricsRegistry registry;
+    const obs::ScopedMetrics scope(&registry);
+    recordTraceMetrics(first, scope);
+    for (const trace::EventType type : kAllTypes) {
+        const std::int64_t n = eventsOfType(first, type);
+        EXPECT_EQ(generatedEvents(registry, trace::eventTypeName(type)),
+                  n > 0 ? n : -1)
+            << trace::eventTypeName(type);
+    }
+    recordTraceMetrics(second, scope);
+    for (const trace::EventType type : kAllTypes) {
+        const std::int64_t n =
+            eventsOfType(first, type) + eventsOfType(second, type);
+        EXPECT_EQ(generatedEvents(registry, trace::eventTypeName(type)),
+                  n > 0 ? n : -1)
+            << trace::eventTypeName(type);
+    }
+    EXPECT_EQ(registry.counter("pcap_workload_generated_traces_total")
+                  .value(),
+              2u);
+    EXPECT_EQ(
+        registry.counter("pcap_workload_generated_span_us_total")
+            .value(),
+        static_cast<std::uint64_t>(first.endTime() - first.startTime() +
+                                   second.endTime() -
+                                   second.startTime()));
 }
 
 } // namespace
