@@ -2,17 +2,16 @@
  * @file
  * bench_all — the whole evaluation suite in one process.
  *
- * Historically every table and figure was a separate binary, each
- * regenerating the six-application workload from seed before
- * simulating; a full EXPERIMENTS.md refresh paid that cost ~15
- * times. bench_all renders every report through one shared
- * ParallelEvaluation: the workload is generated (or loaded from the
- * on-disk cache) once, every (app x policy x mode) simulation cell
- * is computed once — reports overlap heavily in the cells they
- * query — and cells fan out across a thread pool where cores exist.
+ * Every report renders through one shared ParallelEvaluation: the
+ * workload is generated (or loaded from the on-disk cache) once,
+ * every (app x policy x mode) simulation cell is computed once —
+ * reports overlap heavily in the cells they query — and cells fan
+ * out across a thread pool where cores exist. `--only NAME` renders
+ * a single report (names from `--list`); `--jobs 1` runs every cell
+ * on the calling thread.
  *
- * Output: the same report text the standalone binaries print, plus
- * per-phase wall-clock timings and a machine-readable
+ * Output: the report text, plus per-phase wall-clock timings, the
+ * workload-cache and cell-store hit counts, and a machine-readable
  * BENCH_RESULTS.json for tools/compare_bench.py.
  */
 
@@ -410,8 +409,8 @@ main(int argc, char **argv)
     Json fleet_json;
     bench::ReportContext ctx{
         eval, [&options](const sim::ExperimentConfig &config) {
-            return std::unique_ptr<sim::EvaluationApi>(
-                new sim::ParallelEvaluation(config, options));
+            return std::make_unique<sim::ParallelEvaluation>(config,
+                                                             options);
         }};
     ctx.fleet.hosts = fleet_hosts;
     ctx.fleet.jobs = options.jobs;
@@ -500,7 +499,6 @@ main(int argc, char **argv)
         std::cout << text.str();
         Json &entry = report_json[report->name];
         entry = Json::object();
-        entry["binary"] = report->binary;
         entry["ms"] = ms;
         entry["lines"] = linesJson(text.str());
         timing_json[report->name] = ms;
@@ -515,6 +513,9 @@ main(int argc, char **argv)
                       : std::string("disabled"))
               << " (" << eval.workloadCache().hits() << " hits, "
               << eval.workloadCache().misses() << " misses)\n"
+              << "cell store:       " << options.cellStore->hits()
+              << " hits, " << options.cellStore->computed()
+              << " computed\n"
               << "inputs phase:     " << fixedString(inputs_ms, 1)
               << " ms\n"
               << "simulation phase: " << fixedString(cells_ms, 1)

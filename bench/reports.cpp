@@ -35,7 +35,7 @@ policiesByName(std::initializer_list<const char *> names)
     return policies;
 }
 
-/** Titled section header, exactly as the historical binaries. */
+/** Titled section header of every report. */
 void
 header(std::ostream &os, const std::string &title,
        const std::string &paper_note)
@@ -518,7 +518,7 @@ timeoutSweepPolicies()
 }
 
 double
-averageSavings(sim::EvaluationApi &eval,
+averageSavings(sim::ParallelEvaluation &eval,
                const sim::PolicyConfig &policy)
 {
     std::vector<double> savings;
@@ -532,7 +532,7 @@ averageSavings(sim::EvaluationApi &eval,
 }
 
 double
-averageMiss(sim::EvaluationApi &eval,
+averageMiss(sim::ParallelEvaluation &eval,
             const sim::PolicyConfig &policy)
 {
     std::vector<double> misses;
@@ -595,7 +595,7 @@ historySweepPolicies()
 }
 
 void
-hitMissAverages(sim::EvaluationApi &eval,
+hitMissAverages(sim::ParallelEvaluation &eval,
                 const sim::PolicyConfig &policy, double &hit,
                 double &miss)
 {
@@ -723,9 +723,7 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
            "accesses, fewer but longer idle periods.");
 
     // The raw traces the sweep shares stay resident only while this
-    // report runs. The scope spans the whole function — serial
-    // engines skip the prefetch and compute inside the render loop
-    // below — and on close the store drops every published entry.
+    // report runs: on close the store drops every published entry.
     std::optional<sim::TraceStore::Retention> retention;
     if (ctx.traceStore)
         retention.emplace(*ctx.traceStore);
@@ -744,8 +742,8 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
     {
         std::size_t kb = 0;
         sim::ExperimentConfig config;
-        std::unique_ptr<sim::EvaluationApi> owned;
-        sim::EvaluationApi *eval = nullptr;
+        std::unique_ptr<sim::ParallelEvaluation> owned;
+        sim::ParallelEvaluation *eval = nullptr;
     };
     std::vector<SweepRow> rows;
     for (std::size_t kb : {64, 128, 256, 512, 1024, 4096}) {
@@ -768,17 +766,14 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
     }
     // Overlap the rows: each prefetch fans its cells over its own
     // transient pool, and the slowest cell of one configuration no
-    // longer gates the start of the next. Serial engines implement
-    // prefetchCells as a no-op, so the standalone binary still
-    // computes every cell inline below.
+    // longer gates the start of the next.
     pcap::parallelFor(static_cast<unsigned>(rows.size()),
                       rows.size(), [&](std::size_t i) {
-                          rows[i].eval->prefetchCells(
-                              cellsAblationCache());
+                          rows[i].eval->prefetch(cellsAblationCache());
                       });
 
     for (const SweepRow &row : rows) {
-        sim::EvaluationApi *eval = row.eval;
+        sim::ParallelEvaluation *eval = row.eval;
         const sim::ExperimentConfig &config = row.config;
 
         std::uint64_t accesses = 0, periods = 0;
@@ -1447,30 +1442,6 @@ allReports()
         {"fleet", "", reportFleet, cellsNone, /*optIn=*/true},
     };
     return kReports;
-}
-
-int
-runReportStandalone(const std::string &name)
-{
-    for (const Report &report : allReports()) {
-        if (report.name != name)
-            continue;
-        // One trace store for the standard engine and any sweep
-        // engines the report builds: configurations share raw
-        // traces and re-run only the file-cache filter.
-        auto store = std::make_shared<sim::TraceStore>();
-        sim::Evaluation eval(standardConfig(), store);
-        ReportContext ctx{
-            eval, [store](const sim::ExperimentConfig &config) {
-                return std::unique_ptr<sim::EvaluationApi>(
-                    new sim::Evaluation(config, store));
-            }};
-        ctx.traceStore = store.get();
-        report.run(ctx, std::cout);
-        return 0;
-    }
-    error("unknown report: " + name);
-    return 1;
 }
 
 } // namespace pcap::bench

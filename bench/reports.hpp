@@ -2,11 +2,10 @@
  * @file
  * The paper's tables and figures as reusable report functions.
  *
- * Every report renders through any EvaluationApi — the per-figure
- * binaries pass a serial sim::Evaluation (and stay byte-identical to
- * their historical output), while bench_all passes one shared
- * sim::ParallelEvaluation so the whole suite reuses a single
- * generated workload and memoized simulation cells.
+ * Every report renders through a sim::ParallelEvaluation: bench_all
+ * passes one shared engine so the whole suite reuses a single
+ * generated workload and memoized simulation cells
+ * (`bench_all --only NAME` renders one report).
  *
  * Each report also enumerates the standard-config simulation cells
  * it will query, so bench_all can prefetch the union across the
@@ -54,8 +53,9 @@ double averageOf(const std::vector<double> &values);
  * Builds an experiment engine for a non-standard config (the
  * file-cache ablation sweeps cache sizes, each a separate workload).
  */
-using EvalFactory = std::function<std::unique_ptr<sim::EvaluationApi>(
-    const sim::ExperimentConfig &)>;
+using EvalFactory =
+    std::function<std::unique_ptr<sim::ParallelEvaluation>(
+        const sim::ExperimentConfig &)>;
 
 /** Settings of the opt-in fleet report (see reportFleet). */
 struct FleetSettings
@@ -77,7 +77,7 @@ struct FleetSettings
 struct ReportContext
 {
     /** Engine configured with standardConfig(). */
-    sim::EvaluationApi &eval;
+    sim::ParallelEvaluation &eval;
 
     /** Factory for engines with other configs. */
     EvalFactory makeEval;
@@ -103,10 +103,15 @@ struct Report
     /** Short name for --only selection and JSON keys. */
     std::string name;
 
-    /** The historical standalone binary. */
+    /**
+     * Name of the per-figure binary that rendered this report
+     * before bench_all did; no target builds it any more. Kept only
+     * because the benchmark harness (perfbench/) copies it into its
+     * results file.
+     */
     std::string binary;
 
-    /** Render the report (text identical to the old binary). */
+    /** Render the report. */
     void (*run)(ReportContext &ctx, std::ostream &os);
 
     /** Standard-config cells the report queries, for prefetching.
@@ -120,13 +125,6 @@ struct Report
 
 /** All reports, in the canonical EXPERIMENTS.md order. */
 const std::vector<Report> &allReports();
-
-/**
- * Convenience for the thin per-figure wrappers: run one report with
- * a private serial Evaluation on std::cout.
- * @return the process exit code.
- */
-int runReportStandalone(const std::string &name);
 
 } // namespace pcap::bench
 

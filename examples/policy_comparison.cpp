@@ -30,7 +30,7 @@ main(int argc, char **argv)
 
     sim::ExperimentConfig config;
     config.maxExecutions = executions;
-    sim::Evaluation eval(config);
+    sim::ParallelEvaluation eval(config);
 
     bool known = false;
     for (const std::string &name : eval.appNames())

@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "sim/drivers.hpp"
 #include "sim/experiment.hpp"
 #include "util/table.hpp"
 
@@ -25,7 +26,7 @@ using namespace pcap;
 namespace {
 
 void
-runVariant(sim::Evaluation &eval, const std::string &app,
+runVariant(sim::ParallelEvaluation &eval, const std::string &app,
            const sim::PolicyConfig &policy)
 {
     std::cout << "policy " << policy.label << " ("
@@ -37,7 +38,8 @@ runVariant(sim::Evaluation &eval, const std::string &app,
     // Replay execution by execution with one session so the table
     // state is visible between runs.
     sim::PolicySession session(policy);
-    sim::SimParams params;
+    sim::GlobalDriver driver(session);
+    sim::SimulationKernel kernel{sim::SimParams{}};
 
     TextTable table;
     table.setHeader({"execution", "entries before", "hit-primary",
@@ -48,7 +50,7 @@ runVariant(sim::Evaluation &eval, const std::string &app,
     for (const auto &input : inputs) {
         const std::size_t before = session.tableEntries();
         const sim::RunResult result =
-            sim::runGlobal({input}, session, params);
+            kernel.runExecution(input, driver);
         table.addRow({std::to_string(input.execution),
                       std::to_string(before),
                       std::to_string(result.accuracy.hitPrimary),
@@ -70,7 +72,7 @@ main(int argc, char **argv)
 
     sim::ExperimentConfig config;
     config.maxExecutions = executions;
-    sim::Evaluation eval(config);
+    sim::ParallelEvaluation eval(config);
 
     std::cout << "Prediction-table reuse on '" << app << "' ("
               << executions << " executions)\n\n"

@@ -1,5 +1,6 @@
 #include "core/prediction_table.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -123,8 +124,21 @@ PredictionTable::entryOf(const TableKey &key) const
 void
 PredictionTable::save(std::ostream &os) const
 {
+    // Oldest touch first: load() re-trains in file order, so the
+    // reloaded table has the same recency order, and the bytes do
+    // not depend on hash layout. Ticks are unique, so the order is
+    // total.
+    std::vector<const std::pair<const TableKey, Entry> *> order;
+    order.reserve(entries_.size());
+    for (const auto &item : entries_)
+        order.push_back(&item);
+    std::sort(order.begin(), order.end(),
+              [](const auto *a, const auto *b) {
+                  return a->second.lastUsed < b->second.lastUsed;
+              });
     os << "# pcap-table v1 entries=" << entries_.size() << '\n';
-    for (const auto &[key, entry] : entries_) {
+    for (const auto *item : order) {
+        const TableKey &key = item->first;
         os << key.signature << ' ' << key.historyBits << ' '
            << static_cast<unsigned>(key.historyLength) << ' '
            << key.fd << '\n';

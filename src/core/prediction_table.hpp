@@ -132,7 +132,8 @@ class PredictionTable
 
     /**
      * Serialize as text, one entry per line:
-     * `signature historyBits historyLength fd`.
+     * `signature historyBits historyLength fd`, least recently
+     * used first.
      */
     void save(std::ostream &os) const;
 

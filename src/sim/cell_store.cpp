@@ -2,18 +2,16 @@
 
 namespace pcap::sim {
 
-template <typename T>
-T
-CellStore::memoized(
-    std::map<std::string, std::shared_ptr<Memo<T>>> &map,
-    const std::string &key, const std::function<T()> &compute)
+GlobalOutcome
+CellStore::outcome(const std::string &key,
+                   const std::function<GlobalOutcome()> &compute)
 {
-    std::shared_ptr<Memo<T>> memo;
+    std::shared_ptr<Memo> memo;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto &entry = map[key];
+        auto &entry = cells_[key];
         if (!entry)
-            entry = std::make_shared<Memo<T>>();
+            entry = std::make_shared<Memo>();
         memo = entry;
     }
     bool mine = false;
@@ -25,27 +23,6 @@ CellStore::memoized(
     if (!mine)
         hits_.fetch_add(1, std::memory_order_relaxed);
     return memo->value;
-}
-
-AccuracyStats
-CellStore::localAccuracy(const std::string &key,
-                         const std::function<AccuracyStats()> &compute)
-{
-    return memoized(locals_, key, compute);
-}
-
-GlobalOutcome
-CellStore::globalOutcome(const std::string &key,
-                         const std::function<GlobalOutcome()> &compute)
-{
-    return memoized(globals_, key, compute);
-}
-
-RunResult
-CellStore::runResult(const std::string &key,
-                     const std::function<RunResult()> &compute)
-{
-    return memoized(runs_, key, compute);
 }
 
 } // namespace pcap::sim

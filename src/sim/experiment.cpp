@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "obs/perf.hpp"
@@ -79,18 +80,36 @@ configCacheKey(const ExperimentConfig &config)
     return os.str();
 }
 
+/** The "mode" label value and file-stem prefix of @p mode. */
+const char *
+modeName(CellMode mode)
+{
+    switch (mode) {
+    case CellMode::Table1:
+        break;
+    case CellMode::Local:
+        return "local";
+    case CellMode::Global:
+        return "global";
+    case CellMode::MultiState:
+        return "multistate";
+    case CellMode::Base:
+        return "base";
+    case CellMode::Ideal:
+        return "ideal";
+    }
+    panic("modeName: Table1 cells do not replay");
+}
+
 /**
- * Full-string CellStore key of one cell: canonical config + mode +
- * app (+ canonical policy). Hash-free, so distinct configurations
- * cannot collide into one slot.
+ * Memo key of one cell: mode + app (+ canonical policy). Hash-free,
+ * so distinct cells cannot collide into one slot.
  */
 std::string
-cellStoreKey(const std::string &configKey, const char *mode,
-             const std::string &app, const PolicyConfig *policy)
+cellKey(CellMode mode, const std::string &app,
+        const PolicyConfig *policy)
 {
-    std::string key = configKey;
-    key += '\x1f';
-    key += mode;
+    std::string key = modeName(mode);
     key += '\x1f';
     key += app;
     if (policy) {
@@ -148,114 +167,6 @@ policyCacheKey(const PolicyConfig &policy)
        << policy.adaptive.breakeven;
     return os.str();
 }
-
-// ---------------------------------------------------------------
-// Serial Evaluation
-// ---------------------------------------------------------------
-
-Evaluation::Evaluation(ExperimentConfig config,
-                       std::shared_ptr<TraceStore> traceStore)
-    : config_(std::move(config)),
-      appNames_(workload::standardAppNames()),
-      traceStore_(std::move(traceStore))
-{
-}
-
-const std::vector<ExecutionInput> &
-Evaluation::inputs(const std::string &app)
-{
-    auto it = inputs_.find(app);
-    if (it != inputs_.end())
-        return it->second;
-    return inputs_
-        .emplace(app, generateInputs(config_, app, 1, {},
-                                     traceStore_.get()))
-        .first->second;
-}
-
-sim::Table1Row
-Evaluation::table1(const std::string &app)
-{
-    const auto &execs = inputs(app);
-    sim::Table1Row row;
-    row.executions = static_cast<int>(execs.size());
-    for (const auto &input : execs) {
-        row.globalIdlePeriods +=
-            input.countGlobalOpportunities(config_.sim.breakeven());
-        row.localIdlePeriods +=
-            input.countLocalOpportunities(config_.sim.breakeven());
-        row.totalIos += input.tracedIos;
-    }
-    return row;
-}
-
-AccuracyStats
-Evaluation::localAccuracy(const std::string &app,
-                          const PolicyConfig &policy)
-{
-    PolicySession session(policy);
-    LocalDriver driver(session);
-    SimulationKernel kernel(config_.sim);
-    return kernel.run(inputs(app), driver).accuracy;
-}
-
-sim::GlobalOutcome
-Evaluation::globalRun(const std::string &app,
-                      const PolicyConfig &policy)
-{
-    PolicySession session(policy);
-    GlobalDriver driver(session);
-    SimulationKernel kernel(config_.sim);
-    sim::GlobalOutcome outcome;
-    outcome.run = kernel.run(inputs(app), driver);
-    outcome.tableEntries = session.tableEntries();
-    return outcome;
-}
-
-sim::GlobalOutcome
-Evaluation::multiStateRun(const std::string &app,
-                          const PolicyConfig &policy)
-{
-    PolicySession session(policy);
-    GlobalDriver driver(session, {.multiState = true});
-    SimulationKernel kernel(config_.sim);
-    sim::GlobalOutcome outcome;
-    outcome.run = kernel.run(inputs(app), driver);
-    outcome.tableEntries = session.tableEntries();
-    return outcome;
-}
-
-const RunResult &
-Evaluation::baseRun(const std::string &app)
-{
-    auto it = baseRuns_.find(app);
-    if (it == baseRuns_.end()) {
-        BaseDriver driver;
-        SimulationKernel kernel(config_.sim);
-        it = baseRuns_
-                 .emplace(app, kernel.run(inputs(app), driver))
-                 .first;
-    }
-    return it->second;
-}
-
-const RunResult &
-Evaluation::idealRun(const std::string &app)
-{
-    auto it = idealRuns_.find(app);
-    if (it == idealRuns_.end()) {
-        OracleDriver driver;
-        SimulationKernel kernel(config_.sim);
-        it = idealRuns_
-                 .emplace(app, kernel.run(inputs(app), driver))
-                 .first;
-    }
-    return it->second;
-}
-
-// ---------------------------------------------------------------
-// ParallelEvaluation
-// ---------------------------------------------------------------
 
 ParallelEvaluation::ParallelEvaluation(ExperimentConfig config,
                                        ParallelOptions options)
@@ -535,206 +446,87 @@ ParallelEvaluation::table1(const std::string &app)
     return row;
 }
 
-AccuracyStats
-ParallelEvaluation::localAccuracy(const std::string &app,
-                                  const PolicyConfig &policy)
+const sim::GlobalOutcome &
+ParallelEvaluation::outcome(CellMode mode, const std::string &app,
+                         const PolicyConfig *policy)
 {
-    auto memo =
-        slot(locals_, app + "\x1f" + policyCacheKey(policy));
+    const std::string key = cellKey(mode, app, policy);
+    auto memo = slot(cells_, key);
     std::call_once(memo->once, [&] {
-        auto compute = [&]() -> AccuracyStats {
-            obs::Span span("cell-replay",
-                           cellFileStem("local", app, &policy));
-            obs::PerfRegion perf("cells:replay");
-            auto inst = instrument("local", app, &policy,
-                                   /*trackDisk=*/false);
-            PolicySession session(policy);
-            inst.attachSession(session);
-            LocalDriver driver(session);
-            SimulationKernel kernel(config_.sim, *inst.observer);
-            auto lap =
-                inst.scope.timer("pcap_cell_wall_seconds").measure();
-            auto value = kernel.run(inputs(app), driver).accuracy;
-            inst.finishProvenance();
-            inst.finishTimeline();
-            recordSessionMetrics(session, inst.scope);
-            return value;
-        };
-        memo->value =
-            cellStoreUsable()
-                ? options_.cellStore->localAccuracy(
-                      cellStoreKey(configKey_, "local", app,
-                                   &policy),
-                      compute)
-                : compute();
+        const auto compute = [&] { return runCell(mode, app, policy); };
+        // The store is shared by engines over other configs, so its
+        // key leads with the canonical config.
+        memo->value = cellStoreUsable()
+                          ? options_.cellStore->outcome(
+                                configKey_ + '\x1f' + key, compute)
+                          : compute();
     });
     return memo->value;
 }
 
 sim::GlobalOutcome
-ParallelEvaluation::globalRun(const std::string &app,
-                              const PolicyConfig &policy)
+ParallelEvaluation::runCell(CellMode mode, const std::string &app,
+                            const PolicyConfig *policy)
 {
-    auto memo =
-        slot(globals_, "g\x1f" + app + "\x1f" + policyCacheKey(policy));
-    std::call_once(memo->once, [&] {
-        auto compute = [&]() -> sim::GlobalOutcome {
-            obs::Span span("cell-replay",
-                           cellFileStem("global", app, &policy));
-            obs::PerfRegion perf("cells:replay");
-            auto inst = instrument("global", app, &policy,
-                                   /*trackDisk=*/true);
-            PolicySession session(policy);
-            inst.attachSession(session);
-            GlobalDriver driver(session);
-            if (inst.provenance) {
-                inst.provenance->bindDecisionPid(
-                    [&driver] { return driver.decisionPid(); });
-            }
-            SimulationKernel kernel(config_.sim, *inst.observer);
-            auto lap =
-                inst.scope.timer("pcap_cell_wall_seconds").measure();
-            sim::GlobalOutcome value;
-            value.run = kernel.run(inputs(app), driver);
-            value.tableEntries = session.tableEntries();
-            inst.finishProvenance();
-            inst.finishTimeline();
-            recordSessionMetrics(session, inst.scope);
-            return value;
-        };
-        memo->value =
-            cellStoreUsable()
-                ? options_.cellStore->globalOutcome(
-                      cellStoreKey(configKey_, "g", app, &policy),
-                      compute)
-                : compute();
-    });
-    return memo->value;
-}
-
-sim::GlobalOutcome
-ParallelEvaluation::multiStateRun(const std::string &app,
-                                  const PolicyConfig &policy)
-{
-    auto memo =
-        slot(globals_, "m\x1f" + app + "\x1f" + policyCacheKey(policy));
-    std::call_once(memo->once, [&] {
-        auto compute = [&]() -> sim::GlobalOutcome {
-            obs::Span span("cell-replay",
-                           cellFileStem("multistate", app, &policy));
-            obs::PerfRegion perf("cells:replay");
-            auto inst = instrument("multistate", app, &policy,
-                                   /*trackDisk=*/true);
-            PolicySession session(policy);
-            inst.attachSession(session);
-            GlobalDriver driver(session, {.multiState = true});
-            if (inst.provenance) {
-                inst.provenance->bindDecisionPid(
-                    [&driver] { return driver.decisionPid(); });
-            }
-            SimulationKernel kernel(config_.sim, *inst.observer);
-            auto lap =
-                inst.scope.timer("pcap_cell_wall_seconds").measure();
-            sim::GlobalOutcome value;
-            value.run = kernel.run(inputs(app), driver);
-            value.tableEntries = session.tableEntries();
-            inst.finishProvenance();
-            inst.finishTimeline();
-            recordSessionMetrics(session, inst.scope);
-            return value;
-        };
-        memo->value =
-            cellStoreUsable()
-                ? options_.cellStore->globalOutcome(
-                      cellStoreKey(configKey_, "m", app, &policy),
-                      compute)
-                : compute();
-    });
-    return memo->value;
-}
-
-const RunResult &
-ParallelEvaluation::baseRun(const std::string &app)
-{
-    auto memo = slot(runs_, "base\x1f" + app);
-    std::call_once(memo->once, [&] {
-        auto compute = [&]() -> RunResult {
-            obs::Span span("cell-replay",
-                           cellFileStem("base", app, nullptr));
-            obs::PerfRegion perf("cells:replay");
-            auto inst =
-                instrument("base", app, nullptr, /*trackDisk=*/true);
-            BaseDriver driver;
-            SimulationKernel kernel(config_.sim, *inst.observer);
-            auto lap =
-                inst.scope.timer("pcap_cell_wall_seconds").measure();
-            RunResult value = kernel.run(inputs(app), driver);
-            inst.finishTimeline();
-            return value;
-        };
-        memo->value =
-            cellStoreUsable()
-                ? options_.cellStore->runResult(
-                      cellStoreKey(configKey_, "base", app, nullptr),
-                      compute)
-                : compute();
-    });
-    return memo->value;
-}
-
-const RunResult &
-ParallelEvaluation::idealRun(const std::string &app)
-{
-    auto memo = slot(runs_, "ideal\x1f" + app);
-    std::call_once(memo->once, [&] {
-        auto compute = [&]() -> RunResult {
-            obs::Span span("cell-replay",
-                           cellFileStem("ideal", app, nullptr));
-            obs::PerfRegion perf("cells:replay");
-            auto inst = instrument("ideal", app, nullptr,
-                                   /*trackDisk=*/true);
-            OracleDriver driver;
-            SimulationKernel kernel(config_.sim, *inst.observer);
-            auto lap =
-                inst.scope.timer("pcap_cell_wall_seconds").measure();
-            RunResult value = kernel.run(inputs(app), driver);
-            inst.finishTimeline();
-            return value;
-        };
-        memo->value =
-            cellStoreUsable()
-                ? options_.cellStore->runResult(
-                      cellStoreKey(configKey_, "ideal", app,
-                                   nullptr),
-                      compute)
-                : compute();
-    });
-    return memo->value;
+    const char *name = modeName(mode);
+    obs::Span span("cell-replay", cellFileStem(name, app, policy));
+    obs::PerfRegion perf("cells:replay");
+    auto inst = instrument(name, app, policy,
+                           /*trackDisk=*/mode != CellMode::Local);
+    std::optional<PolicySession> session;
+    if (policy) {
+        session.emplace(*policy);
+        inst.attachSession(*session);
+    }
+    std::unique_ptr<PolicyDriver> driver;
+    switch (mode) {
+    case CellMode::Local:
+        driver = std::make_unique<LocalDriver>(*session);
+        break;
+    case CellMode::Global:
+    case CellMode::MultiState: {
+        auto global = std::make_unique<GlobalDriver>(
+            *session, GlobalDriver::Options{
+                          .multiState = mode == CellMode::MultiState});
+        if (inst.provenance) {
+            inst.provenance->bindDecisionPid(
+                [g = global.get()] { return g->decisionPid(); });
+        }
+        driver = std::move(global);
+        break;
+    }
+    case CellMode::Base:
+        driver = std::make_unique<BaseDriver>();
+        break;
+    case CellMode::Ideal:
+        driver = std::make_unique<OracleDriver>();
+        break;
+    case CellMode::Table1:
+        break;
+    }
+    SimulationKernel kernel(config_.sim, *inst.observer);
+    auto lap = inst.scope.timer("pcap_cell_wall_seconds").measure();
+    sim::GlobalOutcome result;
+    result.run = kernel.run(inputs(app), *driver);
+    inst.finishProvenance();
+    inst.finishTimeline();
+    if (session) {
+        result.tableEntries = session->tableEntries();
+        recordSessionMetrics(*session, inst.scope);
+    }
+    return result;
 }
 
 void
 ParallelEvaluation::computeCell(const Cell &cell)
 {
-    switch (cell.mode) {
-    case CellMode::Table1:
+    if (cell.mode == CellMode::Table1) {
         table1(cell.app);
-        break;
-    case CellMode::Local:
-        localAccuracy(cell.app, cell.policy);
-        break;
-    case CellMode::Global:
-        globalRun(cell.app, cell.policy);
-        break;
-    case CellMode::MultiState:
-        multiStateRun(cell.app, cell.policy);
-        break;
-    case CellMode::Base:
-        baseRun(cell.app);
-        break;
-    case CellMode::Ideal:
-        idealRun(cell.app);
-        break;
+        return;
     }
+    const bool policyFree =
+        cell.mode == CellMode::Base || cell.mode == CellMode::Ideal;
+    outcome(cell.mode, cell.app, policyFree ? nullptr : &cell.policy);
 }
 
 void

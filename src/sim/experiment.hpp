@@ -1,20 +1,15 @@
 /**
  * @file
- * Experiment driver: ties the workload models, the file cache and
- * the simulator together, so every bench binary and integration test
+ * Experiment engine: ties the workload models, the file cache and
+ * the replay kernel together, so every report and integration test
  * asks one object for the paper's numbers.
  *
- * Two implementations share the EvaluationApi interface:
- *
- *  - Evaluation: the original strictly serial driver; the reference
- *    for every number in EXPERIMENTS.md.
- *  - ParallelEvaluation: the experiment engine behind bench_all.
- *    Generates each application's inputs exactly once behind a
- *    thread-safe memoized cache (optionally persisted on disk, see
- *    input_cache.hpp), memoizes every (app x policy x mode) cell,
- *    and can prefetch a batch of cells across a thread pool. Each
- *    cell owns a private PolicySession, so results are identical to
- *    the serial path no matter the thread count.
+ * ParallelEvaluation generates each application's inputs exactly
+ * once behind a thread-safe memo (optionally persisted on disk, see
+ * input_cache.hpp), memoizes every (mode x app x policy) cell, and
+ * can prefetch a batch of cells across a thread pool. Each cell
+ * replays on a private PolicySession, so results do not depend on
+ * the thread count; at jobs = 1 everything runs on the caller.
  */
 
 #ifndef PCAP_SIM_EXPERIMENT_HPP
@@ -29,12 +24,11 @@
 #include "obs/metrics.hpp"
 #include "sim/input.hpp"
 #include "sim/input_cache.hpp"
+#include "sim/kernel.hpp"
 #include "sim/policy.hpp"
-#include "sim/simulator.hpp"
 
 namespace pcap::sim {
 
-struct Cell;
 class TraceStore;
 class CellStore;
 
@@ -64,7 +58,8 @@ struct Table1Row
     std::uint64_t totalIos = 0;
 };
 
-/** Result of a global run plus the learned-state size. */
+/** Result of one replay cell plus the learned-state size (0 for
+ * cells without a policy). */
 struct GlobalOutcome
 {
     RunResult run;
@@ -76,123 +71,6 @@ struct GlobalOutcome
  * field that can alter simulation output, canonically serialized.
  */
 std::string policyCacheKey(const PolicyConfig &policy);
-
-/**
- * What every experiment driver can answer. All methods are
- * deterministic functions of (config, arguments); implementations
- * may cache aggressively.
- */
-class EvaluationApi
-{
-  public:
-    virtual ~EvaluationApi() = default;
-
-    /** The configuration in use. */
-    virtual const ExperimentConfig &config() const = 0;
-
-    /** The six application names of Table 1. */
-    virtual const std::vector<std::string> &appNames() const = 0;
-
-    /** Post-cache inputs of every execution of @p app (cached). */
-    virtual const std::vector<ExecutionInput> &
-    inputs(const std::string &app) = 0;
-
-    /** Compute Table 1 for @p app from the generated workload. */
-    virtual Table1Row table1(const std::string &app) = 0;
-
-    /** Figure 6: local accuracy of @p policy on @p app. */
-    virtual AccuracyStats
-    localAccuracy(const std::string &app,
-                  const PolicyConfig &policy) = 0;
-
-    /** Figures 7-10: global run of @p policy on @p app. */
-    virtual GlobalOutcome globalRun(const std::string &app,
-                                    const PolicyConfig &policy) = 0;
-
-    /** Section 7 extension: multi-state global run. */
-    virtual GlobalOutcome
-    multiStateRun(const std::string &app,
-                  const PolicyConfig &policy) = 0;
-
-    /** Figure 8 "Base": no power management (cached). */
-    virtual const RunResult &baseRun(const std::string &app) = 0;
-
-    /** Figure 8 "Ideal": the oracle (cached). */
-    virtual const RunResult &idealRun(const std::string &app) = 0;
-
-    /**
-     * Hint that @p cells are about to be queried: parallel
-     * implementations compute them across their worker pool so the
-     * subsequent accessor calls are cheap lookups. The serial
-     * default is a no-op — every cell is computed (and memoized) on
-     * first access anyway.
-     */
-    virtual void prefetchCells(const std::vector<Cell> &cells)
-    {
-        (void)cells;
-    }
-};
-
-/**
- * Lazily generates, caches and evaluates the workload — strictly
- * serially, on the calling thread. Inputs are deterministic
- * functions of the config seed, so every bench binary reproduces
- * identical numbers.
- */
-class Evaluation : public EvaluationApi
-{
-  public:
-    /**
-     * @p traceStore optionally shares raw workload traces with
-     * other evaluations (see trace_store.hpp): an ablation sweep
-     * over cache or disk parameters generates each application's
-     * traces once and re-runs only the file-cache filter per
-     * configuration. Inputs are bit-identical either way.
-     */
-    explicit Evaluation(ExperimentConfig config = {},
-                        std::shared_ptr<TraceStore> traceStore = {});
-
-    // Compatibility aliases: these used to be nested types.
-    using Table1Row = sim::Table1Row;
-    using GlobalOutcome = sim::GlobalOutcome;
-
-    const ExperimentConfig &config() const override
-    {
-        return config_;
-    }
-
-    const std::vector<std::string> &appNames() const override
-    {
-        return appNames_;
-    }
-
-    const std::vector<ExecutionInput> &
-    inputs(const std::string &app) override;
-
-    sim::Table1Row table1(const std::string &app) override;
-
-    AccuracyStats localAccuracy(const std::string &app,
-                                const PolicyConfig &policy) override;
-
-    sim::GlobalOutcome globalRun(const std::string &app,
-                                 const PolicyConfig &policy) override;
-
-    sim::GlobalOutcome
-    multiStateRun(const std::string &app,
-                  const PolicyConfig &policy) override;
-
-    const RunResult &baseRun(const std::string &app) override;
-
-    const RunResult &idealRun(const std::string &app) override;
-
-  private:
-    ExperimentConfig config_;
-    std::vector<std::string> appNames_;
-    std::shared_ptr<TraceStore> traceStore_;
-    std::map<std::string, std::vector<ExecutionInput>> inputs_;
-    std::map<std::string, RunResult> baseRuns_;
-    std::map<std::string, RunResult> idealRuns_;
-};
 
 /** How one simulation cell evaluates its inputs. */
 enum class CellMode {
@@ -289,56 +167,71 @@ struct ParallelOptions
  * memoized. prefetch() fans a batch of cells across a thread pool
  * and joins — afterwards the plain accessors are cheap lookups.
  *
- * Results are bit-identical to Evaluation's: inputs are the same
- * deterministic function of the seed (whether generated, memoized or
- * deserialized from the workload cache), and each cell runs the same
- * serial simulator on a private PolicySession.
+ * Results do not depend on the thread count or the memo layers:
+ * inputs are the same deterministic function of the seed (whether
+ * generated, memoized or deserialized from the workload cache), and
+ * each cell runs the serial replay kernel on a private
+ * PolicySession.
  */
-class ParallelEvaluation : public EvaluationApi
+class ParallelEvaluation
 {
   public:
     explicit ParallelEvaluation(ExperimentConfig config = {},
                                 ParallelOptions options = {});
 
-    const ExperimentConfig &config() const override
-    {
-        return config_;
-    }
+    /** The configuration in use. */
+    const ExperimentConfig &config() const { return config_; }
 
-    const std::vector<std::string> &appNames() const override
+    /** The six application names of Table 1. */
+    const std::vector<std::string> &appNames() const
     {
         return appNames_;
     }
 
-    const std::vector<ExecutionInput> &
-    inputs(const std::string &app) override;
+    /** Post-cache inputs of every execution of @p app (cached). */
+    const std::vector<ExecutionInput> &inputs(const std::string &app);
 
-    sim::Table1Row table1(const std::string &app) override;
+    /** Table 1 for @p app, from the generated workload. */
+    sim::Table1Row table1(const std::string &app);
 
-    AccuracyStats localAccuracy(const std::string &app,
-                                const PolicyConfig &policy) override;
+    /** Figure 6: local accuracy of @p policy on @p app. */
+    const AccuracyStats &localAccuracy(const std::string &app,
+                                       const PolicyConfig &policy)
+    {
+        return outcome(CellMode::Local, app, &policy).run.accuracy;
+    }
 
-    sim::GlobalOutcome globalRun(const std::string &app,
-                                 const PolicyConfig &policy) override;
+    /** Figures 7-10: global run of @p policy on @p app. */
+    const sim::GlobalOutcome &globalRun(const std::string &app,
+                                        const PolicyConfig &policy)
+    {
+        return outcome(CellMode::Global, app, &policy);
+    }
 
-    sim::GlobalOutcome
-    multiStateRun(const std::string &app,
-                  const PolicyConfig &policy) override;
+    /** Section 7 extension: multi-state global run. */
+    const sim::GlobalOutcome &
+    multiStateRun(const std::string &app, const PolicyConfig &policy)
+    {
+        return outcome(CellMode::MultiState, app, &policy);
+    }
 
-    const RunResult &baseRun(const std::string &app) override;
+    /** Figure 8 "Base": no power management. */
+    const RunResult &baseRun(const std::string &app)
+    {
+        return outcome(CellMode::Base, app, nullptr).run;
+    }
 
-    const RunResult &idealRun(const std::string &app) override;
+    /** Figure 8 "Ideal": the oracle. */
+    const RunResult &idealRun(const std::string &app)
+    {
+        return outcome(CellMode::Ideal, app, nullptr).run;
+    }
 
     /**
      * Compute every cell (and the inputs they need) across the
      * worker pool, then join. Duplicate cells cost nothing extra.
      */
     void prefetch(const std::vector<Cell> &cells);
-
-    void prefetchCells(const std::vector<Cell> &cells) override
-    {
-        prefetch(cells);
-    }
 
     /** Make every application's inputs resident, in parallel. */
     void prefetchInputs();
@@ -363,6 +256,20 @@ class ParallelEvaluation : public EvaluationApi
          const std::string &key);
 
     void computeCell(const Cell &cell);
+
+    /** The memoized outcome of one replay cell; @p policy is null
+     * for Base and Ideal cells. */
+    const sim::GlobalOutcome &outcome(CellMode mode,
+                                      const std::string &app,
+                                      const PolicyConfig *policy);
+
+    /**
+     * Replay one cell through the kernel with its instruments: the
+     * driver follows @p mode, and a PolicySession (with its metrics)
+     * exists only when @p policy is given.
+     */
+    sim::GlobalOutcome runCell(CellMode mode, const std::string &app,
+                               const PolicyConfig *policy);
 
     /**
      * File stem identifying one cell:
@@ -421,13 +328,18 @@ class ParallelEvaluation : public EvaluationApi
     std::map<std::string,
              std::shared_ptr<Memo<std::vector<ExecutionInput>>>>
         inputs_;
-    std::map<std::string, std::shared_ptr<Memo<AccuracyStats>>>
-        locals_;
+    /** Keyed by cellKey(mode, app, policy). */
     std::map<std::string, std::shared_ptr<Memo<sim::GlobalOutcome>>>
-        globals_;
-    std::map<std::string, std::shared_ptr<Memo<RunResult>>> runs_;
+        cells_;
     std::atomic<std::uint64_t> generated_{0};
 };
+
+/**
+ * The old name of the engine interface. The benchmark harness in
+ * perfbench/ still spells it and is kept unedited; code in this
+ * repository names ParallelEvaluation.
+ */
+using EvaluationApi = ParallelEvaluation;
 
 } // namespace pcap::sim
 

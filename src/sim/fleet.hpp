@@ -286,7 +286,8 @@ class FleetDriver
     /**
      * One host cell, streamed generate-replay-discard. Public for
      * parity tests: a pure single-app profile with scale 1.0 must be
-     * RunResult-field-equal to the materialized Evaluation path.
+     * RunResult-field-equal to ParallelEvaluation::globalRun over
+     * materialized inputs.
      */
     HostCellResult
     runHost(const workload::HostProfile &profile,

@@ -1,8 +1,8 @@
 /**
  * @file
  * Integration tests: the full pipeline (workload models -> file
- * cache -> simulator) through the Evaluation driver, on truncated
- * execution counts so the suite stays fast.
+ * cache -> simulator) through the ParallelEvaluation engine at one
+ * job, on truncated execution counts so the suite stays fast.
  */
 
 #include <gtest/gtest.h>
@@ -23,12 +23,12 @@ fastConfig(int executions = 4)
 
 TEST(Evaluation, InputsAreCachedAndDeterministic)
 {
-    Evaluation eval(fastConfig());
+    ParallelEvaluation eval(fastConfig());
     const auto &first = eval.inputs("nedit");
     const auto &second = eval.inputs("nedit");
     EXPECT_EQ(&first, &second); // cached
 
-    Evaluation other(fastConfig());
+    ParallelEvaluation other(fastConfig());
     const auto &fresh = other.inputs("nedit");
     ASSERT_EQ(first.size(), fresh.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
@@ -40,10 +40,10 @@ TEST(Evaluation, InputsAreCachedAndDeterministic)
 
 TEST(Evaluation, SeedChangesTheWorkload)
 {
-    Evaluation a(fastConfig());
+    ParallelEvaluation a(fastConfig());
     ExperimentConfig config = fastConfig();
     config.seed = 43;
-    Evaluation b(config);
+    ParallelEvaluation b(config);
     const bool differs =
         a.inputs("mozilla")[0].accesses.size() !=
             b.inputs("mozilla")[0].accesses.size() ||
@@ -54,14 +54,14 @@ TEST(Evaluation, SeedChangesTheWorkload)
 
 TEST(Evaluation, MaxExecutionsCapsTheRun)
 {
-    Evaluation eval(fastConfig(2));
+    ParallelEvaluation eval(fastConfig(2));
     EXPECT_EQ(eval.inputs("mozilla").size(), 2u);
     EXPECT_EQ(eval.table1("mozilla").executions, 2);
 }
 
 TEST(Evaluation, Table1CountsAreConsistent)
 {
-    Evaluation eval(fastConfig());
+    ParallelEvaluation eval(fastConfig());
     for (const std::string &app : eval.appNames()) {
         const auto row = eval.table1(app);
         std::uint64_t manual_global = 0;
@@ -80,7 +80,7 @@ TEST(Evaluation, Table1CountsAreConsistent)
 
 TEST(Evaluation, NeditHasExactlyOneIdlePeriodPerExecution)
 {
-    Evaluation eval(fastConfig(5));
+    ParallelEvaluation eval(fastConfig(5));
     const auto row = eval.table1("nedit");
     EXPECT_EQ(row.globalIdlePeriods,
               static_cast<std::uint64_t>(row.executions));
@@ -90,8 +90,8 @@ TEST(Evaluation, NeditHasExactlyOneIdlePeriodPerExecution)
 
 TEST(Evaluation, GlobalRunIsDeterministic)
 {
-    Evaluation a(fastConfig());
-    Evaluation b(fastConfig());
+    ParallelEvaluation a(fastConfig());
+    ParallelEvaluation b(fastConfig());
     const auto run_a =
         a.globalRun("writer", PolicyConfig::pcapBase());
     const auto run_b =
@@ -106,7 +106,7 @@ TEST(Evaluation, GlobalRunIsDeterministic)
 
 TEST(Evaluation, EnergyOrderingIdealBestBaseWorst)
 {
-    Evaluation eval(fastConfig());
+    ParallelEvaluation eval(fastConfig());
     for (const std::string &app : eval.appNames()) {
         const double base = eval.baseRun(app).energy.total();
         const double ideal = eval.idealRun(app).energy.total();
@@ -123,7 +123,7 @@ TEST(Evaluation, EnergyOrderingIdealBestBaseWorst)
 TEST(Evaluation, PcapBeatsTimeoutOnCoverage)
 {
     // The paper's central comparison, on the truncated workload.
-    Evaluation eval(fastConfig(6));
+    ParallelEvaluation eval(fastConfig(6));
     double pcap_hits = 0, tp_hits = 0;
     for (const std::string &app : eval.appNames()) {
         pcap_hits += eval.globalRun(app, PolicyConfig::pcapBase())
@@ -136,7 +136,7 @@ TEST(Evaluation, PcapBeatsTimeoutOnCoverage)
 
 TEST(Evaluation, TableReuseMultipliesPrimaryCoverage)
 {
-    Evaluation eval(fastConfig(8));
+    ParallelEvaluation eval(fastConfig(8));
     std::uint64_t with_reuse = 0, without_reuse = 0;
     for (const std::string &app : eval.appNames()) {
         with_reuse += eval.globalRun(app, PolicyConfig::pcapBase())
@@ -151,7 +151,7 @@ TEST(Evaluation, TableReuseMultipliesPrimaryCoverage)
 TEST(Evaluation, TableEntriesStayPaperSized)
 {
     // Table 3: prediction tables stay in the tens-to-hundreds range.
-    Evaluation eval(fastConfig());
+    ParallelEvaluation eval(fastConfig());
     for (const std::string &app : eval.appNames()) {
         const auto outcome =
             eval.globalRun(app, PolicyConfig::pcapBase());
@@ -162,7 +162,7 @@ TEST(Evaluation, TableEntriesStayPaperSized)
 
 TEST(Evaluation, EnergyBreakdownSumsToTotal)
 {
-    Evaluation eval(fastConfig());
+    ParallelEvaluation eval(fastConfig());
     const RunResult &base = eval.baseRun("xemacs");
     const double sum =
         base.energy.get(power::EnergyCategory::BusyIo) +
@@ -174,7 +174,7 @@ TEST(Evaluation, EnergyBreakdownSumsToTotal)
 
 TEST(EvaluationDeath, UnknownApplicationIsFatal)
 {
-    Evaluation eval(fastConfig());
+    ParallelEvaluation eval(fastConfig());
     EXPECT_DEATH(eval.inputs("solitaire"), "unknown application");
 }
 

@@ -6,8 +6,8 @@
  *    bounded by their FleetConfig ranges.
  *  - Streaming parity: a pure single-app host streams inputs
  *    byte-identical to the materialized generateTraces path, and a
- *    1-host fleet cell is RunResult-field-equal to the Evaluation
- *    engine — the tentpole's "same numbers, bounded memory" promise.
+ *    1-host fleet cell is RunResult-field-equal to the materialized
+ *    ParallelEvaluation engine: same numbers, bounded memory.
  *  - Fleet determinism: a 64-host fleet is field-equal across thread
  *    counts.
  *  - TraceStore retention: scopes evict published entries, account
@@ -206,7 +206,7 @@ TEST(FleetParity, OneHostCellEqualsEvaluationEngine)
         PolicyConfig::pcapFdHistory(),
     };
 
-    Evaluation reference(config);
+    ParallelEvaluation reference(config);
     FleetDriver driver({}, config.sim, config.cache);
 
     for (const std::string &app : reference.appNames()) {

@@ -37,7 +37,6 @@
 #include "sim/experiment.hpp"
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
-#include "sim/simulator.hpp"
 #include "trace/builder.hpp"
 
 namespace pcap::sim {
@@ -218,8 +217,8 @@ TEST(KernelParity, EveryReportMatchesReference)
     ParallelEvaluation eval(bench::standardConfig(), options);
     bench::ReportContext ctx{
         eval, [](const ExperimentConfig &config) {
-            return std::unique_ptr<EvaluationApi>(
-                new ParallelEvaluation(config, {}));
+            return std::make_unique<ParallelEvaluation>(
+                config, ParallelOptions{});
         }};
 
     for (const bench::Report &report : bench::allReports()) {
@@ -483,10 +482,10 @@ expectRecordsReconcile(const RecordingObserver &observer,
 std::vector<ExecutionInput>
 parityInputs()
 {
-    static Evaluation *eval = [] {
+    static ParallelEvaluation *eval = [] {
         ExperimentConfig config;
         config.maxExecutions = 2;
-        return new Evaluation(config);
+        return new ParallelEvaluation(config);
     }();
     std::vector<ExecutionInput> inputs = eval->inputs("mozilla");
     inputs.push_back(scriptedInput());
@@ -673,9 +672,12 @@ TEST(LocalDriverTest, UnknownPidAccessIsDroppedNotFatal)
     PolicySession session_a(policyByName("TP"));
     PolicySession session_b(policyByName("TP"));
     const SimParams params;
-    const AccuracyStats a = runLocal({clean}, session_a, params);
+    LocalDriver driver_a(session_a);
+    LocalDriver driver_b(session_b);
+    SimulationKernel kernel(params);
+    const AccuracyStats a = kernel.runExecution(clean, driver_a).accuracy;
     testing::internal::CaptureStderr();
-    const AccuracyStats b = runLocal({dirty}, session_b, params);
+    const AccuracyStats b = kernel.runExecution(dirty, driver_b).accuracy;
     const std::string log = testing::internal::GetCapturedStderr();
 
     EXPECT_NE(log.find("pid 99"), std::string::npos)

@@ -1,20 +1,30 @@
 /**
  * @file
- * The parallel experiment engine must be indistinguishable from the
- * serial one: identical inputs, identical RunResults and
- * AccuracyStats for every application under a 4-worker pool, and
- * the on-disk workload cache must round-trip byte-identically.
+ * The experiment engine against an independent serial reference:
+ * inputs built straight from the two generation halves and every
+ * cell replayed through a fresh session, driver and kernel, with no
+ * memo and no instruments. The engine must match it at one and at
+ * four jobs, each cell kind must keep its observable surface
+ * (artifact files, metric series), and the on-disk workload cache
+ * must round-trip byte-identically.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <unistd.h>
 
+#include "obs/metrics.hpp"
+#include "sim/drivers.hpp"
 #include "sim/experiment.hpp"
 #include "sim/input_cache.hpp"
+#include "sim/kernel.hpp"
+#include "sim/trace_store.hpp"
 
 namespace pcap::sim {
 namespace {
@@ -26,6 +36,41 @@ fastConfig(int executions = 3)
     config.seed = 42;
     config.maxExecutions = executions;
     return config;
+}
+
+/** The reference inputs of @p app: generate, then filter. */
+std::vector<ExecutionInput>
+referenceInputs(const ExperimentConfig &config, const std::string &app)
+{
+    return inputsFromTraces(generateTraces(config.seed, app,
+                                           config.maxExecutions, 1,
+                                           {}),
+                            config.cache, 1);
+}
+
+/** The reference replay of one cell (the policy is ignored by Base
+ * and Ideal). */
+GlobalOutcome
+referenceRun(const std::vector<ExecutionInput> &inputs, CellMode mode,
+             const PolicyConfig &policy)
+{
+    PolicySession session(policy);
+    LocalDriver local(session);
+    GlobalDriver global(session,
+                        {.multiState = mode == CellMode::MultiState});
+    BaseDriver base;
+    OracleDriver oracle;
+    PolicyDriver *driver = &global;
+    if (mode == CellMode::Local)
+        driver = &local;
+    else if (mode == CellMode::Base)
+        driver = &base;
+    else if (mode == CellMode::Ideal)
+        driver = &oracle;
+    GlobalOutcome outcome;
+    outcome.run = SimulationKernel(SimParams{}).run(inputs, *driver);
+    outcome.tableEntries = session.tableEntries();
+    return outcome;
 }
 
 void
@@ -59,7 +104,7 @@ expectSameRun(const RunResult &a, const RunResult &b)
     }
 }
 
-/** A scratch cache directory, removed on destruction. */
+/** A scratch directory, removed on destruction. */
 struct TempDir
 {
     TempDir()
@@ -80,57 +125,71 @@ struct TempDir
 
 TEST(ParallelEvaluation, MatchesSerialForAllAppsAndModes)
 {
-    Evaluation serial(fastConfig());
-    ParallelOptions options;
-    options.jobs = 4;
-    ParallelEvaluation parallel(fastConfig(), options);
-
     const std::vector<PolicyConfig> policies = {
         PolicyConfig::timeoutPolicy(),
         PolicyConfig::learningTree(),
         PolicyConfig::pcapBase(),
         PolicyConfig::pcapFdHistory(),
     };
+    const ExperimentConfig config = fastConfig();
 
-    for (const std::string &app : serial.appNames()) {
-        // Inputs are the same deterministic function of the seed.
-        const auto &si = serial.inputs(app);
-        const auto &pi = parallel.inputs(app);
-        ASSERT_EQ(si.size(), pi.size());
-        for (std::size_t i = 0; i < si.size(); ++i)
-            EXPECT_TRUE(si[i] == pi[i]);
+    for (unsigned jobs : {1u, 4u}) {
+        ParallelOptions options;
+        options.jobs = jobs;
+        ParallelEvaluation engine(config, options);
+        for (const std::string &app : engine.appNames()) {
+            SCOPED_TRACE(app + " at jobs " + std::to_string(jobs));
+            const auto inputs = referenceInputs(config, app);
+            const auto &pi = engine.inputs(app);
+            ASSERT_EQ(inputs.size(), pi.size());
+            for (std::size_t i = 0; i < inputs.size(); ++i)
+                EXPECT_TRUE(inputs[i] == pi[i]);
 
-        const auto srow = serial.table1(app);
-        const auto prow = parallel.table1(app);
-        EXPECT_EQ(srow.executions, prow.executions);
-        EXPECT_EQ(srow.globalIdlePeriods, prow.globalIdlePeriods);
-        EXPECT_EQ(srow.localIdlePeriods, prow.localIdlePeriods);
-        EXPECT_EQ(srow.totalIos, prow.totalIos);
+            const auto row = engine.table1(app);
+            EXPECT_EQ(row.executions,
+                      static_cast<int>(inputs.size()));
+            std::uint64_t global = 0, local = 0, ios = 0;
+            for (const ExecutionInput &input : inputs) {
+                global += input.countGlobalOpportunities(
+                    config.sim.breakeven());
+                local += input.countLocalOpportunities(
+                    config.sim.breakeven());
+                ios += input.tracedIos;
+            }
+            EXPECT_EQ(row.globalIdlePeriods, global);
+            EXPECT_EQ(row.localIdlePeriods, local);
+            EXPECT_EQ(row.totalIos, ios);
 
-        for (const PolicyConfig &policy : policies) {
-            expectSameAccuracy(serial.localAccuracy(app, policy),
-                               parallel.localAccuracy(app, policy));
-            const auto sg = serial.globalRun(app, policy);
-            const auto pg = parallel.globalRun(app, policy);
-            expectSameRun(sg.run, pg.run);
-            EXPECT_EQ(sg.tableEntries, pg.tableEntries);
+            for (const PolicyConfig &policy : policies) {
+                expectSameAccuracy(
+                    referenceRun(inputs, CellMode::Local, policy)
+                        .run.accuracy,
+                    engine.localAccuracy(app, policy));
+                const auto expected =
+                    referenceRun(inputs, CellMode::Global, policy);
+                const auto &actual = engine.globalRun(app, policy);
+                expectSameRun(expected.run, actual.run);
+                EXPECT_EQ(expected.tableEntries, actual.tableEntries);
+            }
+            expectSameRun(
+                referenceRun(inputs, CellMode::MultiState, policies[2])
+                    .run,
+                engine.multiStateRun(app, policies[2]).run);
+            expectSameRun(referenceRun(inputs, CellMode::Base, {}).run,
+                          engine.baseRun(app));
+            expectSameRun(referenceRun(inputs, CellMode::Ideal, {}).run,
+                          engine.idealRun(app));
         }
-        expectSameRun(serial.multiStateRun(app, policies[2]).run,
-                      parallel.multiStateRun(app, policies[2]).run);
-        expectSameRun(serial.baseRun(app), parallel.baseRun(app));
-        expectSameRun(serial.idealRun(app), parallel.idealRun(app));
     }
 }
 
 TEST(ParallelEvaluation, PrefetchComputesTheSameCells)
 {
-    Evaluation serial(fastConfig());
-    ParallelOptions options;
-    options.jobs = 4;
-    ParallelEvaluation parallel(fastConfig(), options);
-
+    const ExperimentConfig config = fastConfig();
+    const std::vector<std::string> apps =
+        ParallelEvaluation(config).appNames();
     std::vector<Cell> cells;
-    for (const std::string &app : serial.appNames()) {
+    for (const std::string &app : apps) {
         cells.push_back(
             {CellMode::Global, app, PolicyConfig::pcapBase()});
         cells.push_back(
@@ -140,23 +199,128 @@ TEST(ParallelEvaluation, PrefetchComputesTheSameCells)
     // Duplicates must be harmless.
     const std::vector<Cell> firstBatch = cells;
     cells.insert(cells.end(), firstBatch.begin(), firstBatch.end());
-    parallel.prefetch(cells);
 
-    for (const std::string &app : serial.appNames()) {
-        expectSameRun(
-            serial.globalRun(app, PolicyConfig::pcapBase()).run,
-            parallel.globalRun(app, PolicyConfig::pcapBase()).run);
-        expectSameAccuracy(
-            serial.localAccuracy(app, PolicyConfig::learningTree()),
-            parallel.localAccuracy(app,
-                                   PolicyConfig::learningTree()));
-        expectSameRun(serial.baseRun(app), parallel.baseRun(app));
+    for (unsigned jobs : {1u, 4u}) {
+        ParallelOptions options;
+        options.jobs = jobs;
+        ParallelEvaluation engine(config, options);
+        engine.prefetch(cells);
+        for (const std::string &app : apps) {
+            SCOPED_TRACE(app + " at jobs " + std::to_string(jobs));
+            const auto inputs = referenceInputs(config, app);
+            expectSameRun(referenceRun(inputs, CellMode::Global,
+                                       PolicyConfig::pcapBase())
+                              .run,
+                          engine.globalRun(app, PolicyConfig::pcapBase())
+                              .run);
+            expectSameAccuracy(
+                referenceRun(inputs, CellMode::Local,
+                             PolicyConfig::learningTree())
+                    .run.accuracy,
+                engine.localAccuracy(app,
+                                     PolicyConfig::learningTree()));
+            expectSameRun(referenceRun(inputs, CellMode::Base, {}).run,
+                          engine.baseRun(app));
+        }
     }
+}
+
+/** The value of the metric series @p series, whatever its kind. */
+double
+seriesValue(const obs::MetricsRegistry::Series &series)
+{
+    if (series.counter)
+        return static_cast<double>(series.counter->value());
+    if (series.gauge)
+        return series.gauge->value();
+    return 0.0;
+}
+
+/** The value of label @p key in @p labels, or "". */
+std::string
+labelOf(const obs::Labels &labels, const std::string &key)
+{
+    for (const auto &[name, value] : labels) {
+        if (name == key)
+            return value;
+    }
+    return {};
+}
+
+TEST(ParallelEvaluation, EachCellKindKeepsItsArtifactsAndSeries)
+{
+    TempDir dir;
+    obs::MetricsRegistry registry;
+    ParallelOptions options;
+    options.metrics = &registry;
+    options.timelineDir = dir.path + "/timeline";
+    options.provenanceDir = dir.path + "/provenance";
+    ParallelEvaluation engine(fastConfig(2), options);
+    const PolicyConfig pcap = PolicyConfig::pcapBase();
+    engine.prefetch({{CellMode::Local, "nedit", pcap},
+                     {CellMode::Global, "nedit", pcap},
+                     {CellMode::MultiState, "nedit", pcap},
+                     {CellMode::Base, "nedit", {}},
+                     {CellMode::Ideal, "nedit", {}}});
+
+    const auto names = [](const std::string &path) {
+        std::set<std::string> found;
+        for (const auto &entry :
+             std::filesystem::directory_iterator(path))
+            found.insert(entry.path().filename().string());
+        return found;
+    };
+    // <mode>-<app>-c<config hash>[-<label>-<policy hash>]: the
+    // config is not the default one, so its digest is in the stem.
+    const std::string config = "-ca187bc166e807790";
+    const std::string policy = "-PCAP-70e4bba9c125126e";
+    std::set<std::string> timelines, provenance;
+    for (const char *mode : {"local", "global", "multistate"}) {
+        const std::string stem =
+            std::string(mode) + "-nedit" + config + policy;
+        timelines.insert(stem + ".timeline.json");
+        timelines.insert(stem + ".timeline.csv");
+        provenance.insert(stem + ".prov.bin");
+        provenance.insert(stem + ".prov.jsonl");
+    }
+    for (const char *mode : {"base", "ideal"}) {
+        const std::string stem = std::string(mode) + "-nedit" + config;
+        timelines.insert(stem + ".timeline.json");
+        timelines.insert(stem + ".timeline.csv");
+    }
+    EXPECT_EQ(names(options.timelineDir), timelines);
+    EXPECT_EQ(names(options.provenanceDir), provenance);
+
+    std::map<std::string, std::set<std::string>> sessionSeries;
+    std::set<std::string> modes;
+    for (const auto &series : registry.snapshot()) {
+        const std::string mode = labelOf(series.labels, "mode");
+        if (mode.empty())
+            continue;
+        modes.insert(mode);
+        if (series.name.rfind("pcap_predictor_table_", 0) == 0)
+            sessionSeries[mode].insert(series.name);
+        // A diskless local replay leaves every disk series at zero.
+        if (mode == "local" &&
+            series.name.rfind("pcap_disk_", 0) == 0) {
+            EXPECT_EQ(seriesValue(series), 0.0) << series.name;
+        }
+    }
+    EXPECT_EQ(modes, (std::set<std::string>{"base", "global", "ideal",
+                                             "local", "multistate"}));
+    const std::set<std::string> recorded = {
+        "pcap_predictor_table_entries",
+        "pcap_predictor_table_evictions"};
+    EXPECT_EQ(sessionSeries["local"], recorded);
+    EXPECT_EQ(sessionSeries["global"], recorded);
+    EXPECT_EQ(sessionSeries["multistate"], recorded);
+    EXPECT_EQ(sessionSeries.count("base"), 0u);
+    EXPECT_EQ(sessionSeries.count("ideal"), 0u);
 }
 
 TEST(InputCache, StreamRoundTripsByteIdentically)
 {
-    Evaluation eval(fastConfig());
+    ParallelEvaluation eval(fastConfig());
     const auto &inputs = eval.inputs("nedit");
     const WorkloadKey key = fastConfig().workloadKey("nedit");
 
@@ -178,7 +342,7 @@ TEST(InputCache, StreamRoundTripsByteIdentically)
 
 TEST(InputCache, RejectsKeyMismatchAndCorruption)
 {
-    Evaluation eval(fastConfig());
+    ParallelEvaluation eval(fastConfig());
     const auto &inputs = eval.inputs("nedit");
     const WorkloadKey key = fastConfig().workloadKey("nedit");
 
@@ -247,15 +411,13 @@ TEST(WorkloadCache, DiskRoundTripMatchesGeneration)
     for (std::size_t i = 0; i < generated.size(); ++i)
         EXPECT_TRUE(generated[i] == loaded[i]);
 
-    // And the simulation on loaded inputs matches the serial path.
-    Evaluation serial(fastConfig());
-    const auto sg =
-        serial.globalRun("xemacs", PolicyConfig::pcapBase());
-    const auto pg =
-        second.globalRun("xemacs", PolicyConfig::pcapBase());
-    EXPECT_EQ(sg.run.accuracy.opportunities,
-              pg.run.accuracy.opportunities);
-    EXPECT_EQ(sg.run.energy.total(), pg.run.energy.total());
+    // And the simulation on loaded inputs matches the reference.
+    expectSameRun(referenceRun(referenceInputs(fastConfig(), "xemacs"),
+                               CellMode::Global,
+                               PolicyConfig::pcapBase())
+                      .run,
+                  second.globalRun("xemacs", PolicyConfig::pcapBase())
+                      .run);
 }
 
 TEST(WorkloadKey, CanonicalCoversEveryRecipeField)

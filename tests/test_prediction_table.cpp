@@ -191,6 +191,56 @@ TEST(PredictionTable, SaveLoadRoundTrip)
     EXPECT_TRUE(loaded.contains(key(7, 0, 0, -1)));
 }
 
+/** Train 40 keys, then re-touch every third one. */
+void
+trainAndTouch(PredictionTable &table)
+{
+    for (std::uint32_t i = 0; i < 40; ++i)
+        table.train(key(i * 2654435761u, i & 0xff, 8, 3));
+    for (std::uint32_t i = 0; i < 40; i += 3)
+        table.lookup(key(i * 2654435761u, i & 0xff, 8, 3));
+}
+
+TEST(PredictionTable, SaveIsIndependentOfBucketCount)
+{
+    // Capacity 0 reserves 256 buckets, capacity 5000 reserves
+    // thousands: the saved bytes must not follow hash layout.
+    PredictionTable unbounded(0);
+    PredictionTable large(5000);
+    trainAndTouch(unbounded);
+    trainAndTouch(large);
+    std::ostringstream a, b;
+    unbounded.save(a);
+    large.save(b);
+    EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(PredictionTable, ReloadKeepsRecencyOrder)
+{
+    PredictionTable table;
+    for (std::uint32_t i = 1; i <= 8; ++i)
+        table.train(key(i));
+    // Recency from oldest: 2 3 4 6 7 8 5 1.
+    table.lookup(key(5));
+    table.lookup(key(1));
+
+    std::stringstream buffer;
+    table.save(buffer);
+    PredictionTable small(3);
+    ASSERT_EQ(small.load(buffer), "");
+    EXPECT_EQ(small.size(), 3u);
+    EXPECT_TRUE(small.contains(key(8)));
+    EXPECT_TRUE(small.contains(key(5)));
+    EXPECT_TRUE(small.contains(key(1)));
+
+    std::vector<TableKey> evicted;
+    small.setEvictionHook(
+        [&](const TableKey &victim) { evicted.push_back(victim); });
+    small.train(key(9));
+    ASSERT_EQ(evicted.size(), 1u);
+    EXPECT_EQ(evicted.front(), key(8));
+}
+
 TEST(PredictionTable, LoadReplacesExistingContents)
 {
     PredictionTable source;

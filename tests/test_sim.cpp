@@ -7,8 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/drivers.hpp"
 #include "sim/input.hpp"
-#include "sim/simulator.hpp"
+#include "sim/kernel.hpp"
 #include "trace/builder.hpp"
 
 namespace pcap::sim {
@@ -112,8 +113,9 @@ TEST(RunLocal, TimeoutTaxonomyOnScriptedGaps)
 
     PolicySession session(PolicyConfig::timeoutPolicy());
     SimParams params;
+    LocalDriver driver(session);
     const AccuracyStats stats =
-        runLocal({input}, session, params);
+        SimulationKernel(params).runExecution(input, driver).accuracy;
 
     EXPECT_EQ(stats.opportunities, 4u);
     EXPECT_EQ(stats.hits(), 2u);
@@ -132,7 +134,9 @@ TEST(RunLocal, FlushDaemonPredictsLikeAnyProcess)
         scriptedInput(std::move(accesses), secondsUs(50));
     PolicySession session(PolicyConfig::timeoutPolicy());
     SimParams params;
-    const AccuracyStats stats = runLocal({input}, session, params);
+    LocalDriver driver(session);
+    const AccuracyStats stats =
+        SimulationKernel(params).runExecution(input, driver).accuracy;
     // 40 s gap (hit) and the 10 s trailing gap, where the 10 s
     // timer expires exactly at the end and never fires.
     EXPECT_EQ(stats.opportunities, 2u);
@@ -152,7 +156,9 @@ TEST(RunGlobal, AccuracyAndEnergyFromOneRun)
 
     PolicySession session(PolicyConfig::timeoutPolicy());
     SimParams params;
-    const RunResult result = runGlobal({input}, session, params);
+    GlobalDriver driver(session);
+    const RunResult result =
+        SimulationKernel(params).runExecution(input, driver);
 
     EXPECT_EQ(result.accuracy.opportunities, 3u);
     EXPECT_EQ(result.accuracy.hits(), 3u); // 30 s gaps, 10 s timer
@@ -181,7 +187,9 @@ TEST(RunGlobal, ProcessExitReleasesItsConstraint)
 
     PolicySession session(PolicyConfig::timeoutPolicy());
     SimParams params;
-    const RunResult result = runGlobal({input}, session, params);
+    GlobalDriver driver(session);
+    const RunResult result =
+        SimulationKernel(params).runExecution(input, driver);
     // Gap 2..30 s: shutdown at 12 s, off 18 s -> hit. Trailing gap
     // 30..40 s: shutdown at 40... no: timer expires at 40 exactly,
     // not strictly before the end, so it is not predicted.
@@ -196,7 +204,9 @@ TEST(RunBase, NeverShutsDown)
     ExecutionInput input =
         scriptedInput(std::move(accesses), secondsUs(120));
     SimParams params;
-    const RunResult result = runBase({input}, params);
+    BaseDriver driver;
+    const RunResult result =
+        SimulationKernel(params).runExecution(input, driver);
     EXPECT_EQ(result.shutdowns, 0u);
     EXPECT_EQ(result.accuracy.notPredicted,
               result.accuracy.opportunities);
@@ -214,7 +224,9 @@ TEST(RunIdeal, ShutsDownExactlyTheOpportunities)
     ExecutionInput input =
         scriptedInput(std::move(accesses), secondsUs(60));
     SimParams params;
-    const RunResult result = runIdeal({input}, params);
+    OracleDriver driver;
+    const RunResult result =
+        SimulationKernel(params).runExecution(input, driver);
     EXPECT_EQ(result.accuracy.opportunities, 2u);
     EXPECT_EQ(result.accuracy.hits(), 2u);
     EXPECT_EQ(result.accuracy.misses(), 0u);
@@ -230,12 +242,16 @@ TEST(RunIdeal, NeverWorseThanBaseOrTimeout)
         scriptedInput(std::move(accesses), secondsUs(360));
     SimParams params;
 
-    const double ideal =
-        runIdeal({input}, params).energy.total();
-    const double base = runBase({input}, params).energy.total();
+    SimulationKernel kernel(params);
+    OracleDriver oracle;
+    BaseDriver never;
     PolicySession session(PolicyConfig::timeoutPolicy());
+    GlobalDriver timeout(session);
+    const double ideal =
+        kernel.runExecution(input, oracle).energy.total();
+    const double base = kernel.runExecution(input, never).energy.total();
     const double tp =
-        runGlobal({input}, session, params).energy.total();
+        kernel.runExecution(input, timeout).energy.total();
 
     EXPECT_LE(ideal, base);
     EXPECT_LE(ideal, tp);
