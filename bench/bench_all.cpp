@@ -11,7 +11,7 @@
  * on the calling thread.
  *
  * Output: the report text, plus per-phase wall-clock timings, the
- * workload-cache and cell-store hit counts, and a machine-readable
+ * workload-cache hit counts, and a machine-readable
  * BENCH_RESULTS.json for tools/compare_bench.py.
  */
 
@@ -31,7 +31,6 @@
 #include "obs/perf.hpp"
 #include "obs/tracing.hpp"
 #include "reports.hpp"
-#include "sim/cell_store.hpp"
 #include "sim/trace_store.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -64,7 +63,9 @@ usage(std::ostream &os)
           "$PCAP_WORKLOAD_CACHE\n"
           "                    or <tmp>/pcap-workload-cache)\n"
           "      --json PATH   results file (default: "
-          "BENCH_RESULTS.json; '-' disables)\n"
+          "BENCH_RESULTS.json; '-' disables\n"
+          "                    it and the derived .prom and "
+          "manifest files)\n"
           "      --only NAMES  comma-separated report names to "
           "run\n"
           "                    (opt-in reports, e.g. idle_histogram, "
@@ -83,14 +84,12 @@ usage(std::ostream &os)
           "                    hosts with full instrumentation into "
           "directory\n"
           "                    P (requires --report fleet)\n"
-          "      --trace-dir P write one per-idle-period JSONL "
-          "trace per\n"
-          "                    simulation cell into directory P\n"
           "      --provenance-dir P  record prediction provenance "
           "per policy\n"
-          "                    cell into directory P (binary + "
-          "JSONL; see\n"
-          "                    tools/pcap_explain)\n"
+          "                    cell into directory P: one record per "
+          "idle\n"
+          "                    period, binary + JSONL (see "
+          "tools/pcap_explain)\n"
           "      --timeline-dir P  write a simulated-time timeline "
           "per cell\n"
           "                    into directory P (pcap-timeline-v1 "
@@ -131,6 +130,36 @@ usage(std::ostream &os)
           "(default: info)\n"
           "      --list        list report names and exit\n"
           "  -h, --help        this text\n";
+}
+
+/**
+ * Parse @p text as a decimal integer in [@p lo, @p hi]. Digits only:
+ * stoull accepts "-3" (wrapping it to a huge value) and leading
+ * blanks. Anything else is a usage error: print "@p flag needs an
+ * integer in @p range, got '<text>'" and exit 2.
+ */
+std::uint64_t
+parseCount(const std::string &text, const char *flag,
+           std::uint64_t lo, std::uint64_t hi, const char *range)
+{
+    std::size_t used = 0;
+    unsigned long long parsed = 0;
+    const bool digits =
+        !text.empty() &&
+        text.find_first_not_of("0123456789") == std::string::npos;
+    if (digits) {
+        try {
+            parsed = std::stoull(text, &used);
+        } catch (const std::exception &) {
+            used = 0;
+        }
+    }
+    if (!digits || used != text.size() || parsed < lo || parsed > hi) {
+        error(std::string(flag) + " needs an integer in " + range +
+              ", got '" + text + "'");
+        std::exit(2);
+    }
+    return parsed;
 }
 
 /** "<stem>.json" -> "<stem><suffix>"; otherwise append @p suffix. */
@@ -197,7 +226,6 @@ main(int argc, char **argv)
     bool use_metrics = true;
     std::string cache_dir;
     std::string json_path = "BENCH_RESULTS.json";
-    std::string trace_dir;
     std::string provenance_dir;
     std::string timeline_dir;
     std::string trace_profile_path;
@@ -219,28 +247,9 @@ main(int argc, char **argv)
             }
             return argv[i];
         };
-        auto parseJobs = [](const std::string &text) -> unsigned {
-            // stoul accepts "-3" (wrapping it to a huge value), so
-            // insist on digits only and a sane upper bound.
-            std::size_t used = 0;
-            unsigned long parsed = 0;
-            const bool digits =
-                !text.empty() &&
-                text.find_first_not_of("0123456789") ==
-                    std::string::npos;
-            if (digits) {
-                try {
-                    parsed = std::stoul(text, &used);
-                } catch (const std::exception &) {
-                    used = 0;
-                }
-            }
-            if (!digits || used != text.size() || parsed > 4096) {
-                error("--jobs needs an integer in [0, 4096], got '" +
-                      text + "'");
-                std::exit(2);
-            }
-            return static_cast<unsigned>(parsed);
+        auto parseJobs = [](const std::string &text) {
+            return static_cast<unsigned>(
+                parseCount(text, "--jobs", 0, 4096, "[0, 4096]"));
         };
         if (arg == "-h" || arg == "--help") {
             usage(std::cout);
@@ -259,8 +268,6 @@ main(int argc, char **argv)
             cache_dir = value("--cache-dir");
         } else if (arg == "--json") {
             json_path = value("--json");
-        } else if (arg == "--trace-dir") {
-            trace_dir = value("--trace-dir");
         } else if (arg == "--provenance-dir") {
             provenance_dir = value("--provenance-dir");
         } else if (arg == "--timeline-dir") {
@@ -296,30 +303,10 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--hosts") {
-            const std::string text = value("--hosts");
-            // Same digits-only discipline as --jobs; the bound only
-            // guards against typos, fleets are O(1) memory anyway.
-            std::size_t used = 0;
-            unsigned long long parsed = 0;
-            const bool digits =
-                !text.empty() &&
-                text.find_first_not_of("0123456789") ==
-                    std::string::npos;
-            if (digits) {
-                try {
-                    parsed = std::stoull(text, &used);
-                } catch (const std::exception &) {
-                    used = 0;
-                }
-            }
-            if (!digits || used != text.size() || parsed == 0 ||
-                parsed > 100000000ull) {
-                error("--hosts needs an integer in [1, 1e8], "
-                      "got '" +
-                      text + "'");
-                return 2;
-            }
-            fleet_hosts = parsed;
+            // The bound only guards against typos; fleets are O(1)
+            // memory anyway.
+            fleet_hosts = parseCount(value("--hosts"), "--hosts", 1,
+                                     100000000, "[1, 1e8]");
             fleet_hosts_given = true;
         } else if (arg == "--alerts") {
             alerts_path = value("--alerts");
@@ -335,11 +322,15 @@ main(int argc, char **argv)
     }
 
     // Derive the companion outputs from the results path; '-'
-    // disables each individually.
-    if (metrics_path.empty() && json_path != "-")
-        metrics_path = derivedPath(json_path, ".prom");
-    if (manifest_path.empty() && json_path != "-")
-        manifest_path = derivedPath(json_path, ".manifest.json");
+    // disables each individually, and with `--json -` neither is
+    // written unless named explicitly.
+    if (metrics_path.empty())
+        metrics_path =
+            json_path == "-" ? "-" : derivedPath(json_path, ".prom");
+    if (manifest_path.empty())
+        manifest_path = json_path == "-"
+                            ? "-"
+                            : derivedPath(json_path, ".manifest.json");
     if (!use_metrics)
         metrics_path = "-";
 
@@ -390,7 +381,6 @@ main(int argc, char **argv)
                                ? sim::WorkloadCache::defaultDirectory()
                                : cache_dir;
     }
-    options.traceDir = trace_dir;
     options.provenanceDir = provenance_dir;
     options.timelineDir = timeline_dir;
     options.metrics = use_metrics ? &registry : nullptr;
@@ -398,12 +388,6 @@ main(int argc, char **argv)
     // reports build (ablation_cache): raw traces are generated once
     // per app, each configuration re-runs only the cache filter.
     options.traceStore = std::make_shared<sim::TraceStore>();
-    // And finished cells: engines over an identical (config,
-    // policy) pair replay each cell once between them.
-    options.cellStore = std::make_shared<sim::CellStore>();
-    if (use_metrics)
-        options.traceStore->bindBytesGauge(
-            &registry.gauge("pcap_trace_store_bytes"));
 
     sim::ParallelEvaluation eval(bench::standardConfig(), options);
     Json fleet_json;
@@ -418,7 +402,6 @@ main(int argc, char **argv)
     ctx.fleet.alerts = alert_engine.get();
     ctx.fleet.drilldownDir = drilldown_dir;
     ctx.fleetJson = &fleet_json;
-    ctx.traceStore = options.traceStore.get();
 
     std::vector<const bench::Report *> selected;
     for (const auto &report : bench::allReports()) {
@@ -513,9 +496,6 @@ main(int argc, char **argv)
                       : std::string("disabled"))
               << " (" << eval.workloadCache().hits() << " hits, "
               << eval.workloadCache().misses() << " misses)\n"
-              << "cell store:       " << options.cellStore->hits()
-              << " hits, " << options.cellStore->computed()
-              << " computed\n"
               << "inputs phase:     " << fixedString(inputs_ms, 1)
               << " ms\n"
               << "simulation phase: " << fixedString(cells_ms, 1)
@@ -620,7 +600,7 @@ main(int argc, char **argv)
         std::cout << "results: " << json_path << "\n";
     }
 
-    if (use_metrics && metrics_path != "-") {
+    if (metrics_path != "-") {
         std::ofstream os(metrics_path);
         if (!os) {
             error("cannot write " + metrics_path);
@@ -634,7 +614,7 @@ main(int argc, char **argv)
         std::cout << "metrics: " << metrics_path << "\n";
     }
 
-    if (manifest_path != "-" && !manifest_path.empty()) {
+    if (manifest_path != "-") {
         obs::RunManifest manifest;
         manifest.createdAtUtc = obs::isoTimestampUtc();
         manifest.gitDescribe = obs::collectGitDescribe(".");
@@ -662,7 +642,7 @@ main(int argc, char **argv)
             manifest.reports.push_back(report->name);
         manifest.resultsPath = json_path == "-" ? "" : json_path;
         manifest.prometheusPath =
-            (use_metrics && metrics_path != "-") ? metrics_path : "";
+            metrics_path == "-" ? "" : metrics_path;
         manifest.build = obs::collectBuildInfo();
         manifest.perfRequested = use_perf;
         if (perf_profiler) {

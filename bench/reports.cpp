@@ -5,7 +5,6 @@
 
 #include <fstream>
 #include <iomanip>
-#include <optional>
 #include <sstream>
 
 #include "obs/perf.hpp"
@@ -13,7 +12,6 @@
 #include "power/disk_params.hpp"
 #include "sim/drivers.hpp"
 #include "sim/fleet.hpp"
-#include "sim/trace_store.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -722,12 +720,6 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
            "Larger caches absorb more traffic: fewer disk "
            "accesses, fewer but longer idle periods.");
 
-    // The raw traces the sweep shares stay resident only while this
-    // report runs: on close the store drops every published entry.
-    std::optional<sim::TraceStore::Retention> retention;
-    if (ctx.traceStore)
-        retention.emplace(*ctx.traceStore);
-
     TextTable table;
     table.setHeader({"cache", "disk accesses", "global periods",
                      "PCAP hit", "PCAP miss", "PCAP saved"});
@@ -1199,7 +1191,6 @@ drilldownJson(const sim::FleetReport &report, std::uint64_t seed)
                 item["perf"] = obs::perfCountsJson(policy.perf);
             Json &artifacts = item["artifacts"];
             artifacts = Json::object();
-            artifacts["trace"] = policy.stem + ".jsonl";
             artifacts["provenance_binary"] =
                 policy.stem + ".prov.bin";
             artifacts["provenance_jsonl"] =

@@ -88,13 +88,6 @@ struct ReportContext
     /** When non-null, the fleet report fills this with its
      * machine-readable pcap-fleet-v1 block. */
     Json *fleetJson = nullptr;
-
-    /**
-     * The run's shared trace store, or null. Reports that build
-     * sweep engines open a TraceStore::Retention on it so the raw
-     * traces they share are dropped once the sweep finishes.
-     */
-    sim::TraceStore *traceStore = nullptr;
 };
 
 /** One table/figure of the evaluation suite. */

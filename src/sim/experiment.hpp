@@ -30,7 +30,6 @@
 namespace pcap::sim {
 
 class TraceStore;
-class CellStore;
 
 /** Configuration of a whole evaluation. */
 struct ExperimentConfig
@@ -103,13 +102,6 @@ struct ParallelOptions
     std::string cacheDir;
 
     /**
-     * When non-empty, every simulation cell writes a per-idle-period
-     * JSONL trace into this directory (created if needed), one file
-     * per (mode, app, policy) cell. Empty disables tracing.
-     */
-    std::string traceDir;
-
-    /**
      * When non-empty, every policy cell runs with the provenance
      * flight recorder attached and serializes its records into this
      * directory (created if needed): a compact binary file plus a
@@ -147,18 +139,6 @@ struct ParallelOptions
      * (seed, app, maxExecutions).
      */
     std::shared_ptr<TraceStore> traceStore;
-
-    /**
-     * Shared finished-cell memo (see cell_store.hpp), or null to
-     * compute cells privately. Engines over an *identical* config
-     * then replay each (mode, app, policy) cell once between them —
-     * the keys embed the full canonical config string, so distinct
-     * configurations never collide. Ignored while traceDir,
-     * provenanceDir or timelineDir is set: a store hit skips the
-     * replay and with it the cell's file artifacts, which those
-     * options promise.
-     */
-    std::shared_ptr<CellStore> cellStore;
 };
 
 /**
@@ -279,19 +259,16 @@ class ParallelEvaluation
     std::string cellFileStem(const char *mode, const std::string &app,
                              const PolicyConfig *policy) const;
 
-    /** The JSONL observer of one cell, or null when tracing is
-     * off. */
-    std::unique_ptr<SimObserver>
-    traceObserver(const char *mode, const std::string &app,
-                  const PolicyConfig *policy) const;
-
-    /** The tracing + metrics observers of one cell, assembled. */
+    /** The metrics, provenance and timeline observers of one
+     * cell, assembled. */
     struct CellInstruments;
 
     /**
-     * Build one cell's observer stack: the JSONL tracer (when
-     * tracing is on), a MetricsObserver (when a registry is
-     * attached), both behind a tee, or the shared NullObserver.
+     * Build one cell's observer stack: a MetricsObserver (when a
+     * registry is attached), the provenance recorder (policy cells
+     * with provenanceDir set) and a TimelineObserver (timelineDir
+     * set), behind a tee when more than one is active, or the
+     * shared NullObserver when none is.
      * @p trackDisk is false for diskless (local-accuracy) replays.
      */
     CellInstruments instrument(const char *mode,
@@ -308,20 +285,13 @@ class ParallelEvaluation
     /** Scope labelled {config, app} for input-level metrics. */
     obs::ScopedMetrics appScope(const std::string &app) const;
 
-    /** True when results may round-trip through the shared
-     * CellStore (attached, and no per-cell file artifacts). */
-    bool cellStoreUsable() const;
-
     ExperimentConfig config_;
     ParallelOptions options_;
     std::vector<std::string> appNames_;
     WorkloadCache cache_;
-    /** Canonical serialization of every config field that can alter
-     * results — the CellStore key prefix. */
-    std::string configKey_;
-    /** 16-hex digest of configKey_ — the "config" label value
-     * separating ablation evaluations from the paper-default one in
-     * the shared registry. */
+    /** 16-hex digest of every config field that can alter results —
+     * the "config" label value separating ablation evaluations from
+     * the paper-default one in the shared registry. */
     std::string configHash_;
 
     std::mutex mutex_; ///< guards the maps below (not the memos)

@@ -383,7 +383,6 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
         std::string stem;
         PolicySession session;
         GlobalDriver driver;
-        JsonlTraceObserver trace;
         obs::ProvenanceRecorder provRecorder;
         obs::BinaryProvenanceWriter provBinary;
         obs::JsonlProvenanceWriter provJsonl;
@@ -395,12 +394,12 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
         DrillCell(std::string cellStem, const PolicyConfig &policy,
                   const SimParams &sim, const std::string &dir)
             : stem(std::move(cellStem)), session(policy),
-              driver(session), trace(dir + "/" + stem + ".jsonl"),
+              driver(session),
               provBinary(dir + "/" + stem + ".prov.bin"),
               provJsonl(dir + "/" + stem + ".prov.jsonl", stem),
               provenance(provRecorder, sim.disk),
               timeline(sim.disk),
-              tee({&trace, &provenance, &timeline}),
+              tee({&provenance, &timeline}),
               kernel(sim, tee)
         {
             provRecorder.addSink(&provBinary);

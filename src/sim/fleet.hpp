@@ -179,9 +179,9 @@ struct DrilldownPolicy
 
 /**
  * The pass-2 re-simulation of one flagged host, fully instrumented:
- * per policy one idle-period trace (.jsonl), one provenance pair
- * (.prov.bin/.prov.jsonl) and one timeline (.timeline.json/.csv),
- * all named <stem>.<ext> inside the drill-down directory.
+ * per policy one provenance pair (.prov.bin/.prov.jsonl) and one
+ * timeline (.timeline.json/.csv), all named <stem>.<ext> inside the
+ * drill-down directory.
  */
 struct HostDrilldown
 {
@@ -254,12 +254,12 @@ struct FleetOptions
 
     /**
      * When non-empty: after aggregation, re-simulate every
-     * MAD-flagged outlier host with full instrumentation (idle
-     * trace + provenance + timeline per policy) into this
-     * directory — the deterministic drill-down pass. Re-runs are
-     * bit-identical to pass 1 because a HostProfile is a pure
-     * function of (fleet config, host index) and observers never
-     * influence the replay.
+     * MAD-flagged outlier host with full instrumentation
+     * (provenance + timeline per policy) into this directory — the
+     * deterministic drill-down pass. Re-runs are bit-identical to
+     * pass 1 because a HostProfile is a pure function of (fleet
+     * config, host index) and observers never influence the
+     * replay.
      */
     std::string drilldownDir;
 };
@@ -295,8 +295,8 @@ class FleetDriver
 
     /**
      * Re-simulate one host with full instrumentation, writing one
-     * idle-period trace, provenance pair and timeline per policy
-     * into @p dir (stems "host<id>-<policy>-<hash16>"). The replay
+     * provenance pair and timeline per policy into @p dir (stems
+     * "host<id>-<policy>-<hash16>"). The replay
      * is bit-identical to runHost's — observers are passive — so a
      * drilled host's artifacts answer "why was pass 1's number what
      * it was". Public for the drill-down determinism tests.

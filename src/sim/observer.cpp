@@ -30,62 +30,6 @@ nullObserver()
 }
 
 // ---------------------------------------------------------------
-// JsonlTraceObserver
-// ---------------------------------------------------------------
-
-JsonlTraceObserver::JsonlTraceObserver(const std::string &path)
-    : os_(path), path_(path)
-{
-    if (!os_)
-        fatal("JsonlTraceObserver: cannot write " + path);
-}
-
-void
-JsonlTraceObserver::onExecutionBegin(const ExecutionInput &input)
-{
-    app_ = input.app;
-    execution_ = input.execution;
-}
-
-void
-JsonlTraceObserver::onExecutionEnd(const ExecutionInput &input,
-                                   const RunResult &result)
-{
-    (void)input;
-    (void)result;
-    // Push buffered records to the OS now so a full disk or revoked
-    // permission surfaces here, attributed to the file — not as a
-    // silently truncated trace discovered days later.
-    os_.flush();
-    if (!os_) {
-        fatal("JsonlTraceObserver: write failed on " + path_ +
-              " after " + std::to_string(records_) + " records");
-    }
-}
-
-void
-JsonlTraceObserver::onIdlePeriod(const IdlePeriodRecord &record)
-{
-    // App names are plain identifiers, so no string escaping is
-    // needed for a valid JSON line.
-    os_ << "{\"app\":\"" << app_
-        << "\",\"execution\":" << execution_
-        << ",\"pid\":" << record.pid
-        << ",\"start_us\":" << record.start
-        << ",\"end_us\":" << record.end
-        << ",\"length_us\":" << record.length()
-        << ",\"shutdown_us\":" << record.shutdownAt
-        << ",\"source\":\"" << pred::decisionSourceName(record.source)
-        << "\",\"outcome\":\"" << idleOutcomeName(record.outcome)
-        << "\"}\n";
-    if (!os_) {
-        fatal("JsonlTraceObserver: write failed on " + path_ +
-              " after " + std::to_string(records_) + " records");
-    }
-    ++records_;
-}
-
-// ---------------------------------------------------------------
 // TeeObserver
 // ---------------------------------------------------------------
 

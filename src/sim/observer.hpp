@@ -8,7 +8,7 @@
  * boundaries, classified idle periods, and shutdown orders
  * issued/ignored. Observers never influence the simulation — the
  * kernel produces bit-identical results whether a NullObserver, a
- * JSONL tracer or a histogram collector is attached.
+ * provenance recorder or a histogram collector is attached.
  */
 
 #ifndef PCAP_SIM_OBSERVER_HPP
@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -129,37 +128,8 @@ class NullObserver final : public SimObserver
 SimObserver &nullObserver();
 
 /**
- * Streams one JSON object per classified idle period to a file —
- * the bench_all --trace-dir format. One record per line:
- *
- * {"app":"mozilla","execution":3,"pid":-1,"start_us":..,"end_us":..,
- *  "length_us":..,"shutdown_us":-1,"source":"none","outcome":"short"}
- */
-class JsonlTraceObserver final : public SimObserver
-{
-  public:
-    /** Opens @p path for writing; fatal() when that fails. */
-    explicit JsonlTraceObserver(const std::string &path);
-
-    void onExecutionBegin(const ExecutionInput &input) override;
-    void onExecutionEnd(const ExecutionInput &input,
-                        const RunResult &result) override;
-    void onIdlePeriod(const IdlePeriodRecord &record) override;
-
-    /** Idle-period records written so far. */
-    std::uint64_t recordCount() const { return records_; }
-
-  private:
-    std::ofstream os_;
-    std::string path_;
-    std::string app_;
-    int execution_ = -1;
-    std::uint64_t records_ = 0;
-};
-
-/**
  * Fans every callback out to a list of observers, in order — e.g. a
- * JSONL tracer plus a metrics collector on the same run. Null
+ * provenance recorder plus a metrics collector on the same run. Null
  * entries are rejected; the observers must outlive the tee.
  */
 class TeeObserver final : public SimObserver

@@ -53,7 +53,7 @@ inputsFromTraces(const std::vector<trace::Trace> &traces,
     return result;
 }
 
-std::shared_ptr<const std::vector<trace::Trace>>
+const std::vector<trace::Trace> &
 TraceStore::traces(std::uint64_t seed, const std::string &app,
                    int maxExecutions, unsigned jobs,
                    const obs::ScopedMetrics &scope)
@@ -61,92 +61,17 @@ TraceStore::traces(std::uint64_t seed, const std::string &app,
     std::ostringstream key;
     key << seed << '\x1f' << app << '\x1f' << maxExecutions;
 
-    std::shared_ptr<Memo> memo;
+    Memo *memo;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto &entry = memos_[key.str()];
-        if (!entry)
-            entry = std::make_shared<Memo>();
-        memo = entry;
+        memo = &memos_[key.str()];
     }
-    bool generatedHere = false;
     std::call_once(memo->once, [&] {
         memo->value =
-            std::make_shared<const std::vector<trace::Trace>>(
-                generateTraces(seed, app, maxExecutions, jobs,
-                               scope));
-        std::uint64_t bytes = 0;
-        for (const trace::Trace &trace : *memo->value) {
-            bytes += sizeof(trace::Trace) +
-                     trace.events().size() *
-                         sizeof(trace::TraceEvent);
-        }
-        memo->bytes = bytes;
+            generateTraces(seed, app, maxExecutions, jobs, scope);
         generated_.fetch_add(1, std::memory_order_relaxed);
-        generatedHere = true;
     });
-    if (generatedHere) {
-        // Publish the entry's residency under the lock — but only
-        // if the key still maps to this memo. A retention scope may
-        // have expired mid-generation; the vector then lives solely
-        // with its callers and was never resident here.
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = memos_.find(key.str());
-        if (it != memos_.end() && it->second == memo) {
-            memo->ready = true;
-            adjustBytes(static_cast<std::int64_t>(memo->bytes));
-        }
-    }
     return memo->value;
-}
-
-void
-TraceStore::bindBytesGauge(obs::Gauge *gauge)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    bytesGauge_ = gauge;
-    if (bytesGauge_)
-        bytesGauge_->set(static_cast<double>(
-            bytes_.load(std::memory_order_relaxed)));
-}
-
-void
-TraceStore::retain()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++retentions_;
-}
-
-void
-TraceStore::release()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (--retentions_ > 0)
-        return;
-    // The last scope closed: drop every published entry. In-flight
-    // generations (not yet ready) stay — erasing them would let a
-    // concurrent request regenerate the same key twice.
-    for (auto it = memos_.begin(); it != memos_.end();) {
-        if (it->second->ready) {
-            adjustBytes(
-                -static_cast<std::int64_t>(it->second->bytes));
-            evicted_.fetch_add(1, std::memory_order_relaxed);
-            it = memos_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
-TraceStore::adjustBytes(std::int64_t delta)
-{
-    const std::uint64_t updated =
-        bytes_.load(std::memory_order_relaxed) +
-        static_cast<std::uint64_t>(delta);
-    bytes_.store(updated, std::memory_order_relaxed);
-    if (bytesGauge_)
-        bytesGauge_->set(static_cast<double>(updated));
 }
 
 } // namespace pcap::sim

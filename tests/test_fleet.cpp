@@ -10,9 +10,8 @@
  *    ParallelEvaluation engine: same numbers, bounded memory.
  *  - Fleet determinism: a 64-host fleet is field-equal across thread
  *    counts.
- *  - TraceStore retention: scopes evict published entries, account
- *    resident bytes, and later requests regenerate.
- *  - CellStore: engines sharing a store replay each cell once.
+ *  - TraceStore: engines over different cache sizes share one
+ *    generation per app, and each filters it with its own cache.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +30,6 @@
 
 #include "obs/alerts.hpp"
 #include "obs/metrics.hpp"
-#include "sim/cell_store.hpp"
 #include "sim/execution_source.hpp"
 #include "sim/experiment.hpp"
 #include "sim/fleet.hpp"
@@ -437,105 +435,35 @@ TEST(FleetOutliers, FlagsByMadScoreAndOrdersDeterministically)
         flagOutliers("m", {}, 0.0, 0.0, 3.5).empty());
 }
 
-TEST(TraceStore, RetentionScopeEvictsAndAccountsBytes)
+TEST(TraceStore, EnginesOverCacheSizesShareOneGenerationPerApp)
 {
-    obs::MetricsRegistry registry;
-    obs::Gauge &gauge = registry.gauge("pcap_trace_store_bytes");
-    obs::ScopedMetrics silent(nullptr, {});
-
-    TraceStore store;
-    store.bindBytesGauge(&gauge);
-    EXPECT_EQ(store.bytesResident(), 0u);
-
-    {
-        TraceStore::Retention retention(store);
-        const auto traces =
-            store.traces(42, "mozilla", 2, /*jobs=*/1, silent);
-        ASSERT_TRUE(traces);
-        EXPECT_EQ(store.generatedSets(), 1u);
-        EXPECT_GT(store.bytesResident(), 0u);
-        EXPECT_DOUBLE_EQ(gauge.value(),
-                         static_cast<double>(
-                             store.bytesResident()));
-
-        // A second request inside the scope is a lookup.
-        const auto again =
-            store.traces(42, "mozilla", 2, /*jobs=*/1, silent);
-        EXPECT_EQ(again.get(), traces.get());
-        EXPECT_EQ(store.generatedSets(), 1u);
-    }
-
-    // Scope closed: entry evicted, bytes back to zero.
-    EXPECT_EQ(store.evictedSets(), 1u);
-    EXPECT_EQ(store.bytesResident(), 0u);
-    EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-
-    // A later request regenerates, deterministically.
-    const auto regenerated =
-        store.traces(42, "mozilla", 2, /*jobs=*/1, silent);
-    ASSERT_TRUE(regenerated);
-    EXPECT_EQ(store.generatedSets(), 2u);
-}
-
-TEST(TraceStore, NestedRetentionsEvictOnlyAtLastClose)
-{
-    obs::ScopedMetrics silent(nullptr, {});
-    TraceStore store;
-    TraceStore::Retention outer(store);
-    {
-        TraceStore::Retention inner(store);
-        store.traces(42, "mozilla", 1, /*jobs=*/1, silent);
-    }
-    EXPECT_EQ(store.evictedSets(), 0u);
-    EXPECT_GT(store.bytesResident(), 0u);
-}
-
-TEST(CellStore, EnginesWithEqualConfigShareCells)
-{
-    ExperimentConfig config;
-    config.maxExecutions = 2;
-    const auto store = std::make_shared<CellStore>();
-
     ParallelOptions options;
-    options.cellStore = store;
+    options.traceStore = std::make_shared<TraceStore>();
+    ExperimentConfig small;
+    small.maxExecutions = 2;
+    small.cache.capacityBytes = 64 * 1024;
+    ExperimentConfig large = small;
+    large.cache.capacityBytes = 1024 * 1024;
+    ParallelEvaluation smallEval(small, options);
+    ParallelEvaluation largeEval(large, options);
 
-    ParallelEvaluation first(config, options);
-    ParallelEvaluation second(config, options);
-
-    const auto policy = PolicyConfig::timeoutPolicy();
-    const auto computedOnce = first.globalRun("mozilla", policy);
-    EXPECT_EQ(store->computed(), 1u);
-    EXPECT_EQ(store->hits(), 0u);
-
-    const auto reused = second.globalRun("mozilla", policy);
-    EXPECT_EQ(store->computed(), 1u);
-    EXPECT_EQ(store->hits(), 1u);
-    expectSameResult(reused.run, computedOnce.run);
-    EXPECT_EQ(reused.tableEntries, computedOnce.tableEntries);
-
-    // A different policy is a different cell.
-    second.globalRun("mozilla", PolicyConfig::pcapBase());
-    EXPECT_EQ(store->computed(), 2u);
-}
-
-TEST(CellStore, DistinctConfigsNeverCollide)
-{
-    ExperimentConfig fast;
-    fast.maxExecutions = 1;
-    ExperimentConfig slow;
-    slow.maxExecutions = 2;
-    const auto store = std::make_shared<CellStore>();
-
-    ParallelOptions options;
-    options.cellStore = store;
-    ParallelEvaluation a(fast, options);
-    ParallelEvaluation b(slow, options);
-
-    const auto policy = PolicyConfig::timeoutPolicy();
-    a.globalRun("mozilla", policy);
-    b.globalRun("mozilla", policy);
-    EXPECT_EQ(store->computed(), 2u);
-    EXPECT_EQ(store->hits(), 0u);
+    const std::vector<std::string> apps = {"mozilla", "nedit"};
+    for (const std::string &app : apps) {
+        const auto reference = [&](const ExperimentConfig &config) {
+            return inputsFromTraces(
+                generateTraces(config.seed, app,
+                               config.maxExecutions, 1, {}),
+                config.cache, 1);
+        };
+        const auto &smallInputs = smallEval.inputs(app);
+        const auto &largeInputs = largeEval.inputs(app);
+        EXPECT_EQ(smallInputs, reference(small)) << app;
+        EXPECT_EQ(largeInputs, reference(large)) << app;
+        // The cache size reaches the filter: a 16x larger cache
+        // absorbs more of the traced I/O.
+        EXPECT_NE(smallInputs, largeInputs) << app;
+    }
+    EXPECT_EQ(options.traceStore->generatedSets(), apps.size());
 }
 
 // -- Drill-down + alert determinism ---------------------------------
@@ -584,8 +512,7 @@ drillFleetConfig()
 }
 
 constexpr const char *kDrillExtensions[] = {
-    ".jsonl", ".prov.bin", ".prov.jsonl", ".timeline.json",
-    ".timeline.csv"};
+    ".prov.bin", ".prov.jsonl", ".timeline.json", ".timeline.csv"};
 
 TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
 {

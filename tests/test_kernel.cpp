@@ -14,15 +14,12 @@
  *  - Same-time order: the file-cache filter emits accesses in
  *    (time, pid, emission) order and every driver replays that order.
  *  - Policy registry: the names resolve, unknown names are rejected.
- *  - JSONL traces: per-idle-period records reconcile with the
- *    AccuracyStats the same run reports.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -30,7 +27,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-#include <unistd.h>
 
 #include "reports.hpp"
 #include "sim/drivers.hpp"
@@ -686,82 +682,6 @@ TEST(LocalDriverTest, UnknownPidAccessIsDroppedNotFatal)
     EXPECT_EQ(a.hits(), b.hits());
     EXPECT_EQ(a.misses(), b.misses());
     EXPECT_EQ(a.notPredicted, b.notPredicted);
-}
-
-// ---------------------------------------------------------------
-// JSONL trace reconciliation
-// ---------------------------------------------------------------
-
-std::uint64_t
-countOutcome(const std::vector<std::string> &lines,
-             const std::string &outcome)
-{
-    const std::string needle = "\"outcome\":\"" + outcome + "\"";
-    std::uint64_t count = 0;
-    for (const std::string &line : lines)
-        if (line.find(needle) != std::string::npos)
-            ++count;
-    return count;
-}
-
-TEST(TraceObserver, JsonlRecordsReconcileWithAccuracyStats)
-{
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() /
-        ("pcap-test-traces-" + std::to_string(getpid()));
-    fs::remove_all(dir);
-
-    ExperimentConfig config;
-    config.maxExecutions = 2;
-    ParallelOptions options;
-    options.jobs = 1;
-    options.traceDir = dir.string();
-    ParallelEvaluation eval(config, options);
-
-    const GlobalOutcome outcome =
-        eval.globalRun("mozilla", policyByName("PCAP"));
-    const AccuracyStats &stats = outcome.run.accuracy;
-
-    // Exactly one trace file for the one computed cell.
-    fs::path trace_path;
-    int files = 0;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        ++files;
-        trace_path = entry.path();
-    }
-    ASSERT_EQ(files, 1);
-    // maxExecutions = 2 is a non-default experiment config, so the
-    // stem carries a -c<confighash> digest between app and policy.
-    const std::string name = trace_path.filename().string();
-    EXPECT_EQ(name.rfind("global-mozilla-c", 0), 0u) << name;
-    EXPECT_NE(name.find("-PCAP-"), std::string::npos) << name;
-
-    std::ifstream trace(trace_path);
-    ASSERT_TRUE(trace);
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(trace, line))
-        lines.push_back(line);
-
-    // Per-record outcome counts must reconcile with the stats the
-    // same run reported.
-    EXPECT_EQ(countOutcome(lines, "hit_primary"), stats.hitPrimary);
-    EXPECT_EQ(countOutcome(lines, "hit_backup"), stats.hitBackup);
-    EXPECT_EQ(countOutcome(lines, "miss_primary"),
-              stats.missPrimary);
-    EXPECT_EQ(countOutcome(lines, "miss_backup"), stats.missBackup);
-    EXPECT_EQ(countOutcome(lines, "not_predicted"),
-              stats.notPredicted);
-    // Short periods are traced too, but never tallied: record count
-    // = stats total + shorts.
-    const std::uint64_t tallied = stats.hits() + stats.misses() +
-                                  stats.notPredicted;
-    EXPECT_EQ(lines.size(),
-              tallied + countOutcome(lines, "short"));
-    EXPECT_GT(lines.size(), tallied);
-
-    fs::remove_all(dir);
 }
 
 } // namespace

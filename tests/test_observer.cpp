@@ -3,17 +3,11 @@
  * Observer-layer tests: TeeObserver fan-out semantics (ordering and
  * exception propagation across 3+ children) and exhaustiveness of
  * the per-outcome instrumentation — every IdleOutcome value must be
- * handled by MetricsObserver and JsonlTraceObserver.
+ * handled by MetricsObserver.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -184,40 +178,6 @@ TEST(MetricsObserver, HandlesEveryIdleOutcome)
         EXPECT_EQ(counter.value(), 1u)
             << "outcome " << name << " not counted";
     }
-}
-
-TEST(JsonlTraceObserver, HandlesEveryIdleOutcome)
-{
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("pcap-test-observer-" + std::to_string(::getpid()) +
-          ".jsonl"))
-            .string();
-
-    {
-        JsonlTraceObserver observer(path);
-        ExecutionInput input;
-        input.app = "t";
-        observer.onExecutionBegin(input);
-        for (const IdlePeriodRecord &record : oneRecordPerOutcome())
-            observer.onIdlePeriod(record);
-        observer.onExecutionEnd(input, RunResult{});
-        EXPECT_EQ(observer.recordCount(), 6u);
-    }
-
-    std::ifstream is(path);
-    ASSERT_TRUE(is.is_open());
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    const std::string text = buffer.str();
-    for (std::size_t i = 0; i < 6; ++i) {
-        const std::string needle =
-            std::string("\"outcome\":\"") +
-            idleOutcomeName(static_cast<IdleOutcome>(i)) + "\"";
-        EXPECT_NE(text.find(needle), std::string::npos)
-            << "missing " << needle;
-    }
-    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -36,7 +36,6 @@ import sys
 
 DEFAULT_IGNORE = (
     r"wall|thread_pool|workload_cache|workload_generated"
-    r"|trace_store"
     # Span-tracer volume depends on scheduling (pool-task spans, ring
     # drops); timelines are opt-in artifacts checked by
     # compare_bench.py --timeline-dir, not a metrics family to diff.
