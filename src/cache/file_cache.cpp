@@ -339,23 +339,30 @@ FileCache::flushAll(TimeUs time, std::vector<trace::DiskAccess> &out)
     emitWriteback(time, last_file, flushed, out);
 }
 
+void
+filterTrace(const trace::Trace &trace, const CacheParams &params,
+            std::vector<trace::DiskAccess> &out, CacheStats *stats_out)
+{
+    FileCache cache(params);
+    out.clear();
+    for (const auto &event : trace.events())
+        cache.access(event, out);
+    cache.flushAll(trace.endTime(), out);
+
+    // The cache emits in time order; only same-time accesses of
+    // different pids can be out of accessBefore order.
+    if (!std::is_sorted(out.begin(), out.end(), accessBefore))
+        std::stable_sort(out.begin(), out.end(), accessBefore);
+    if (stats_out)
+        *stats_out = cache.stats();
+}
+
 std::vector<trace::DiskAccess>
 filterTrace(const trace::Trace &trace, const CacheParams &params,
             CacheStats *stats_out)
 {
-    FileCache cache(params);
     std::vector<trace::DiskAccess> accesses;
-    for (const auto &event : trace.events())
-        cache.access(event, accesses);
-    cache.flushAll(trace.endTime(), accesses);
-
-    // The cache emits in time order; only same-time accesses of
-    // different pids can be out of accessBefore order.
-    if (!std::is_sorted(accesses.begin(), accesses.end(), accessBefore))
-        std::stable_sort(accesses.begin(), accesses.end(),
-                         accessBefore);
-    if (stats_out)
-        *stats_out = cache.stats();
+    filterTrace(trace, params, accesses, stats_out);
     return accesses;
 }
 

@@ -207,9 +207,15 @@ accessBefore(const trace::DiskAccess &a, const trace::DiskAccess &b)
 
 /**
  * Convenience pipeline: filter a whole trace through a fresh cache,
- * returning the disk access stream in accessBefore order.
- * @p stats_out, when non-null, receives the cache statistics.
+ * replacing @p out's contents with the disk access stream in
+ * accessBefore order (its capacity is reused). @p stats_out, when
+ * non-null, receives the cache statistics.
  */
+void filterTrace(const trace::Trace &trace, const CacheParams &params,
+                 std::vector<trace::DiskAccess> &out,
+                 CacheStats *stats_out = nullptr);
+
+/** filterTrace into a new vector. */
 std::vector<trace::DiskAccess>
 filterTrace(const trace::Trace &trace, const CacheParams &params,
             CacheStats *stats_out = nullptr);

@@ -20,33 +20,24 @@ DiskParams::derivedBreakevenSeconds() const
 std::string
 DiskParams::validate() const
 {
-    std::ostringstream error;
-    if (busyPowerW <= 0 || idlePowerW <= 0 || standbyPowerW < 0) {
-        error << "powers must be positive";
-        return error.str();
-    }
-    if (standbyPowerW >= idlePowerW) {
-        error << "standby power must be below idle power";
-        return error.str();
-    }
-    if (idlePowerW > busyPowerW) {
-        error << "idle power must not exceed busy power";
-        return error.str();
-    }
+    // Every disk model validates its parameters, so the valid path
+    // formats nothing.
+    if (busyPowerW <= 0 || idlePowerW <= 0 || standbyPowerW < 0)
+        return "powers must be positive";
+    if (standbyPowerW >= idlePowerW)
+        return "standby power must be below idle power";
+    if (idlePowerW > busyPowerW)
+        return "idle power must not exceed busy power";
     if (spinUpTime <= 0 || shutdownTime <= 0 || breakevenTime <= 0 ||
-        serviceTimePerBlock <= 0) {
-        error << "times must be positive";
-        return error.str();
-    }
+        serviceTimePerBlock <= 0)
+        return "times must be positive";
     if (lowPowerIdleW < standbyPowerW || lowPowerIdleW > idlePowerW ||
-        lowPowerExitEnergyJ < 0 || lowPowerExitTime < 0) {
-        error << "low-power idle mode must sit between standby and "
-                 "idle";
-        return error.str();
-    }
+        lowPowerExitEnergyJ < 0 || lowPowerExitTime < 0)
+        return "low-power idle mode must sit between standby and idle";
     const double derived = derivedBreakevenSeconds();
     const double quoted = usToSeconds(breakevenTime);
     if (std::abs(derived - quoted) > 0.05 * quoted) {
+        std::ostringstream error;
         error << "quoted breakeven " << quoted
               << "s inconsistent with derived " << derived << "s";
         return error.str();

@@ -13,14 +13,23 @@ HostExecutionSource::HostExecutionSource(
 const ExecutionInput *
 HostExecutionSource::next()
 {
-    std::optional<trace::Trace> trace = stream_.next();
+    // The previous trace's events become the next one's storage.
+    std::optional<trace::Trace> trace =
+        stream_.next(trace_.releaseEvents());
     if (!trace)
         return nullptr;
     // fromTrace runs the cache filter and extracts the process
     // spans — identical to the materialized pipeline's per-trace
     // step, so a pure single-app profile streams bit-equal inputs.
-    slot_ = ExecutionInput::fromTrace(*trace, cacheParams_);
+    ExecutionInput::fromTrace(*trace, cacheParams_, slot_);
+    trace_ = std::move(*trace);
     return &slot_;
+}
+
+void
+HostExecutionSource::restart(workload::HostProfile profile)
+{
+    stream_ = workload::HostWorkloadStream(std::move(profile));
 }
 
 } // namespace pcap::sim

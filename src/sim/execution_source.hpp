@@ -71,9 +71,13 @@ class MaterializedSource final : public ExecutionSource
 /**
  * Streams one host's workload: each next() generates the next
  * planned trace (workload::HostWorkloadStream), filters it through a
- * cold file cache and overwrites the single internal slot. Peak
- * memory is one ExecutionInput regardless of how many executions the
- * host's profile schedules.
+ * cold file cache and refills the single internal slot. The trace's
+ * event storage and the slot's access and process vectors are
+ * reused from one execution to the next, and across hosts through
+ * restart(), so they reallocate only when an execution outgrows
+ * every earlier one. Peak memory is one trace plus one
+ * ExecutionInput, the largest streamed, regardless of how many
+ * executions a profile schedules.
  */
 class HostExecutionSource final : public ExecutionSource
 {
@@ -82,6 +86,19 @@ class HostExecutionSource final : public ExecutionSource
                         cache::CacheParams cacheParams);
 
     const ExecutionInput *next() override;
+
+    /**
+     * Stream another host's workload from its first execution,
+     * keeping the buffers: a caller that runs hosts one after
+     * another (a fleet shard) reuses one source for all of them.
+     */
+    void restart(workload::HostProfile profile);
+
+    /** The host being streamed. */
+    const workload::HostProfile &profile() const
+    {
+        return stream_.profile();
+    }
 
     /** Executions generated so far. */
     std::size_t produced() const { return stream_.produced(); }
@@ -92,6 +109,7 @@ class HostExecutionSource final : public ExecutionSource
   private:
     workload::HostWorkloadStream stream_;
     cache::CacheParams cacheParams_;
+    trace::Trace trace_; ///< the last trace, kept for its storage
     ExecutionInput slot_;
 };
 

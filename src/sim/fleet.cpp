@@ -324,6 +324,15 @@ HostCellResult
 FleetDriver::runHost(const workload::HostProfile &profile,
                      const std::vector<PolicyConfig> &policies) const
 {
+    HostExecutionSource source(profile, cacheParams_);
+    return runHost(source, policies);
+}
+
+HostCellResult
+FleetDriver::runHost(HostExecutionSource &source,
+                     const std::vector<PolicyConfig> &policies) const
+{
+    const workload::HostProfile &profile = source.profile();
     HostCellResult cell;
     cell.host = profile.host;
     cell.thinkTimeScale = profile.thinkTimeScale;
@@ -343,7 +352,6 @@ FleetDriver::runHost(const workload::HostProfile &profile,
     BaseDriver base;
     SimulationKernel kernel(sim_); // null observer: the fast path
 
-    HostExecutionSource source(profile, cacheParams_);
     while (const ExecutionInput *input = source.next()) {
         ++cell.executions;
         cell.accesses += input->accesses.size();
@@ -504,11 +512,17 @@ FleetDriver::run(const std::vector<PolicyConfig> &policies) const
                        "hosts " + std::to_string(first) + "-" +
                            std::to_string(last - 1));
         obs::PerfRegion perf("fleet:shard");
+        // One source per shard: its hosts run in turn and reuse its
+        // buffers.
+        HostExecutionSource source(
+            workload::hostProfile(
+                fleet_, static_cast<std::uint64_t>(first)),
+            cacheParams_);
         for (std::size_t i = first; i < last; ++i) {
-            HostCellResult cell = runHost(
-                workload::hostProfile(
-                    fleet_, static_cast<std::uint64_t>(i)),
-                policies);
+            if (i > first)
+                source.restart(workload::hostProfile(
+                    fleet_, static_cast<std::uint64_t>(i)));
+            HostCellResult cell = runHost(source, policies);
             accums[s].foldHost(cell);
             if (options_.keepHostResults)
                 kept[i] = std::move(cell);

@@ -42,6 +42,8 @@ class AlertEngine;
 
 namespace pcap::sim {
 
+class HostExecutionSource;
+
 /** Hosts folded into one shard accumulator. Fixed (independent of
  * the thread count) so shard boundaries — and therefore the merge
  * order and every double sum — never depend on jobs. */
@@ -309,6 +311,11 @@ class FleetDriver
     const workload::FleetConfig &fleet() const { return fleet_; }
 
   private:
+    /** runHost over @p source's host, streamed from @p source. */
+    HostCellResult
+    runHost(HostExecutionSource &source,
+            const std::vector<PolicyConfig> &policies) const;
+
     void recordMetrics(const FleetReport &report,
                        const std::vector<PolicyConfig> &policies)
         const;

@@ -1,15 +1,16 @@
 #include "sim/input.hpp"
 
-#include <map>
+#include <algorithm>
 #include <unordered_map>
 
 #include "util/logging.hpp"
 
 namespace pcap::sim {
 
-ExecutionInput
+void
 ExecutionInput::fromTrace(const trace::Trace &trace,
-                          const cache::CacheParams &params)
+                          const cache::CacheParams &params,
+                          ExecutionInput &out)
 {
     const std::string problem = trace.validate();
     if (!problem.empty()) {
@@ -18,44 +19,58 @@ ExecutionInput::fromTrace(const trace::Trace &trace,
               std::to_string(trace.execution()) + ": " + problem);
     }
 
-    ExecutionInput input;
-    input.app = trace.app();
-    input.execution = trace.execution();
-    input.endTime = trace.endTime();
-    input.tracedIos = trace.ioCount();
-    input.accesses =
-        cache::filterTrace(trace, params, &input.cacheStats);
+    out.app = trace.app();
+    out.execution = trace.execution();
+    out.endTime = trace.endTime();
+    out.tracedIos = trace.ioCount();
+    cache::filterTrace(trace, params, out.accesses, &out.cacheStats);
 
-    // Extract process spans from the fork/exit events. The initial
-    // process is the pid of the first event.
-    std::map<Pid, ProcessSpan> spans;
-    bool first = true;
-    for (const auto &event : trace.events()) {
-        if (first) {
-            spans[event.pid] =
-                ProcessSpan{event.pid, event.time, event.time};
-            first = false;
-        }
-        switch (event.type) {
-          case trace::EventType::Fork: {
+    // Process spans in pid order. The initial process is the pid of
+    // the first event and every other one starts at its fork; a
+    // valid trace introduces each pid once and exits it at most
+    // once.
+    std::vector<ProcessSpan> &spans = out.processes;
+    spans.clear();
+    const std::vector<trace::TraceEvent> &events = trace.events();
+    if (!events.empty()) {
+        const trace::TraceEvent &front = events.front();
+        spans.push_back({front.pid, front.time, front.time});
+    }
+    for (const auto &event : events) {
+        if (event.type == trace::EventType::Fork) {
             const Pid child = static_cast<Pid>(event.fd);
-            spans[child] = ProcessSpan{child, event.time, event.time};
-            break;
-          }
-          case trace::EventType::Exit:
-            spans[event.pid].end = event.time;
-            break;
-          default:
-            break;
+            spans.push_back({child, event.time, event.time});
         }
     }
+    const auto byPid = [](const ProcessSpan &a, const ProcessSpan &b) {
+        return a.pid < b.pid;
+    };
+    std::sort(spans.begin(), spans.end(), byPid);
+    const auto find = [&](Pid pid) {
+        return std::lower_bound(spans.begin(), spans.end(),
+                                ProcessSpan{pid, 0, 0}, byPid);
+    };
+    for (const auto &event : events) {
+        if (event.type == trace::EventType::Exit)
+            find(event.pid)->end = event.time;
+    }
 
-    // The flush daemon lives for the whole execution.
-    spans[kFlushDaemonPid] =
-        ProcessSpan{kFlushDaemonPid, 0, input.endTime};
+    // The flush daemon lives for the whole execution, even where a
+    // traced process used its pid.
+    const ProcessSpan daemon{kFlushDaemonPid, 0, out.endTime};
+    const auto at = find(kFlushDaemonPid);
+    if (at != spans.end() && at->pid == kFlushDaemonPid)
+        *at = daemon;
+    else
+        spans.insert(at, daemon);
+}
 
-    for (const auto &[pid, span] : spans)
-        input.processes.push_back(span);
+ExecutionInput
+ExecutionInput::fromTrace(const trace::Trace &trace,
+                          const cache::CacheParams &params)
+{
+    ExecutionInput input;
+    fromTrace(trace, params, input);
     return input;
 }
 

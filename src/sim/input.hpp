@@ -50,10 +50,17 @@ struct ExecutionInput
     cache::CacheStats cacheStats;
 
     /**
-     * Build from a validated trace: filter through a cold file cache
-     * and extract the process spans. panic()s on an invalid trace —
-     * workload models must produce structurally valid ones.
+     * Build from a validated trace into @p out: filter through a cold
+     * file cache and extract the process spans, refilling @p out's
+     * vectors in place so their capacity is reused. panic()s on an
+     * invalid trace — workload models must produce structurally
+     * valid ones.
      */
+    static void fromTrace(const trace::Trace &trace,
+                          const cache::CacheParams &params,
+                          ExecutionInput &out);
+
+    /** fromTrace into a new input. */
     static ExecutionInput fromTrace(const trace::Trace &trace,
                                     const cache::CacheParams &params);
 

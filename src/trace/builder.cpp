@@ -7,9 +7,11 @@
 namespace pcap::trace {
 
 TraceBuilder::TraceBuilder(std::string app, int execution,
-                           Pid initial_pid)
-    : trace_(std::move(app), execution)
+                           Pid initial_pid,
+                           std::vector<TraceEvent> storage)
 {
+    storage.clear();
+    trace_ = Trace(std::move(app), execution, std::move(storage));
     live_.insert(initial_pid);
     everSeen_.insert(initial_pid);
 }

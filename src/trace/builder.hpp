@@ -28,8 +28,12 @@ class TraceBuilder
      * @param execution Execution index.
      * @param initial_pid First process of the execution (live from
      *        the start).
+     * @param storage Cleared and reused for the trace's events, so a
+     *        caller that hands back an earlier trace's storage
+     *        (Trace::releaseEvents) keeps its capacity.
      */
-    TraceBuilder(std::string app, int execution, Pid initial_pid);
+    TraceBuilder(std::string app, int execution, Pid initial_pid,
+                 std::vector<TraceEvent> storage = {});
 
     /** Record an I/O event (read/write/open/close). */
     void io(TimeUs time, Pid pid, EventType type, Address pc, Fd fd,

@@ -9,7 +9,47 @@ namespace pcap::trace {
 void
 Trace::sortByTime()
 {
-    std::stable_sort(events_.begin(), events_.end());
+    // Builders append one actor's events at a time, so a trace is a
+    // few ascending runs. Merging adjacent runs stably keeps equal
+    // events in append order, giving exactly std::stable_sort's
+    // output without its n log n on a nearly sorted trace.
+    std::vector<std::size_t> bounds{0};
+    for (std::size_t i = 1; i < events_.size(); ++i) {
+        if (events_[i] < events_[i - 1])
+            bounds.push_back(i);
+    }
+    if (bounds.size() == 1)
+        return;
+    bounds.push_back(events_.size());
+
+    const auto at = [this](std::size_t i) { return events_.begin() + i; };
+    while (bounds.size() > 2) {
+        // Merge runs pairwise; an odd last run waits for next pass.
+        std::size_t kept = 1;
+        for (std::size_t r = 0; r + 2 < bounds.size(); r += 2) {
+            // Only the overlap of the two runs moves: the left run's
+            // events not after the right run's first stay in place,
+            // as do the right run's events not before the left run's
+            // last.
+            const auto mid = at(bounds[r + 1]);
+            const auto first = std::upper_bound(at(bounds[r]), mid, *mid);
+            const auto last =
+                std::lower_bound(mid, at(bounds[r + 2]), *(mid - 1));
+            std::inplace_merge(first, mid, last);
+            bounds[kept++] = bounds[r + 2];
+        }
+        if (bounds.size() % 2 == 0)
+            bounds[kept++] = bounds.back();
+        bounds.resize(kept);
+    }
+}
+
+std::vector<TraceEvent>
+Trace::releaseEvents()
+{
+    std::vector<TraceEvent> events;
+    events.swap(events_);
+    return events;
 }
 
 std::size_t

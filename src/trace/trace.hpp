@@ -33,6 +33,17 @@ class Trace
         : app_(std::move(app)), execution_(execution)
     {}
 
+    /**
+     * Adopt @p events as the trace's events, as they are: a caller
+     * that reuses an earlier trace's storage (releaseEvents()) clears
+     * it first.
+     */
+    Trace(std::string app, int execution,
+          std::vector<TraceEvent> events)
+        : app_(std::move(app)), execution_(execution),
+          events_(std::move(events))
+    {}
+
     /** Application this trace belongs to. */
     const std::string &app() const { return app_; }
 
@@ -43,11 +54,21 @@ class Trace
      * sortByTime() once after building. */
     void append(const TraceEvent &event) { events_.push_back(event); }
 
-    /** Stable-sort events by (time, pid, type). */
+    /**
+     * Stable-sort events by (time, pid, type): a stable merge of the
+     * ascending runs, so an already sorted trace costs one pass.
+     */
     void sortByTime();
 
     /** All events, time-sorted if sortByTime() was called. */
     const std::vector<TraceEvent> &events() const { return events_; }
+
+    /**
+     * Move the event storage out, leaving the trace empty. Handing it
+     * to a later trace keeps its capacity, so a stream of traces
+     * reallocates only when one outgrows every earlier one.
+     */
+    std::vector<TraceEvent> releaseEvents();
 
     /** Number of events of any type. */
     std::size_t size() const { return events_.size(); }

@@ -41,9 +41,12 @@ class AppModel
 
     /**
      * Generate the trace of one execution. Equal (execution, rng)
-     * pairs generate identical traces.
+     * pairs generate identical traces. @p storage is cleared and
+     * reused for the events (see trace::TraceBuilder).
      */
-    virtual trace::Trace generate(int execution, Rng rng) const = 0;
+    virtual trace::Trace
+    generate(int execution, Rng rng,
+             std::vector<trace::TraceEvent> storage = {}) const = 0;
 };
 
 /** Model factory for one application by Table 1 name; null when the

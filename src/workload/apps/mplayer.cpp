@@ -77,9 +77,11 @@ class MplayerModel : public AppModel
     const AppInfo &info() const override { return info_; }
 
     trace::Trace
-    generate(int execution, Rng rng) const override
+    generate(int execution, Rng rng,
+             std::vector<trace::TraceEvent> storage) const override
     {
-        trace::TraceBuilder builder(info_.name, execution, kMainPid);
+        trace::TraceBuilder builder(info_.name, execution, kMainPid,
+                                    std::move(storage));
         Actor main(builder, rng.fork(1), kMainPid, millisUs(50));
         main.setIntraGap(millisUs(2));
 

@@ -14,6 +14,17 @@ namespace {
  * (which consumes seed ^ hashString(app)). */
 const char kScheduleTag[] = "host-schedule";
 
+/** fatal() unless @p scale can multiply event times: finite and
+ * positive (llround of a NaN product is undefined, and a scale of
+ * zero collapses every time to 0). */
+void
+requireThinkScale(double scale, const char *what)
+{
+    if (!std::isfinite(scale) || scale <= 0.0)
+        fatal(std::string(what) + " must be finite and positive, got " +
+              std::to_string(scale));
+}
+
 int
 appExecutionCount(const AppModel &model, int cap)
 {
@@ -66,6 +77,16 @@ executionPlan(const HostProfile &profile)
 HostProfile
 hostProfile(const FleetConfig &config, std::uint64_t host)
 {
+    requireThinkScale(config.minThinkScale,
+                      "FleetConfig: minThinkScale");
+    requireThinkScale(config.maxThinkScale,
+                      "FleetConfig: maxThinkScale");
+    if (config.maxThinkScale < config.minThinkScale)
+        fatal("FleetConfig: maxThinkScale " +
+              std::to_string(config.maxThinkScale) +
+              " is below minThinkScale " +
+              std::to_string(config.minThinkScale));
+
     // Rng(fleetSeed).fork(host) depends only on (fleetSeed, host):
     // profiles are independent of fleet size and of each other.
     Rng rng = Rng(config.fleetSeed).fork(host);
@@ -115,23 +136,25 @@ hostProfile(const FleetConfig &config, std::uint64_t host)
 }
 
 trace::Trace
-scaleTraceTimes(const trace::Trace &trace, double scale)
+scaleTraceTimes(trace::Trace trace, double scale)
 {
     if (scale == 1.0)
         return trace;
-    trace::Trace scaled(trace.app(), trace.execution());
-    for (trace::TraceEvent event : trace.events()) {
+    std::vector<trace::TraceEvent> events = trace.releaseEvents();
+    for (trace::TraceEvent &event : events) {
         event.time = static_cast<TimeUs>(
             std::llround(static_cast<double>(event.time) * scale));
-        scaled.append(event);
     }
     // Monotone scaling preserves the sort; no re-sort needed.
-    return scaled;
+    return trace::Trace(trace.app(), trace.execution(),
+                        std::move(events));
 }
 
 HostWorkloadStream::HostWorkloadStream(HostProfile profile)
     : profile_(std::move(profile)), plan_(executionPlan(profile_))
 {
+    requireThinkScale(profile_.thinkTimeScale,
+                      "HostProfile: thinkTimeScale");
 }
 
 HostWorkloadStream::AppStream &
@@ -149,7 +172,7 @@ HostWorkloadStream::streamOf(const std::string &app)
 }
 
 std::optional<trace::Trace>
-HostWorkloadStream::next()
+HostWorkloadStream::next(std::vector<trace::TraceEvent> storage)
 {
     if (index_ == plan_.size())
         return std::nullopt;
@@ -164,7 +187,8 @@ HostWorkloadStream::next()
         static_cast<std::uint64_t>(stream.nextFork));
     ++stream.nextFork;
     return scaleTraceTimes(
-        stream.model->generate(planned.appExecution, execution_rng),
+        stream.model->generate(planned.appExecution, execution_rng,
+                               std::move(storage)),
         profile_.thinkTimeScale);
 }
 

@@ -122,15 +122,18 @@ struct FleetConfig
     int maxExecutionsPerApp = 0;
 };
 
-/** Derive host @p host of the fleet (see FleetConfig). */
+/**
+ * Derive host @p host of the fleet (see FleetConfig). fatal()s when
+ * the think-scale range is not finite, not positive or inverted.
+ */
 HostProfile hostProfile(const FleetConfig &config, std::uint64_t host);
 
 /**
- * Multiply every event time by @p scale (llround, monotone — the
- * trace stays time-sorted and structurally valid). scale == 1.0
- * returns the trace unchanged.
+ * Multiply every event time by @p scale, in place (llround,
+ * monotone — the trace stays time-sorted and structurally valid).
+ * scale == 1.0 returns the trace unchanged.
  */
-trace::Trace scaleTraceTimes(const trace::Trace &trace, double scale);
+trace::Trace scaleTraceTimes(trace::Trace trace, double scale);
 
 /**
  * Streams one host's traces in schedule order, generate-on-demand:
@@ -141,11 +144,17 @@ trace::Trace scaleTraceTimes(const trace::Trace &trace, double scale);
 class HostWorkloadStream
 {
   public:
+    /** fatal()s when the profile's think-time scale is not finite
+     * and positive. */
     explicit HostWorkloadStream(HostProfile profile);
 
-    /** The next planned trace, or nullopt when the schedule is
-     * exhausted. Think-time scaling is already applied. */
-    std::optional<trace::Trace> next();
+    /**
+     * The next planned trace, or nullopt when the schedule is
+     * exhausted. Think-time scaling is already applied. The trace's
+     * events are built in @p storage (see AppModel::generate).
+     */
+    std::optional<trace::Trace>
+    next(std::vector<trace::TraceEvent> storage);
 
     const HostProfile &profile() const { return profile_; }
 

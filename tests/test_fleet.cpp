@@ -21,6 +21,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -122,6 +123,35 @@ TEST(HostProfile, DrawsStayInsideConfiguredBounds)
     }
 }
 
+TEST(HostProfileDeathTest, BadThinkScaleRangeIsFatal)
+{
+    const auto withScales = [](double min, double max) {
+        workload::FleetConfig config;
+        config.minThinkScale = min;
+        config.maxThinkScale = max;
+        return config;
+    };
+    const double nan = std::nan("");
+    const double inf = HUGE_VAL;
+    EXPECT_DEATH(workload::hostProfile(withScales(nan, 2.0), 0),
+                 "minThinkScale must be finite and positive");
+    EXPECT_DEATH(workload::hostProfile(withScales(0.5, inf), 0),
+                 "maxThinkScale must be finite and positive");
+    EXPECT_DEATH(workload::hostProfile(withScales(0.0, 2.0), 0),
+                 "minThinkScale must be finite and positive");
+    EXPECT_DEATH(workload::hostProfile(withScales(-1.0, -1.0), 0),
+                 "minThinkScale must be finite and positive");
+    EXPECT_DEATH(workload::hostProfile(withScales(2.0, 0.5), 0),
+                 "maxThinkScale 0.50* is below minThinkScale 2.0");
+
+    // A hand-built profile is checked where its stream starts.
+    workload::HostProfile profile;
+    profile.appMix = {{"nedit", 1.0}};
+    profile.thinkTimeScale = 0.0;
+    EXPECT_DEATH(workload::HostWorkloadStream stream(profile),
+                 "thinkTimeScale must be finite and positive");
+}
+
 TEST(HostProfile, ExecutionPlanIndicesIncreasePerApp)
 {
     workload::FleetConfig config;
@@ -192,6 +222,73 @@ TEST(HostExecutionSource, SingleAppStreamMatchesMaterializedPath)
     }
     EXPECT_EQ(i, expected.size());
     EXPECT_EQ(source.produced(), expected.size());
+}
+
+TEST(HostExecutionSource, ReusedBuffersMatchFreshInputs)
+{
+    // Two drawn-mode hosts over apps of very different sizes, the
+    // second streamed by restarting the first's source: executions
+    // shrink as well as grow, within a host and across the restart,
+    // so reused buffers would show stale accesses or process spans.
+    const cache::CacheParams cacheParams;
+    std::optional<HostExecutionSource> source;
+    for (const double scale : {0.5, 2.0}) {
+        workload::HostProfile profile;
+        profile.seed = scale < 1.0 ? 2024 : 7;
+        profile.thinkTimeScale = scale;
+        profile.appMix = {{"mplayer", 1.0}, {"nedit", 1.0},
+                          {"mozilla", 1.0}};
+        profile.executions = 10;
+
+        // The reference: each execution generated, scaled and
+        // filtered from scratch, with the stream's RNG derivation.
+        std::vector<ExecutionInput> expected;
+        std::map<std::string, Rng> appRngs;
+        std::map<std::string, int> forks;
+        for (const auto &planned : workload::executionPlan(profile)) {
+            auto rng = appRngs.try_emplace(
+                planned.app, profile.seed ^ hashString(planned.app));
+            const Rng executionRng = rng.first->second.fork(
+                static_cast<std::uint64_t>(forks[planned.app]++));
+            const auto model = workload::makeApp(planned.app);
+            expected.push_back(ExecutionInput::fromTrace(
+                workload::scaleTraceTimes(
+                    model->generate(planned.appExecution,
+                                    executionRng),
+                    scale),
+                cacheParams));
+        }
+        bool shrinks = false;
+        for (std::size_t i = 1; i < expected.size(); ++i) {
+            shrinks = shrinks || (expected[i].accesses.size() <
+                                      expected[i - 1].accesses.size() &&
+                                  expected[i].processes.size() <
+                                      expected[i - 1].processes.size());
+        }
+        ASSERT_TRUE(shrinks) << "plan never follows a long execution "
+                                "with a shorter one";
+
+        if (source)
+            source->restart(profile);
+        else
+            source.emplace(profile, cacheParams);
+        EXPECT_EQ(source->profile().seed, profile.seed);
+        std::size_t i = 0;
+        while (const ExecutionInput *input = source->next()) {
+            ASSERT_LT(i, expected.size());
+            const ExecutionInput &want = expected[i];
+            EXPECT_EQ(input->app, want.app);
+            EXPECT_EQ(input->execution, want.execution);
+            EXPECT_TRUE(input->accesses == want.accesses) << i;
+            EXPECT_TRUE(input->processes == want.processes) << i;
+            EXPECT_TRUE(input->cacheStats == want.cacheStats) << i;
+            EXPECT_EQ(input->tracedIos, want.tracedIos);
+            EXPECT_EQ(input->endTime, want.endTime);
+            ++i;
+        }
+        EXPECT_EQ(i, expected.size());
+        EXPECT_EQ(source->produced(), expected.size());
+    }
 }
 
 TEST(FleetParity, OneHostCellEqualsEvaluationEngine)

@@ -39,16 +39,30 @@ TEST(DiskParams, DerivedBreakevenMatchesQuoted)
 TEST(DiskParams, ValidateCatchesInconsistencies)
 {
     DiskParams disk = fujitsuMhf2043at();
+    disk.busyPowerW = 0;
+    EXPECT_EQ(disk.validate(), "powers must be positive");
+
+    disk = fujitsuMhf2043at();
     disk.standbyPowerW = 1.2; // above idle power
-    EXPECT_NE(disk.validate(), "");
+    EXPECT_EQ(disk.validate(), "standby power must be below idle power");
+
+    disk = fujitsuMhf2043at();
+    disk.idlePowerW = 2.5;
+    EXPECT_EQ(disk.validate(), "idle power must not exceed busy power");
 
     disk = fujitsuMhf2043at();
     disk.breakevenTime = secondsUs(60.0); // contradicts energies
-    EXPECT_NE(disk.validate(), "");
+    EXPECT_EQ(disk.validate(),
+              "quoted breakeven 60s inconsistent with derived 5.445s");
 
     disk = fujitsuMhf2043at();
     disk.spinUpTime = 0;
-    EXPECT_NE(disk.validate(), "");
+    EXPECT_EQ(disk.validate(), "times must be positive");
+
+    disk = fujitsuMhf2043at();
+    disk.lowPowerIdleW = 2.0;
+    EXPECT_EQ(disk.validate(),
+              "low-power idle mode must sit between standby and idle");
 }
 
 TEST(EnergyLedger, AccumulatesPerCategory)

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "trace/builder.hpp"
 #include "trace/event.hpp"
 #include "trace/trace.hpp"
+#include "util/rng.hpp"
 
 namespace pcap::trace {
 namespace {
@@ -73,6 +77,45 @@ TEST(Trace, SortByTimeIsStable)
     ASSERT_EQ(trace.size(), 3u);
     EXPECT_EQ(trace.events()[0].time, 10);
     EXPECT_EQ(trace.events()[2].time, 30);
+}
+
+TEST(Trace, SortByTimeMatchesStableSortOnTiedRuns)
+{
+    // Traces of 1-8 ascending runs whose events tie on (time, pid,
+    // type) and differ only in pc and offset, so any reordering of
+    // equal events shows.
+    Rng rng(17);
+    for (int round = 0; round < 200; ++round) {
+        Trace trace("app", round);
+        std::uint64_t payload = 0;
+        const std::int64_t runs = rng.uniformInt(1, 8);
+        for (std::int64_t r = 0; r < runs; ++r) {
+            std::vector<TraceEvent> run;
+            const std::int64_t length = rng.uniformInt(0, 40);
+            for (std::int64_t i = 0; i < length; ++i) {
+                TraceEvent event = makeIo(
+                    rng.uniformInt(0, 6),
+                    static_cast<Pid>(rng.uniformInt(1, 2)),
+                    rng.uniformInt(0, 1) ? EventType::Read
+                                         : EventType::Write);
+                run.push_back(event);
+            }
+            std::sort(run.begin(), run.end());
+            for (TraceEvent &event : run) {
+                event.pc = 0x1000 + payload;
+                event.offset = payload++;
+                trace.append(event);
+            }
+        }
+        std::vector<TraceEvent> expected = trace.events();
+        std::stable_sort(expected.begin(), expected.end());
+
+        trace.sortByTime();
+        ASSERT_EQ(trace.events().size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i)
+            ASSERT_EQ(trace.events()[i], expected[i])
+                << "round " << round << ", event " << i;
+    }
 }
 
 TEST(Trace, IoCountIgnoresLifecycleAndClose)
