@@ -3,16 +3,14 @@
  * bench_all — the whole evaluation suite in one process.
  *
  * Every report renders through one shared ParallelEvaluation: the
- * workload is generated (or loaded from the on-disk cache) once,
- * every (app x policy x mode) simulation cell is computed once —
- * reports overlap heavily in the cells they query — and cells fan
- * out across a thread pool where cores exist. `--only NAME` renders
+ * workload is generated once, every (app x policy x mode) simulation
+ * cell is computed once — reports overlap heavily in the cells they
+ * query — and cells fan out across a thread pool where cores exist. `--only NAME` renders
  * a single report (names from `--list`); `--jobs 1` runs every cell
  * on the calling thread.
  *
- * Output: the report text, plus per-phase wall-clock timings, the
- * workload-cache hit counts, and a machine-readable
- * BENCH_RESULTS.json for tools/compare_bench.py.
+ * Output: the report text, plus per-phase wall-clock timings and a
+ * machine-readable BENCH_RESULTS.json for tools/compare_bench.py.
  */
 
 #include <chrono>
@@ -58,10 +56,6 @@ usage(std::ostream &os)
     os << "usage: bench_all [options]\n"
           "  -j, --jobs N      worker threads (default: hardware "
           "cores)\n"
-          "      --no-cache    disable the on-disk workload cache\n"
-          "      --cache-dir P workload cache directory (default: "
-          "$PCAP_WORKLOAD_CACHE\n"
-          "                    or <tmp>/pcap-workload-cache)\n"
           "      --json PATH   results file (default: "
           "BENCH_RESULTS.json; '-' disables\n"
           "                    it and the derived .prom and "
@@ -222,9 +216,7 @@ int
 main(int argc, char **argv)
 {
     unsigned jobs = ThreadPool::hardwareJobs();
-    bool use_cache = true;
     bool use_metrics = true;
-    std::string cache_dir;
     std::string json_path = "BENCH_RESULTS.json";
     std::string provenance_dir;
     std::string timeline_dir;
@@ -262,10 +254,6 @@ main(int argc, char **argv)
             jobs = parseJobs(value("--jobs"));
         } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
             jobs = parseJobs(arg.substr(2));
-        } else if (arg == "--no-cache") {
-            use_cache = false;
-        } else if (arg == "--cache-dir") {
-            cache_dir = value("--cache-dir");
         } else if (arg == "--json") {
             json_path = value("--json");
         } else if (arg == "--provenance-dir") {
@@ -376,11 +364,6 @@ main(int argc, char **argv)
 
     sim::ParallelOptions options;
     options.jobs = jobs;
-    if (use_cache) {
-        options.cacheDir = cache_dir.empty()
-                               ? sim::WorkloadCache::defaultDirectory()
-                               : cache_dir;
-    }
     options.provenanceDir = provenance_dir;
     options.timelineDir = timeline_dir;
     options.metrics = use_metrics ? &registry : nullptr;
@@ -429,12 +412,12 @@ main(int argc, char **argv)
 
     const Clock::time_point total_start = Clock::now();
 
-    // Phase 1: make every needed workload resident (cache or
-    // generation), then fan the union of simulation cells across
-    // the pool — reports afterwards only format memoized results.
-    // A selection that queries no shared-engine cells (e.g.
-    // `--report fleet`, which streams its own workload) skips the
-    // materialization entirely, keeping peak memory bounded.
+    // Phase 1: generate every needed workload, then fan the union
+    // of simulation cells across the pool — reports afterwards only
+    // format memoized results. A selection that queries no
+    // shared-engine cells (e.g. `--report fleet`, which streams its
+    // own workload) skips the materialization entirely, keeping peak
+    // memory bounded.
     std::vector<sim::Cell> cells;
     for (const bench::Report *report : selected) {
         const std::vector<sim::Cell> report_cells = report->cells();
@@ -490,12 +473,6 @@ main(int argc, char **argv)
 
     std::cout << "\n== bench_all timings ==\n"
               << "jobs:             " << options.jobs << "\n"
-              << "workload cache:   "
-              << (eval.workloadCache().enabled()
-                      ? eval.workloadCache().directory()
-                      : std::string("disabled"))
-              << " (" << eval.workloadCache().hits() << " hits, "
-              << eval.workloadCache().misses() << " misses)\n"
               << "inputs phase:     " << fixedString(inputs_ms, 1)
               << " ms\n"
               << "simulation phase: " << fixedString(cells_ms, 1)
@@ -504,21 +481,6 @@ main(int argc, char **argv)
               << " ms\n";
 
     if (use_metrics) {
-        // Workload-cache counters, labelled like the rest of the
-        // wall-clock metrics family (cold/warm runs differ here by
-        // design — metrics_diff ignores workload_cache by default).
-        registry
-            .counter("pcap_workload_cache_ops_total",
-                     {{"op", "hit"}})
-            .inc(eval.workloadCache().hits());
-        registry
-            .counter("pcap_workload_cache_ops_total",
-                     {{"op", "miss"}})
-            .inc(eval.workloadCache().misses());
-        registry
-            .counter("pcap_workload_cache_ops_total",
-                     {{"op", "store"}})
-            .inc(eval.workloadCache().stores());
         recordBenchMetrics(registry, inputs_ms, cells_ms, total_ms);
         if (perf_profiler)
             obs::recordPerfMetrics(*perf_profiler, registry);
@@ -566,14 +528,6 @@ main(int argc, char **argv)
         root["schema"] = "pcap-bench-results-v1";
         root["seed"] = bench::kBenchSeed;
         root["jobs"] = options.jobs;
-        Json &cache = root["workload_cache"];
-        cache = Json::object();
-        cache["enabled"] = eval.workloadCache().enabled();
-        cache["directory"] = eval.workloadCache().directory();
-        cache["hits"] = eval.workloadCache().hits();
-        cache["misses"] = eval.workloadCache().misses();
-        cache["stores"] = eval.workloadCache().stores();
-        cache["generated_apps"] = eval.generatedApps();
         Json &timings = root["timings_ms"];
         timings = Json::object();
         timings["inputs"] = inputs_ms;
@@ -628,9 +582,6 @@ main(int argc, char **argv)
         manifest.maxExecutions = eval.config().maxExecutions;
         if (fleet_selected)
             manifest.fleetHosts = fleet_hosts;
-        manifest.workloadCacheEnabled =
-            eval.workloadCache().enabled();
-        manifest.workloadCacheDir = eval.workloadCache().directory();
         for (const std::string &app : eval.appNames()) {
             manifest.inputKeys.emplace_back(
                 app, eval.config().workloadKey(app).fileName());

@@ -16,12 +16,12 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "cache/file_cache.hpp"
 #include "sim/input.hpp"
 #include "trace/io.hpp"
 #include "util/logging.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/app_model.hpp"
 
@@ -30,7 +30,7 @@ using namespace pcap;
 namespace {
 
 void
-printHistogram(const SampleSet &gaps)
+printHistogram(const std::vector<double> &gaps)
 {
     struct Bucket
     {
@@ -45,11 +45,16 @@ printHistogram(const SampleSet &gaps)
         {"15.43 - 60 s (everyone profits)", 15.43, 60.0},
         {"> 60 s (long user absences)", 60.0, 1e18},
     };
-    std::cout << "\ndisk idle-gap distribution (" << gaps.count()
+    std::cout << "\ndisk idle-gap distribution (" << gaps.size()
               << " gaps):\n";
     for (const Bucket &bucket : buckets) {
+        std::size_t hits = 0;
+        for (double gap : gaps)
+            hits += gap >= bucket.lo && gap < bucket.hi;
         const double fraction =
-            gaps.fractionIn(bucket.lo, bucket.hi);
+            gaps.empty() ? 0.0
+                         : static_cast<double>(hits) /
+                               static_cast<double>(gaps.size());
         const int bars = static_cast<int>(fraction * 50 + 0.5);
         std::cout << "  " << percentString(fraction, 1) << "  ";
         for (int i = 0; i < bars; ++i)
@@ -116,11 +121,11 @@ main(int argc, char **argv)
               << input.cacheStats.writebackBlocks
               << " write-back blocks)\n";
 
-    SampleSet gaps;
+    std::vector<double> gaps;
     TimeUs prev = -1;
     for (const auto &access : input.accesses) {
         if (prev >= 0)
-            gaps.add(usToSeconds(access.time - prev));
+            gaps.push_back(usToSeconds(access.time - prev));
         prev = access.time;
     }
     printHistogram(gaps);

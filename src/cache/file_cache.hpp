@@ -67,11 +67,7 @@ struct CacheStats
     void merge(const CacheStats &other);
 };
 
-/**
- * Add @p stats to @p scope's pcap_file_cache_* counters. The stats
- * travel with the cached workload inputs, so the numbers are
- * identical whether the inputs were generated or deserialized.
- */
+/** Add @p stats to @p scope's pcap_file_cache_* counters. */
 void recordCacheMetrics(const CacheStats &stats,
                         const obs::ScopedMetrics &scope);
 

@@ -88,11 +88,6 @@ RunManifest::toJson() const
     if (fleetHosts)
         config["fleet_hosts"] = fleetHosts;
 
-    Json &cache = root["workload_cache"];
-    cache = Json::object();
-    cache["enabled"] = workloadCacheEnabled;
-    cache["directory"] = workloadCacheDir;
-
     Json &keys = root["input_keys"];
     keys = Json::object();
     for (const auto &[app, key] : inputKeys)

@@ -4,7 +4,7 @@
  * bench run. Where BENCH_RESULTS.json says *what* numbers came out
  * and the metrics dump says *how* the run behaved internally, the
  * manifest says *which* experiment this was: configuration, seeds,
- * content-addressed input-cache keys, the code version (git
+ * the input recipe keys, the code version (git
  * describe) and per-phase wall timings — everything needed to
  * attribute a metrics diff to a code change rather than a config
  * drift.
@@ -57,11 +57,8 @@ struct RunManifest
      * report was not selected (the field is then omitted). */
     std::uint64_t fleetHosts = 0;
 
-    bool workloadCacheEnabled = false;
-    std::string workloadCacheDir;
-
-    /** Content-addressed identity of each application's inputs:
-     * (app, cache file name embedding the recipe hash). */
+    /** Identity of each application's inputs: (app, a name
+     * embedding the hash of its generation recipe). */
     std::vector<std::pair<std::string, std::string>> inputKeys;
 
     /** Wall-clock milliseconds per named phase, in run order. */

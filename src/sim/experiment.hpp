@@ -5,16 +5,17 @@
  * asks one object for the paper's numbers.
  *
  * ParallelEvaluation generates each application's inputs exactly
- * once behind a thread-safe memo (optionally persisted on disk, see
- * input_cache.hpp), memoizes every (mode x app x policy) cell, and
- * can prefetch a batch of cells across a thread pool. Each cell
- * replays on a private PolicySession, so results do not depend on
- * the thread count; at jobs = 1 everything runs on the caller.
+ * once behind a thread-safe memo, memoizes every (mode x app x
+ * policy) cell, and can prefetch a batch of cells across a thread
+ * pool. Each cell replays on a private PolicySession, so results
+ * do not depend on the thread count; at jobs = 1 everything runs on
+ * the caller.
  */
 
 #ifndef PCAP_SIM_EXPERIMENT_HPP
 #define PCAP_SIM_EXPERIMENT_HPP
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,13 +24,32 @@
 
 #include "obs/metrics.hpp"
 #include "sim/input.hpp"
-#include "sim/input_cache.hpp"
 #include "sim/kernel.hpp"
 #include "sim/policy.hpp"
 
 namespace pcap::sim {
 
 class TraceStore;
+
+/**
+ * The recipe of one application's inputs: every field that
+ * generation depends on. Inputs are a pure function of it.
+ */
+struct WorkloadKey
+{
+    std::uint64_t seed = 0;
+    cache::CacheParams cache;
+    std::string app;
+    int maxExecutions = 0;
+
+    /** Canonical text form of every field; equal recipes give equal
+     * strings. */
+    std::string canonical() const;
+
+    /** `<app>-<hash of canonical()>.pcin`, the run manifest's input
+     * key. */
+    std::string fileName() const;
+};
 
 /** Configuration of a whole evaluation. */
 struct ExperimentConfig
@@ -44,7 +64,7 @@ struct ExperimentConfig
      */
     int maxExecutions = 0;
 
-    /** The workload-cache identity of one application's inputs. */
+    /** The recipe of one application's inputs. */
     WorkloadKey workloadKey(const std::string &app) const;
 };
 
@@ -96,12 +116,6 @@ struct ParallelOptions
     unsigned jobs = 1;
 
     /**
-     * On-disk workload cache directory; empty disables persistence
-     * (inputs are still memoized in memory).
-     */
-    std::string cacheDir;
-
-    /**
      * When non-empty, every policy cell runs with the provenance
      * flight recorder attached and serializes its records into this
      * directory (created if needed): a compact binary file plus a
@@ -149,9 +163,8 @@ struct ParallelOptions
  *
  * Results do not depend on the thread count or the memo layers:
  * inputs are the same deterministic function of the seed (whether
- * generated, memoized or deserialized from the workload cache), and
- * each cell runs the serial replay kernel on a private
- * PolicySession.
+ * generated or memoized), and each cell runs the serial replay
+ * kernel on a private PolicySession.
  */
 class ParallelEvaluation
 {
@@ -215,12 +228,6 @@ class ParallelEvaluation
 
     /** Make every application's inputs resident, in parallel. */
     void prefetchInputs();
-
-    /** The engine's workload cache (for hit/miss reporting). */
-    const WorkloadCache &workloadCache() const { return cache_; }
-
-    /** Applications generated from seed (disk-cache misses). */
-    std::uint64_t generatedApps() const { return generated_; }
 
   private:
     template <typename T> struct Memo
@@ -288,7 +295,6 @@ class ParallelEvaluation
     ExperimentConfig config_;
     ParallelOptions options_;
     std::vector<std::string> appNames_;
-    WorkloadCache cache_;
     /** 16-hex digest of every config field that can alter results —
      * the "config" label value separating ablation evaluations from
      * the paper-default one in the shared registry. */
@@ -301,7 +307,6 @@ class ParallelEvaluation
     /** Keyed by cellKey(mode, app, policy). */
     std::map<std::string, std::shared_ptr<Memo<sim::GlobalOutcome>>>
         cells_;
-    std::atomic<std::uint64_t> generated_{0};
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "trace/io.hpp"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -22,109 +23,37 @@ endsWith(const std::string &text, const std::string &suffix)
                         suffix) == 0;
 }
 
-} // namespace
-
-void
-putString(std::ostream &os, const std::string &text)
-{
-    putLe<std::uint32_t>(os,
-                         static_cast<std::uint32_t>(text.size()));
-    os.write(text.data(),
-             static_cast<std::streamsize>(text.size()));
-}
-
-bool
-getString(std::istream &is, std::string &out)
-{
-    std::uint32_t length = 0;
-    if (!getLe(is, length) || length > (1u << 20))
-        return false;
-    out.assign(length, '\0');
-    return length == 0 ||
-           static_cast<bool>(is.read(out.data(), length));
-}
-
-namespace {
-
-/** On-wire size of one DiskAccess record (fixed LE layout). */
-constexpr std::size_t kAccessRecordBytes = 8 + 4 + 4 + 4 + 4 + 1 + 4;
-
+/**
+ * Little-endian fixed-width scalar I/O: byte order is explicit so
+ * binary traces are portable across hosts.
+ */
 template <typename T>
 void
-packLe(unsigned char *&p, T value)
+putLe(std::ostream &os, T value)
 {
+    unsigned char bytes[sizeof(T)];
     auto u = static_cast<std::uint64_t>(value);
     for (std::size_t i = 0; i < sizeof(T); ++i)
-        *p++ = static_cast<unsigned char>((u >> (8 * i)) & 0xff);
+        bytes[i] = static_cast<unsigned char>((u >> (8 * i)) & 0xff);
+    os.write(reinterpret_cast<const char *>(bytes), sizeof(T));
 }
 
+/** @return false when the stream ran out of bytes. */
 template <typename T>
-void
-unpackLe(const unsigned char *&p, T &value)
+bool
+getLe(std::istream &is, T &value)
 {
+    unsigned char bytes[sizeof(T)];
+    if (!is.read(reinterpret_cast<char *>(bytes), sizeof(T)))
+        return false;
     std::uint64_t u = 0;
     for (std::size_t i = 0; i < sizeof(T); ++i)
-        u |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += sizeof(T);
+        u |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
     value = static_cast<T>(u);
+    return true;
 }
 
 } // namespace
-
-void
-writeDiskAccesses(const std::vector<DiskAccess> &accesses,
-                  std::ostream &os)
-{
-    putLe<std::uint64_t>(os, accesses.size());
-    // Pack all records into one buffer and write it in a single
-    // call: a workload's access stream runs to hundreds of
-    // thousands of records, and per-field stream writes dominate
-    // cache store/load time otherwise.
-    std::vector<unsigned char> buffer(accesses.size() *
-                                      kAccessRecordBytes);
-    unsigned char *p = buffer.data();
-    for (const auto &access : accesses) {
-        packLe<std::int64_t>(p, access.time);
-        packLe<std::int32_t>(p, access.pid);
-        packLe<std::uint32_t>(p, access.pc);
-        packLe<std::int32_t>(p, access.fd);
-        packLe<std::uint32_t>(p, access.file);
-        packLe<std::uint8_t>(p, access.isWrite ? 1 : 0);
-        packLe<std::uint32_t>(p, access.blocks);
-    }
-    os.write(reinterpret_cast<const char *>(buffer.data()),
-             static_cast<std::streamsize>(buffer.size()));
-}
-
-std::string
-readDiskAccesses(std::istream &is, std::vector<DiskAccess> &out)
-{
-    std::uint64_t count = 0;
-    if (!getLe(is, count) || count > (1u << 26))
-        return "bad access count";
-    std::vector<unsigned char> buffer(count * kAccessRecordBytes);
-    if (!is.read(reinterpret_cast<char *>(buffer.data()),
-                 static_cast<std::streamsize>(buffer.size())))
-        return "truncated access records";
-    out.clear();
-    out.resize(count);
-    const unsigned char *p = buffer.data();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        DiskAccess &access = out[i];
-        std::uint8_t is_write = 0;
-        unpackLe<std::int64_t>(p, access.time);
-        unpackLe<std::int32_t>(p, access.pid);
-        unpackLe<std::uint32_t>(p, access.pc);
-        unpackLe<std::int32_t>(p, access.fd);
-        unpackLe<std::uint32_t>(p, access.file);
-        unpackLe<std::uint8_t>(p, is_write);
-        unpackLe<std::uint32_t>(p, access.blocks);
-        if (is_write > 1)
-            return "bad isWrite flag at access " + std::to_string(i);
-        access.isWrite = is_write != 0;
-    }
-    return {};
-}
 
 void
 writeText(const Trace &trace, std::ostream &os)
@@ -156,8 +85,13 @@ readText(std::istream &is, Trace &out)
         while (header >> field) {
             if (field.rfind("app=", 0) == 0)
                 app = field.substr(4);
-            else if (field.rfind("execution=", 0) == 0)
-                execution = std::stoi(field.substr(10));
+            else if (field.rfind("execution=", 0) == 0) {
+                const char *last = field.data() + field.size();
+                const auto [end, ec] =
+                    std::from_chars(field.data() + 10, last, execution);
+                if (ec != std::errc() || end != last)
+                    return "bad execution in header: " + field;
+            }
         }
     }
     out = Trace(app, execution);

@@ -9,64 +9,12 @@
 #define PCAP_TRACE_IO_HPP
 
 #include <iosfwd>
-#include <istream>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "trace/event.hpp"
 #include "trace/trace.hpp"
 
 namespace pcap::trace {
-
-/**
- * Little-endian fixed-width scalar I/O, shared by every binary
- * format in the repository (trace files, ExecutionInput workload
- * caches). Byte order is explicit so cache files are portable
- * across hosts.
- */
-template <typename T>
-void
-putLe(std::ostream &os, T value)
-{
-    unsigned char bytes[sizeof(T)];
-    auto u = static_cast<std::uint64_t>(value);
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        bytes[i] = static_cast<unsigned char>((u >> (8 * i)) & 0xff);
-    os.write(reinterpret_cast<const char *>(bytes), sizeof(T));
-}
-
-/** @return false when the stream ran out of bytes. */
-template <typename T>
-bool
-getLe(std::istream &is, T &value)
-{
-    unsigned char bytes[sizeof(T)];
-    if (!is.read(reinterpret_cast<char *>(bytes), sizeof(T)))
-        return false;
-    std::uint64_t u = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        u |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-    value = static_cast<T>(u);
-    return true;
-}
-
-/** Write a length-prefixed string (u32 length + raw bytes). */
-void putString(std::ostream &os, const std::string &text);
-
-/** Read a putString() string; false on truncation or absurd size. */
-bool getString(std::istream &is, std::string &out);
-
-/**
- * Write a post-cache disk access stream as fixed-width LE records
- * (u64 count, then time/pid/pc/fd/file/isWrite/blocks per record).
- */
-void writeDiskAccesses(const std::vector<DiskAccess> &accesses,
-                       std::ostream &os);
-
-/** Read a writeDiskAccesses() stream. @return error or empty. */
-std::string readDiskAccesses(std::istream &is,
-                             std::vector<DiskAccess> &out);
 
 /**
  * Write @p trace as text: a header line

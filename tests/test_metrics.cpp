@@ -283,8 +283,6 @@ TEST(Manifest, WriteProducesReadableDocument)
     manifest.seed = 42;
     manifest.jobs = 4;
     manifest.maxExecutions = 5;
-    manifest.workloadCacheEnabled = true;
-    manifest.workloadCacheDir = "/tmp/cache";
     manifest.inputKeys.emplace_back("mozilla", "deadbeef.trace");
     manifest.phaseMs.emplace_back("inputs", 12.5);
     manifest.reports.push_back("table1");

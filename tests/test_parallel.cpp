@@ -5,8 +5,8 @@
  * cell replayed through a fresh session, driver and kernel, with no
  * memo and no instruments. The engine must match it at one and at
  * four jobs, each cell kind must keep its observable surface
- * (artifact files, metric series), and the on-disk workload cache
- * must round-trip byte-identically.
+ * (artifact files, metric series), and the workload key must cover
+ * every field of the recipe.
  */
 
 #include <gtest/gtest.h>
@@ -15,14 +15,12 @@
 #include <filesystem>
 #include <map>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
 #include "sim/drivers.hpp"
 #include "sim/experiment.hpp"
-#include "sim/input_cache.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace_store.hpp"
 
@@ -318,108 +316,6 @@ TEST(ParallelEvaluation, EachCellKindKeepsItsArtifactsAndSeries)
     EXPECT_EQ(sessionSeries.count("ideal"), 0u);
 }
 
-TEST(InputCache, StreamRoundTripsByteIdentically)
-{
-    ParallelEvaluation eval(fastConfig());
-    const auto &inputs = eval.inputs("nedit");
-    const WorkloadKey key = fastConfig().workloadKey("nedit");
-
-    std::ostringstream first;
-    writeExecutionInputs(inputs, key, first);
-
-    std::istringstream is(first.str());
-    std::vector<ExecutionInput> loaded;
-    ASSERT_EQ(readExecutionInputs(is, key, loaded), "");
-    ASSERT_EQ(loaded.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        EXPECT_TRUE(inputs[i] == loaded[i]);
-
-    // Serializing the loaded inputs reproduces the exact bytes.
-    std::ostringstream second;
-    writeExecutionInputs(loaded, key, second);
-    EXPECT_EQ(first.str(), second.str());
-}
-
-TEST(InputCache, RejectsKeyMismatchAndCorruption)
-{
-    ParallelEvaluation eval(fastConfig());
-    const auto &inputs = eval.inputs("nedit");
-    const WorkloadKey key = fastConfig().workloadKey("nedit");
-
-    std::ostringstream os;
-    writeExecutionInputs(inputs, key, os);
-
-    WorkloadKey other = key;
-    other.seed = 43;
-    {
-        std::istringstream is(os.str());
-        std::vector<ExecutionInput> loaded;
-        EXPECT_NE(readExecutionInputs(is, other, loaded), "");
-    }
-    {
-        std::istringstream is(os.str().substr(0, 40));
-        std::vector<ExecutionInput> loaded;
-        EXPECT_NE(readExecutionInputs(is, key, loaded), "");
-    }
-
-    // Well-formed bytes the replay cannot take as they are.
-    const auto rejects = [&](const std::string &what,
-                             const auto &corrupt) {
-        std::vector<ExecutionInput> bad = inputs;
-        corrupt(bad.front());
-        std::ostringstream out;
-        writeExecutionInputs(bad, key, out);
-        std::istringstream is(out.str());
-        std::vector<ExecutionInput> loaded;
-        EXPECT_NE(readExecutionInputs(is, key, loaded).find(what),
-                  std::string::npos)
-            << what;
-    };
-    ASSERT_GE(inputs.front().accesses.size(), 2u);
-    ASSERT_GE(inputs.front().processes.size(), 2u);
-    rejects("out of (time, pid) order", [](ExecutionInput &input) {
-        std::swap(input.accesses.front(), input.accesses.back());
-    });
-    rejects("ends before it starts", [](ExecutionInput &input) {
-        ProcessSpan &span = input.processes.front();
-        span.end = span.start - 1;
-    });
-    rejects("duplicate span", [](ExecutionInput &input) {
-        input.processes.push_back(input.processes.front());
-    });
-}
-
-TEST(WorkloadCache, DiskRoundTripMatchesGeneration)
-{
-    TempDir dir;
-    ParallelOptions options;
-    options.jobs = 2;
-    options.cacheDir = dir.path;
-
-    // First engine: generates and stores.
-    ParallelEvaluation first(fastConfig(), options);
-    const auto &generated = first.inputs("xemacs");
-    EXPECT_EQ(first.workloadCache().stores(), 1u);
-    EXPECT_EQ(first.generatedApps(), 1u);
-
-    // Second engine: must load the stored workload, identically.
-    ParallelEvaluation second(fastConfig(), options);
-    const auto &loaded = second.inputs("xemacs");
-    EXPECT_EQ(second.workloadCache().hits(), 1u);
-    EXPECT_EQ(second.generatedApps(), 0u);
-    ASSERT_EQ(generated.size(), loaded.size());
-    for (std::size_t i = 0; i < generated.size(); ++i)
-        EXPECT_TRUE(generated[i] == loaded[i]);
-
-    // And the simulation on loaded inputs matches the reference.
-    expectSameRun(referenceRun(referenceInputs(fastConfig(), "xemacs"),
-                               CellMode::Global,
-                               PolicyConfig::pcapBase())
-                      .run,
-                  second.globalRun("xemacs", PolicyConfig::pcapBase())
-                      .run);
-}
-
 TEST(WorkloadKey, CanonicalCoversEveryRecipeField)
 {
     const WorkloadKey base = fastConfig().workloadKey("nedit");
@@ -435,6 +331,17 @@ TEST(WorkloadKey, CanonicalCoversEveryRecipeField)
     changed = base;
     changed.cache.capacityBytes *= 2;
     EXPECT_NE(base.canonical(), changed.canonical());
+    changed = base;
+    changed.cache.blockSize *= 2;
+    EXPECT_NE(base.canonical(), changed.canonical());
+    changed = base;
+    changed.cache.flushInterval += 1;
+    EXPECT_NE(base.canonical(), changed.canonical());
+    changed = base;
+    changed.cache.flushCheckPeriod += 1;
+    EXPECT_NE(base.canonical(), changed.canonical());
+    // The manifest's input key follows the recipe.
+    EXPECT_NE(base.fileName(), changed.fileName());
 }
 
 } // namespace

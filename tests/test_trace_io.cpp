@@ -60,6 +60,19 @@ TEST(TraceTextIo, RejectsBadHeader)
               std::string::npos);
 }
 
+TEST(TraceTextIo, RejectsBadExecutionInHeader)
+{
+    for (const char *execution : {"x", "7x", "", "99999999999"}) {
+        std::stringstream buffer(
+            std::string("# pcap-trace v1 app=a execution=") +
+            execution + "\n");
+        Trace loaded;
+        EXPECT_NE(readText(buffer, loaded).find("bad execution"),
+                  std::string::npos)
+            << execution;
+    }
+}
+
 TEST(TraceTextIo, RejectsMalformedEventLine)
 {
     std::stringstream buffer(

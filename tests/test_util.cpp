@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the util substrate: deterministic RNG, saturating
- * counters, statistics accumulators, table formatting and the time
- * helpers.
+ * counters, table formatting and the time helpers.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include "obs/counter.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/types.hpp"
 
@@ -224,49 +222,6 @@ TEST(SaturatingCounter, ResetReturnsToZero)
     SaturatingCounter counter(7, 5);
     counter.reset();
     EXPECT_EQ(counter.value(), 0);
-}
-
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat stat;
-    EXPECT_EQ(stat.count(), 0u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(stat.min(), 0.0);
-    EXPECT_DOUBLE_EQ(stat.max(), 0.0);
-}
-
-TEST(RunningStat, TracksMeanMinMax)
-{
-    RunningStat stat;
-    stat.add(2.0);
-    stat.add(-4.0);
-    stat.add(8.0);
-    EXPECT_EQ(stat.count(), 3u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(stat.min(), -4.0);
-    EXPECT_DOUBLE_EQ(stat.max(), 8.0);
-    EXPECT_DOUBLE_EQ(stat.sum(), 6.0);
-}
-
-TEST(SampleSet, PercentilesExact)
-{
-    SampleSet set;
-    for (int i = 1; i <= 100; ++i)
-        set.add(i);
-    EXPECT_DOUBLE_EQ(set.percentile(0.5), 50.0);
-    EXPECT_DOUBLE_EQ(set.percentile(0.99), 99.0);
-    EXPECT_DOUBLE_EQ(set.percentile(1.0), 100.0);
-    EXPECT_DOUBLE_EQ(set.percentile(0.0), 1.0);
-}
-
-TEST(SampleSet, FractionInHalfOpenRange)
-{
-    SampleSet set;
-    for (int i = 0; i < 10; ++i)
-        set.add(i);
-    EXPECT_DOUBLE_EQ(set.fractionIn(0.0, 5.0), 0.5);
-    EXPECT_DOUBLE_EQ(set.fractionIn(5.0, 100.0), 0.5);
-    EXPECT_DOUBLE_EQ(set.fractionIn(100.0, 200.0), 0.0);
 }
 
 TEST(TextTable, AlignsColumnsAndUnderlinesHeader)

@@ -23,7 +23,7 @@ Exit status:
      schema, or a malformed series missing required fields)
 
 Examples:
-  metrics_diff.py warm1.json warm2.json
+  metrics_diff.py run1.json run2.json
   metrics_diff.py old.json new.json --max-delta-pct 5
   metrics_diff.py old.json new.json --rule 'pcap_energy_joules=0.5'
 """
@@ -35,6 +35,8 @@ import re
 import sys
 
 DEFAULT_IGNORE = (
+    # workload_cache: results of builds that still had the on-disk
+    # workload cache carry its hit/miss families.
     r"wall|thread_pool|workload_cache|workload_generated"
     # Span-tracer volume depends on scheduling (pool-task spans, ring
     # drops); timelines are opt-in artifacts checked by

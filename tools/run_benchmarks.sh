@@ -4,15 +4,15 @@
 #
 # Gates, in order:
 #   1. every report byte-identical to bench/reference (compare_bench)
-#   2. two warm runs produce identical deterministic metrics
+#   2. runs 1 and 2 produce identical deterministic metrics
 #      (metrics_diff, zero regressions allowed)
 #   3. every report is checked against an enforced wall-time budget
 #      (generous — the gate catches order-of-magnitude regressions,
 #      not scheduler noise)
-#   4. the second warm run records per-cell timelines and a span
+#   4. run 2 records per-cell timelines and a span
 #      profile; the timeline dumps are schema-gated and rendered to
 #      HTML, proving the instrumentation does not perturb reports
-#   5. the warm run re-evaluates bench/alerts/default_rules.json; a
+#   5. a further run evaluates bench/alerts/default_rules.json; a
 #      fired warn rule is tolerated (exit 3), critical (4) fails
 #   6. the fleet smoke drills its outlier hosts at two thread counts
 #      and the drill-down bundles must be byte-identical
@@ -48,25 +48,17 @@ echo "== tests =="
 ctest --test-dir "$build" --output-on-failure
 
 echo
-echo "== bench_all (cold cache) =="
+echo "== bench_all (run 1, run 2) =="
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 "$build/bench/bench_all" --jobs "$jobs" \
-    --cache-dir "$scratch/cache" \
-    --json "$scratch/cold.json" > /dev/null
-
-echo
-echo "== bench_all (warm cache, twice) =="
+    --json "$scratch/run1.json" > /dev/null
 "$build/bench/bench_all" --jobs "$jobs" \
-    --cache-dir "$scratch/cache" \
-    --json "$scratch/warm.json" > /dev/null
-"$build/bench/bench_all" --jobs "$jobs" \
-    --cache-dir "$scratch/cache" \
-    --json "$scratch/warm2.json" \
+    --json "$scratch/run2.json" \
     --timeline-dir "$scratch/timeline" \
     --trace-profile "$scratch/trace-profile.json" > /dev/null
 
-for run in cold warm warm2; do
+for run in run1 run2; do
     python3 - "$scratch/$run.json" "$run" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -81,20 +73,20 @@ echo
 echo "== compare against bench/reference/BENCH_RESULTS.ref.json =="
 python3 "$root/tools/compare_bench.py" \
     "$root/bench/reference/BENCH_RESULTS.ref.json" \
-    "$scratch/warm.json" \
+    "$scratch/run1.json" \
     --max-report-seconds ablation_cache=20 \
     --max-any-report-seconds 60
 
 echo
-echo "== metrics determinism (warm run vs warm run) =="
+echo "== metrics determinism (run 1 vs run 2) =="
 python3 "$root/tools/metrics_diff.py" \
-    "$scratch/warm.json" "$scratch/warm2.json"
+    "$scratch/run1.json" "$scratch/run2.json"
 
 echo
-echo "== timeline schema + HTML render (instrumented warm run) =="
+echo "== timeline schema + HTML render (instrumented run 2) =="
 python3 "$root/tools/compare_bench.py" \
     "$root/bench/reference/BENCH_RESULTS.ref.json" \
-    "$scratch/warm2.json" \
+    "$scratch/run2.json" \
     --timeline-dir "$scratch/timeline" \
     --max-report-seconds ablation_cache=20 \
     --max-any-report-seconds 60
@@ -105,7 +97,6 @@ echo
 echo "== alert rules (bench/alerts/default_rules.json) =="
 alert_status=0
 "$build/bench/bench_all" --jobs "$jobs" \
-    --cache-dir "$scratch/cache" \
     --json "$scratch/alerts.json" \
     --alerts "$root/bench/alerts/default_rules.json" > /dev/null \
     || alert_status=$?
@@ -123,9 +114,8 @@ python3 "$root/tools/compare_bench.py" \
     --max-any-report-seconds 60
 
 echo
-echo "== hardware counters (--perf, warm cache) =="
+echo "== hardware counters (--perf) =="
 "$build/bench/bench_all" --jobs "$jobs" \
-    --cache-dir "$scratch/cache" \
     --json "$scratch/perf.json" \
     --perf > /dev/null
 python3 "$root/tools/compare_bench.py" \
@@ -135,7 +125,6 @@ python3 "$root/tools/compare_bench.py" \
     --max-report-seconds ablation_cache=20 \
     --max-any-report-seconds 60
 PCAP_PERF_BACKEND=software "$build/bench/bench_all" --jobs "$jobs" \
-    --cache-dir "$scratch/cache" \
     --json "$scratch/perf-sw.json" \
     --perf > /dev/null
 python3 - "$scratch/perf-sw.json" <<'EOF'
@@ -151,11 +140,9 @@ EOF
 echo
 echo "== fleet smoke (128 hosts, two thread counts, drill-down) =="
 "$build/bench/bench_all" --report fleet --hosts 128 --jobs 1 \
-    --cache-dir "$scratch/cache" \
     --json "$scratch/fleet-a.json" \
     --drilldown-dir "$scratch/drill-a" > /dev/null
 "$build/bench/bench_all" --report fleet --hosts 128 --jobs 4 \
-    --cache-dir "$scratch/cache" \
     --json "$scratch/fleet-b.json" \
     --drilldown-dir "$scratch/drill-b" > /dev/null
 python3 "$root/tools/compare_bench.py" \
