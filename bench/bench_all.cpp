@@ -118,6 +118,12 @@ usage(std::ostream &os)
           "      --manifest P  run manifest file (default: "
           "<json>.manifest.json;\n"
           "                    '-' disables)\n"
+          "      --metrics-detail  export every per-application "
+          "series\n"
+          "                    (default: cell families summed over "
+          "the app\n"
+          "                    label; alerts see every series "
+          "either way)\n"
           "      --no-metrics  disable metric collection "
           "entirely\n"
           "      --log-level L debug|info|warn|error|silent "
@@ -217,6 +223,7 @@ main(int argc, char **argv)
 {
     unsigned jobs = ThreadPool::hardwareJobs();
     bool use_metrics = true;
+    bool metrics_detail = false;
     std::string json_path = "BENCH_RESULTS.json";
     std::string provenance_dir;
     std::string timeline_dir;
@@ -266,6 +273,8 @@ main(int argc, char **argv)
             metrics_path = value("--metrics-out");
         } else if (arg == "--manifest") {
             manifest_path = value("--manifest");
+        } else if (arg == "--metrics-detail") {
+            metrics_detail = true;
         } else if (arg == "--no-metrics") {
             use_metrics = false;
         } else if (arg == "--log-level") {
@@ -367,6 +376,7 @@ main(int argc, char **argv)
     options.provenanceDir = provenance_dir;
     options.timelineDir = timeline_dir;
     options.metrics = use_metrics ? &registry : nullptr;
+    options.metricsDetail = metrics_detail;
     // Shared across the standard engine and every sweep engine the
     // reports build (ablation_cache): raw traces are generated once
     // per app, each configuration re-runs only the cache filter.

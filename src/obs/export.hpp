@@ -8,6 +8,14 @@
  * Both exports render a deterministic snapshot — series sorted by
  * (name, labels) — so two runs of the same deterministic simulation
  * produce byte-identical documents regardless of thread scheduling.
+ *
+ * Both also roll the registry's detail labels up
+ * (MetricsRegistry::markDetailLabel): series that differ only in a
+ * detail label export as one series without it, summed in snapshot
+ * order — counters and gauges by value, histograms by count, sum and
+ * bucket, timers by seconds and laps. Folding two histograms with
+ * different buckets panics. A registry without detail labels exports
+ * every series as recorded.
  */
 
 #ifndef PCAP_OBS_EXPORT_HPP

@@ -111,28 +111,34 @@ MetricsRegistry::entry(const std::string &name, const Labels &labels,
     auto &slot = entries_[key];
     if (!slot) {
         slot = std::make_unique<Entry>();
-        slot->name = name;
-        slot->labels = sorted;
-        slot->kind = kind;
+        Series &series = slot->series;
+        series.name = name;
+        series.labels = sorted;
+        series.kind = kind;
         switch (kind) {
           case MetricKind::Counter:
             slot->counter = std::make_unique<Counter>();
+            series.counter = slot->counter.get();
             break;
           case MetricKind::Gauge:
             slot->gauge = std::make_unique<Gauge>();
+            series.gauge = slot->gauge.get();
             break;
           case MetricKind::Histogram:
             slot->histogram = std::make_unique<Histogram>(
                 uppers ? *uppers : std::vector<double>{});
+            series.histogram = slot->histogram.get();
             break;
           case MetricKind::Timer:
             slot->timer = std::make_unique<PhaseTimer>();
+            series.timer = slot->timer.get();
             break;
         }
-    } else if (slot->kind != kind) {
+    } else if (slot->series.kind != kind) {
         panic("MetricsRegistry: series '" + name +
               "' requested as " + metricKindName(kind) +
-              " but registered as " + metricKindName(slot->kind));
+              " but registered as " +
+              metricKindName(slot->series.kind));
     }
     return *slot;
 }
@@ -182,6 +188,19 @@ MetricsRegistry::helpFor(const std::string &name) const
     return it == help_.end() ? std::string() : it->second;
 }
 
+std::vector<const MetricsRegistry::Series *>
+MetricsRegistry::series() const
+{
+    std::vector<const Series *> series;
+    std::lock_guard<std::mutex> lock(mutex_);
+    series.reserve(entries_.size());
+    for (const auto &[key, entry] : entries_) {
+        (void)key;
+        series.push_back(&entry->series);
+    }
+    return series;
+}
+
 std::vector<MetricsRegistry::Series>
 MetricsRegistry::snapshot() const
 {
@@ -191,15 +210,7 @@ MetricsRegistry::snapshot() const
         series.reserve(entries_.size());
         for (const auto &[key, entry] : entries_) {
             (void)key;
-            Series s;
-            s.name = entry->name;
-            s.labels = entry->labels;
-            s.kind = entry->kind;
-            s.counter = entry->counter.get();
-            s.gauge = entry->gauge.get();
-            s.histogram = entry->histogram.get();
-            s.timer = entry->timer.get();
-            series.push_back(std::move(s));
+            series.push_back(entry->series);
         }
     }
     std::sort(series.begin(), series.end(),
@@ -216,6 +227,23 @@ MetricsRegistry::seriesCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
+}
+
+void
+MetricsRegistry::markDetailLabel(const std::string &label)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = std::lower_bound(detailLabels_.begin(),
+                                     detailLabels_.end(), label);
+    if (it == detailLabels_.end() || *it != label)
+        detailLabels_.insert(it, label);
+}
+
+std::vector<std::string>
+MetricsRegistry::detailLabels() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return detailLabels_;
 }
 
 // ---------------------------------------------------------------

@@ -16,7 +16,10 @@
  * labels: every simulation cell instruments through a ScopedMetrics
  * carrying its (config, mode, app, policy) labels, so concurrent
  * cells touch disjoint metric objects and never contend or
- * cross-contaminate.
+ * cross-contaminate. A label can be marked as detail: the exporters
+ * (obs/export.hpp) then sum the series that differ only in it, while
+ * snapshot() and everything reading the registry live still see each
+ * series on its own.
  */
 
 #ifndef PCAP_OBS_METRICS_HPP
@@ -252,15 +255,30 @@ class MetricsRegistry
      */
     std::vector<Series> snapshot() const;
 
+    /**
+     * Every series, in no particular order and without copying: the
+     * pointers stay valid for the registry's lifetime. For readers
+     * that sort only part of what snapshot() would.
+     */
+    std::vector<const Series *> series() const;
+
     /** Number of registered series. */
     std::size_t seriesCount() const;
+
+    /**
+     * Mark @p label as a detail label: metricsToJson and
+     * writePrometheus fold it out of every series and sum the series
+     * it alone told apart. Recording and snapshot() are unaffected.
+     */
+    void markDetailLabel(const std::string &label);
+
+    /** The detail labels, sorted; empty exports every series. */
+    std::vector<std::string> detailLabels() const;
 
   private:
     struct Entry
     {
-        std::string name;
-        Labels labels;
-        MetricKind kind;
+        Series series; ///< identity, kind and the metric below
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
@@ -276,6 +294,7 @@ class MetricsRegistry
     mutable std::mutex mutex_;
     std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
     std::map<std::string, std::string> help_;
+    std::vector<std::string> detailLabels_; ///< sorted, unique
 };
 
 /**

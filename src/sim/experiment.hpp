@@ -140,9 +140,15 @@ struct ParallelOptions
      * instrumentation. Each cell writes through a ScopedMetrics
      * labelled {config, mode, app, policy, policy_hash}, so parallel
      * cells touch disjoint series; the registry must outlive the
-     * evaluation.
+     * evaluation. Unless metricsDetail is set, the engine marks
+     * `app` as a detail label of the registry, so its exports sum
+     * each cell family over the applications (obs/export.hpp).
      */
     obs::MetricsRegistry *metrics = nullptr;
+
+    /** Export every per-application series of metrics as recorded
+     * instead of rolling them up over `app`. */
+    bool metricsDetail = false;
 
     /**
      * Shared raw-trace memo (see trace_store.hpp), or null to

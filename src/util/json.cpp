@@ -1,9 +1,11 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "util/logging.hpp"
 
@@ -353,6 +355,27 @@ class JsonParser
 
 } // namespace
 
+// Containers of Json move their elements on growth, never copy.
+static_assert(std::is_nothrow_move_constructible_v<Json>);
+
+Json::Json(const Json &other)
+    : kind_(other.kind_), bool_(other.bool_), number_(other.number_),
+      string_(other.string_), array_(other.array_),
+      members_(other.members_)
+{
+    order_.reserve(other.order_.size());
+    for (const Member *member : other.order_)
+        order_.push_back(&*members_.find(member->first));
+}
+
+Json &
+Json::operator=(const Json &other)
+{
+    if (this != &other)
+        *this = Json(other);
+    return *this;
+}
+
 Json
 Json::object()
 {
@@ -378,7 +401,7 @@ Json::operator[](const std::string &key)
         panic("Json: operator[] on a non-object");
     auto [it, inserted] = members_.try_emplace(key);
     if (inserted)
-        keys_.push_back(key);
+        order_.push_back(&*it);
     return it->second;
 }
 
@@ -395,6 +418,16 @@ Json::find(const std::string &key) const
         return nullptr;
     const auto it = members_.find(key);
     return it == members_.end() ? nullptr : &it->second;
+}
+
+std::vector<std::string>
+Json::keys() const
+{
+    std::vector<std::string> keys;
+    keys.reserve(order_.size());
+    for (const Member *member : order_)
+        keys.push_back(member->first);
+    return keys;
 }
 
 const Json &
@@ -427,85 +460,124 @@ Json::size() const
 }
 
 void
-Json::writeEscaped(std::ostream &os, const std::string &text)
+Json::writeEscaped(std::string &out, const std::string &text)
 {
-    os << '"';
-    for (char c : text) {
+    out += '"';
+    // Plain runs are appended whole; only escapes break them up.
+    const char *run = text.data();
+    const char *const end = text.data() + text.size();
+    for (const char *p = run; p != end; ++p) {
+        const unsigned char c = static_cast<unsigned char>(*p);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(run, p);
+        run = p + 1;
         switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                os << buffer;
-            } else {
-                os << c;
-            }
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default: {
+            char buffer[8];
+            std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+            out += buffer;
+          }
         }
     }
-    os << '"';
+    out.append(run, end);
+    out += '"';
 }
 
 void
-Json::writeNumber(std::ostream &os, double value)
+Json::writeNumber(std::string &out, double value)
 {
     if (!std::isfinite(value)) {
-        os << "null"; // JSON has no inf/nan
-        return;
-    }
-    if (value == std::floor(value) &&
-        std::fabs(value) < 9.0e15) {
-        os << static_cast<long long>(value);
+        out += "null"; // JSON has no inf/nan
         return;
     }
     char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-    os << buffer;
+    if (value == std::floor(value) &&
+        std::fabs(value) < 9.0e15) {
+        const auto written =
+            std::to_chars(buffer, buffer + sizeof(buffer),
+                          static_cast<long long>(value));
+        out.append(buffer, written.ptr);
+        return;
+    }
+    const int length =
+        std::snprintf(buffer, sizeof(buffer), "%.12g", value);
+    out.append(buffer, static_cast<std::size_t>(length));
 }
+
+namespace {
+
+/** Serialized bytes collected before dump() writes them out. Small:
+ * timelines are dumped from every worker thread at once. */
+constexpr std::size_t kDumpChunk = 4 * 1024;
+
+void
+flush(std::string &out, std::ostream &os)
+{
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+    out.clear();
+}
+
+} // namespace
 
 void
 Json::dump(std::ostream &os, int indent) const
 {
-    const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    const std::string inner(
-        static_cast<std::size_t>(indent + 1) * 2, ' ');
+    std::string out;
+    write(out, os, indent);
+    flush(out, os);
+}
+
+void
+Json::write(std::string &out, std::ostream &os, int indent) const
+{
+    const auto pad = [&out](int depth) {
+        out.append(static_cast<std::size_t>(depth) * 2, ' ');
+    };
     switch (kind_) {
-      case Kind::Null: os << "null"; break;
-      case Kind::Bool: os << (bool_ ? "true" : "false"); break;
-      case Kind::Number: writeNumber(os, number_); break;
-      case Kind::String: writeEscaped(os, string_); break;
+      case Kind::Null: out += "null"; break;
+      case Kind::Bool: out += bool_ ? "true" : "false"; break;
+      case Kind::Number: writeNumber(out, number_); break;
+      case Kind::String: writeEscaped(out, string_); break;
       case Kind::Array: {
         if (array_.empty()) {
-            os << "[]";
+            out += "[]";
             break;
         }
-        os << "[\n";
+        out += "[\n";
         for (std::size_t i = 0; i < array_.size(); ++i) {
-            os << inner;
-            array_[i].dump(os, indent + 1);
-            os << (i + 1 < array_.size() ? ",\n" : "\n");
+            pad(indent + 1);
+            array_[i].write(out, os, indent + 1);
+            out += i + 1 < array_.size() ? ",\n" : "\n";
+            if (out.size() >= kDumpChunk)
+                flush(out, os);
         }
-        os << pad << ']';
+        pad(indent);
+        out += ']';
         break;
       }
       case Kind::Object: {
-        if (keys_.empty()) {
-            os << "{}";
+        if (order_.empty()) {
+            out += "{}";
             break;
         }
-        os << "{\n";
-        for (std::size_t i = 0; i < keys_.size(); ++i) {
-            os << inner;
-            writeEscaped(os, keys_[i]);
-            os << ": ";
-            members_.at(keys_[i]).dump(os, indent + 1);
-            os << (i + 1 < keys_.size() ? ",\n" : "\n");
+        out += "{\n";
+        for (std::size_t i = 0; i < order_.size(); ++i) {
+            pad(indent + 1);
+            writeEscaped(out, order_[i]->first);
+            out += ": ";
+            order_[i]->second.write(out, os, indent + 1);
+            out += i + 1 < order_.size() ? ",\n" : "\n";
+            if (out.size() >= kDumpChunk)
+                flush(out, os);
         }
-        os << pad << '}';
+        pad(indent);
+        out += '}';
         break;
       }
     }

@@ -42,6 +42,13 @@ class Json
     Json(std::string value)
         : kind_(Kind::String), string_(std::move(value)) {}
 
+    /** Copies re-point the member order at their own members; moves
+     * keep the map nodes, and with them the order. */
+    Json(const Json &other);
+    Json(Json &&) = default;
+    Json &operator=(const Json &other);
+    Json &operator=(Json &&) = default;
+
     /** An empty object (distinct from null). */
     static Json object();
 
@@ -88,7 +95,7 @@ class Json
     const Json &at(std::size_t index) const;
 
     /** Object keys in insertion order; empty for non-objects. */
-    const std::vector<std::string> &keys() const { return keys_; }
+    std::vector<std::string> keys() const;
 
     /** Object access; creates the key (and objectifies null). */
     Json &operator[](const std::string &key);
@@ -105,17 +112,21 @@ class Json
   private:
     enum class Kind { Null, Bool, Number, String, Array, Object };
 
-    static void writeEscaped(std::ostream &os,
-                             const std::string &text);
-    static void writeNumber(std::ostream &os, double value);
+    using Member = std::pair<const std::string, Json>;
+
+    /** Append the serialization of this value to @p out, handing
+     * it to @p os whenever it has grown past a flush threshold. */
+    void write(std::string &out, std::ostream &os, int indent) const;
+    static void writeEscaped(std::string &out, const std::string &text);
+    static void writeNumber(std::string &out, double value);
 
     Kind kind_;
     bool bool_ = false;
     double number_ = 0.0;
     std::string string_;
     std::vector<Json> array_;
-    std::vector<std::string> keys_; ///< object insertion order
     std::map<std::string, Json> members_;
+    std::vector<const Member *> order_; ///< members_ by insertion
 };
 
 } // namespace pcap

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -268,6 +269,230 @@ TEST(Exporters, SnapshotOrderIsIndependentOfRegistration)
     obs::writePrometheus(forward, a);
     obs::writePrometheus(backward, b);
     EXPECT_EQ(a.str(), b.str());
+}
+
+// ---------------------------------------------------------------
+// Export-time fold of detail labels
+// ---------------------------------------------------------------
+
+/** One series of each kind for apps a and b, plus a series that
+ * carries no app label. */
+void
+fillFoldRegistry(MetricsRegistry &registry)
+{
+    registry.markDetailLabel("app");
+    registry.counter("fold_events_total", {{"app", "a"}, {"mode", "m"}})
+        .inc(3);
+    registry.counter("fold_events_total", {{"app", "b"}, {"mode", "m"}})
+        .inc(4);
+    registry.counter("fold_events_total", {{"app", "b"}, {"mode", "n"}})
+        .inc(5);
+    registry.gauge("fold_joules", {{"app", "a"}}).set(0.25);
+    registry.gauge("fold_joules", {{"app", "b"}}).set(0.5);
+    const std::vector<double> uppers = {1.0, 2.0};
+    obs::Histogram &a =
+        registry.histogram("fold_len", uppers, {{"app", "a"}});
+    a.observe(1.0);
+    a.observe(2.5);
+    registry.histogram("fold_len", uppers, {{"app", "b"}})
+        .observe(1.5);
+    registry.timer("fold_phase_seconds", {{"app", "a"}})
+        .addSeconds(1.5);
+    obs::PhaseTimer &timer =
+        registry.timer("fold_phase_seconds", {{"app", "b"}});
+    timer.addSeconds(0.5);
+    timer.addSeconds(0.5);
+    registry.counter("fold_plain_total", {{"mode", "m"}}).inc(2);
+}
+
+TEST(ExportFold, SumsEveryKindOverTheDetailLabel)
+{
+    MetricsRegistry registry;
+    fillFoldRegistry(registry);
+
+    std::ostringstream os;
+    obs::writePrometheus(registry, os);
+    const std::string expected =
+        "# TYPE fold_events_total counter\n"
+        "fold_events_total{mode=\"m\"} 7\n"
+        "fold_events_total{mode=\"n\"} 5\n"
+        "# TYPE fold_joules gauge\n"
+        "fold_joules 0.75\n"
+        "# TYPE fold_len histogram\n"
+        "fold_len_bucket{le=\"1\"} 1\n"
+        "fold_len_bucket{le=\"2\"} 2\n"
+        "fold_len_bucket{le=\"+Inf\"} 3\n"
+        "fold_len_sum 5\n"
+        "fold_len_count 3\n"
+        "# TYPE fold_phase_seconds_total counter\n"
+        "fold_phase_seconds_total 2.5\n"
+        "fold_phase_seconds_laps_total 3\n"
+        "# TYPE fold_plain_total counter\n"
+        "fold_plain_total{mode=\"m\"} 2\n";
+    EXPECT_EQ(os.str(), expected);
+
+    const Json json = obs::metricsToJson(registry);
+    const Json &series = *json.find("series");
+    ASSERT_EQ(series.size(), 6u);
+    const Json &histogram = series.at(3);
+    EXPECT_EQ(histogram.find("name")->asString(), "fold_len");
+    EXPECT_EQ(histogram.find("labels")->size(), 0u);
+    EXPECT_EQ(histogram.find("count")->asDouble(), 3.0);
+    EXPECT_EQ(histogram.find("sum")->asDouble(), 5.0);
+    const Json &buckets = *histogram.find("buckets");
+    ASSERT_EQ(buckets.size(), 3u);
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+        EXPECT_EQ(buckets.at(i).find("count")->asDouble(), 1.0) << i;
+    const Json &timer = series.at(4);
+    EXPECT_EQ(timer.find("seconds")->asDouble(), 2.5);
+    EXPECT_EQ(timer.find("laps")->asDouble(), 3.0);
+
+    // The registry itself still holds every per-app series.
+    EXPECT_EQ(registry.seriesCount(), 10u);
+}
+
+TEST(ExportFold, SeriesWithoutTheDetailLabelPassThrough)
+{
+    auto fill = [](MetricsRegistry &registry) {
+        registry.describe("plain_total", "Plain events.");
+        registry.counter("plain_total", {{"mode", "m"}}).inc(2);
+        registry.gauge("plain_level").set(1.25);
+        registry.histogram("plain_len", {1.0}).observe(0.5);
+        registry.timer("plain_phase").addSeconds(0.125);
+    };
+    MetricsRegistry folded, plain;
+    folded.markDetailLabel("app");
+    fill(folded);
+    fill(plain);
+
+    std::ostringstream foldedProm, plainProm, foldedJson, plainJson;
+    obs::writePrometheus(folded, foldedProm);
+    obs::writePrometheus(plain, plainProm);
+    obs::metricsToJson(folded).dump(foldedJson);
+    obs::metricsToJson(plain).dump(plainJson);
+    EXPECT_EQ(foldedProm.str(), plainProm.str());
+    EXPECT_EQ(foldedJson.str(), plainJson.str());
+}
+
+TEST(ExportFold, ThreadsAndRegistrationOrderDoNotChangeTheExport)
+{
+    // Gauge parts whose sum rounds differently in different orders;
+    // each app's series has one writer, as each cell has.
+    const std::vector<std::string> apps = {"a", "b", "c", "d",
+                                           "e", "f", "g", "h"};
+    auto record = [&](MetricsRegistry &registry, std::size_t app) {
+        const Labels labels = {{"app", apps[app]}, {"mode", "m"}};
+        for (int i = 0; i < 100; ++i) {
+            registry.counter("order_events_total", labels).inc();
+            registry.gauge("order_joules", labels)
+                .add(0.1 * static_cast<double>(app + 1) + 1e-9 * i);
+            registry.histogram("order_len", {1.0, 10.0}, labels)
+                .observe(static_cast<double>(i % 12));
+            registry.timer("order_phase", labels)
+                .addSeconds(0.001 * static_cast<double>(app + 1));
+        }
+        // Summed in snapshot order (a, b, c, ...) the 1 is lost to
+        // rounding and the big parts cancel before the halves are
+        // added: 2.5. Reversed, the sum is 3.
+        const double parts[] = {1.0, 1e16, -1e16};
+        registry.gauge("order_cancel", labels)
+            .set(app < 3 ? parts[app] : 0.5);
+    };
+    auto exported = [](MetricsRegistry &registry) {
+        std::ostringstream os;
+        obs::metricsToJson(registry).dump(os);
+        os << '\n';
+        obs::writePrometheus(registry, os);
+        return os.str();
+    };
+
+    MetricsRegistry serial, reversed, threaded;
+    for (MetricsRegistry *registry : {&serial, &reversed, &threaded})
+        registry->markDetailLabel("app");
+    for (std::size_t app = 0; app < apps.size(); ++app)
+        record(serial, app);
+    for (std::size_t app = apps.size(); app-- > 0;)
+        record(reversed, app);
+    ThreadPool pool(4);
+    pool.parallelFor(apps.size(),
+                     [&](std::size_t app) { record(threaded, app); });
+
+    const std::string expected = exported(serial);
+    EXPECT_NE(expected.find("order_cancel{mode=\"m\"} 2.5\n"),
+              std::string::npos)
+        << expected;
+    EXPECT_NE(expected.find("order_joules{mode=\"m\"} 360.0000396\n"),
+              std::string::npos)
+        << expected;
+    EXPECT_EQ(exported(reversed), expected);
+    EXPECT_EQ(exported(threaded), expected);
+}
+
+TEST(ExportFold, EqualsRecordingEachGroupsSum)
+{
+    // Folded at export against recording each group's sum directly.
+    // Within a group the sum runs in snapshot order: the app-labelled
+    // series by app, then the one without app ("app" sorts first).
+    MetricsRegistry folded, summed;
+    folded.markDetailLabel("app");
+    const std::vector<std::string> apps = {"x", "a", "m", ""};
+    double v = 0.1;
+    for (const char *mode : {"q", "p"}) {
+        for (const char *policy : {"TP", "PCAP"}) {
+            std::map<std::string, double> joules;
+            std::uint64_t events = 0;
+            for (const std::string &app : apps) {
+                Labels labels = {{"policy", policy}, {"mode", mode}};
+                if (!app.empty())
+                    labels.emplace_back("app", app);
+                v = v * 1.7 + 0.013;
+                folded.gauge("prop_joules", labels).set(v);
+                joules[app.empty() ? "~" : app] = v;
+                folded.counter("prop_events_total", labels)
+                    .inc(static_cast<std::uint64_t>(v * 100));
+                events += static_cast<std::uint64_t>(v * 100);
+            }
+            double sum = 0.0;
+            for (const auto &[app, value] : joules)
+                sum += value;
+            const Labels group = {{"mode", mode}, {"policy", policy}};
+            summed.gauge("prop_joules", group).set(sum);
+            summed.counter("prop_events_total", group).inc(events);
+        }
+    }
+
+    std::ostringstream a, b;
+    obs::writePrometheus(folded, a);
+    obs::writePrometheus(summed, b);
+    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(folded.series().size(), folded.seriesCount());
+}
+
+TEST(ExportFold, BucketLayoutMismatchPanics)
+{
+    MetricsRegistry registry;
+    registry.markDetailLabel("app");
+    registry.histogram("mixed_len", {1.0, 2.0}, {{"app", "a"}});
+    registry.histogram("mixed_len", {1.0, 3.0}, {{"app", "b"}});
+    EXPECT_DEATH(obs::metricsToJson(registry),
+                 "different bucket layouts");
+    std::ostringstream os;
+    EXPECT_DEATH(obs::writePrometheus(registry, os),
+                 "different bucket layouts");
+}
+
+TEST(ExportFold, NoDetailLabelKeepsEverySeries)
+{
+    MetricsRegistry registry;
+    registry.counter("kept_total", {{"app", "a"}}).inc(1);
+    registry.counter("kept_total", {{"app", "b"}}).inc(2);
+    EXPECT_TRUE(registry.detailLabels().empty());
+
+    std::ostringstream os;
+    obs::writePrometheus(registry, os);
+    EXPECT_EQ(os.str(), "# TYPE kept_total counter\n"
+                        "kept_total{app=\"a\"} 1\n"
+                        "kept_total{app=\"b\"} 2\n");
 }
 
 // ---------------------------------------------------------------

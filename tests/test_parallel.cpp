@@ -5,8 +5,9 @@
  * cell replayed through a fresh session, driver and kernel, with no
  * memo and no instruments. The engine must match it at one and at
  * four jobs, each cell kind must keep its observable surface
- * (artifact files, metric series), and the workload key must cover
- * every field of the recipe.
+ * (artifact files, metric series), its metrics export must roll the
+ * cell series up over `app` unless asked for detail, and the
+ * workload key must cover every field of the recipe.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +16,11 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <sstream>
 #include <utility>
 #include <unistd.h>
 
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "sim/drivers.hpp"
 #include "sim/experiment.hpp"
@@ -314,6 +317,52 @@ TEST(ParallelEvaluation, EachCellKindKeepsItsArtifactsAndSeries)
     EXPECT_EQ(sessionSeries["multistate"], recorded);
     EXPECT_EQ(sessionSeries.count("base"), 0u);
     EXPECT_EQ(sessionSeries.count("ideal"), 0u);
+}
+
+TEST(ParallelEvaluation, ExportRollsCellSeriesUpOverAppUnlessDetailed)
+{
+    struct Export
+    {
+        std::vector<std::string> detailLabels;
+        std::string prometheus;
+        double idlePeriods = 0.0;
+    };
+    const auto exportOf = [](bool detail) {
+        obs::MetricsRegistry registry;
+        ParallelOptions options;
+        options.metrics = &registry;
+        options.metricsDetail = detail;
+        ParallelEvaluation engine(fastConfig(2), options);
+        const PolicyConfig pcap = PolicyConfig::pcapBase();
+        engine.prefetch({{CellMode::Global, "nedit", pcap},
+                         {CellMode::Global, "mozilla", pcap}});
+        Export out;
+        out.detailLabels = registry.detailLabels();
+        std::ostringstream os;
+        obs::writePrometheus(registry, os);
+        out.prometheus = os.str();
+        std::istringstream lines(out.prometheus);
+        std::string line;
+        while (std::getline(lines, line)) {
+            if (line.rfind("pcap_sim_idle_periods_total{", 0) == 0)
+                out.idlePeriods +=
+                    std::stod(line.substr(line.rfind(' ') + 1));
+        }
+        return out;
+    };
+    const Export rolled = exportOf(false);
+    const Export detail = exportOf(true);
+
+    EXPECT_EQ(rolled.detailLabels, std::vector<std::string>{"app"});
+    EXPECT_TRUE(detail.detailLabels.empty());
+    EXPECT_EQ(rolled.prometheus.find("app=\""), std::string::npos);
+    EXPECT_NE(detail.prometheus.find("app=\"nedit\""),
+              std::string::npos);
+    EXPECT_NE(detail.prometheus.find("app=\"mozilla\""),
+              std::string::npos);
+    EXPECT_LT(rolled.prometheus.size(), detail.prometheus.size());
+    EXPECT_GT(rolled.idlePeriods, 0.0);
+    EXPECT_EQ(rolled.idlePeriods, detail.idlePeriods);
 }
 
 TEST(WorkloadKey, CanonicalCoversEveryRecipeField)

@@ -328,5 +328,91 @@ TEST(JsonParse, RoundTripsThroughDump)
     EXPECT_EQ(first.str(), second.str());
 }
 
+/** A nested document touching every dump path: empty containers,
+ * escapes, integers past 9e15 and non-integers. */
+Json
+goldenDocument()
+{
+    Json doc = Json::object();
+    doc["schema"] = "golden-v1";
+    doc["empty_array"] = Json::array();
+    doc["empty_object"] = Json::object();
+    doc["escapes"] = std::string("q\"b\\n\nt\tr\rc\x01 end");
+    doc["integers"].push(0);
+    doc["integers"].push(-42);
+    doc["integers"].push(9007199254740993ULL);
+    doc["integers"].push(1e15);
+    doc["fractions"].push(0.1);
+    doc["fractions"].push(-2.5e-7);
+    doc["fractions"].push(1.0 / 3.0);
+    doc["fractions"].push(1e300);
+    Json &nested = doc["nested"];
+    nested["z"] = true;
+    nested["a"] = Json();
+    nested["list"].push(Json::object());
+    nested["list"].push(Json::array());
+    Json inner = Json::object();
+    inner["deep"].push("x");
+    inner["deep"].push(false);
+    nested["list"].push(std::move(inner));
+    doc["z_last"] = 7;
+    return doc;
+}
+
+TEST(JsonDump, GoldenNestedDocument)
+{
+    const std::string expected = R"({
+  "schema": "golden-v1",
+  "empty_array": [],
+  "empty_object": {},
+  "escapes": "q\"b\\n\nt\tr\rc\u0001 end",
+  "integers": [
+    0,
+    -42,
+    9.00719925474e+15,
+    1000000000000000
+  ],
+  "fractions": [
+    0.1,
+    -2.5e-07,
+    0.333333333333,
+    1e+300
+  ],
+  "nested": {
+    "z": true,
+    "a": null,
+    "list": [
+      {},
+      [],
+      {
+        "deep": [
+          "x",
+          false
+        ]
+      }
+    ]
+  },
+  "z_last": 7
+})";
+    const Json doc = goldenDocument();
+    std::ostringstream os;
+    doc.dump(os);
+    EXPECT_EQ(os.str(), expected);
+
+    // Copies keep member order, and stay intact when the original
+    // goes away.
+    Json assigned = Json::array();
+    {
+        const Json original = goldenDocument();
+        assigned = original;
+    }
+    const Json copied(assigned);
+    std::ostringstream a, b;
+    assigned.dump(a);
+    copied.dump(b);
+    EXPECT_EQ(a.str(), expected);
+    EXPECT_EQ(b.str(), expected);
+}
+
 } // namespace
 } // namespace pcap

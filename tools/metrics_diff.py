@@ -15,6 +15,14 @@ a deterministic metric is a finding). Wall-clock and cache-
 effectiveness families are machine- and run-dependent and ignored by
 default; see --ignore.
 
+--fold LABEL first sums, in file order, the series of each input that
+differ only in LABEL, the way bench_all rolls `app` up unless run with
+--metrics-detail. Integer samples (counter values, histogram counts
+and buckets, timer laps) must then still match exactly; floating-point
+ones (gauge values, histogram sums, timer seconds) may differ by
+1e-9 relative, since the JSON writer prints 12 significant digits and
+a sum of printed parts can round differently from the printed sum.
+
 Exit status:
   0  no regressions
   1  regressions found (changed samples, or metric families present
@@ -26,6 +34,7 @@ Examples:
   metrics_diff.py run1.json run2.json
   metrics_diff.py old.json new.json --max-delta-pct 5
   metrics_diff.py old.json new.json --rule 'pcap_energy_joules=0.5'
+  metrics_diff.py detail.json rolled-up.json --fold app
 """
 
 import argparse
@@ -47,6 +56,10 @@ DEFAULT_IGNORE = (
     # gates their schema instead.
     r"|pcap_perf"
 )
+
+# Relative tolerance of floating-point samples under --fold: the
+# JSON writer keeps 12 significant digits.
+FOLD_REL_TOLERANCE = 1e-9
 
 
 def die(message):
@@ -83,32 +96,49 @@ def load_series(path):
     return doc["series"]
 
 
-def flatten(series_list, path):
+def flatten(series_list, path, fold=None):
     """Map 'name{label=value,...}[/part]' -> scalar sample.
+
+    With @fold, series that differ only in that label are summed into
+    one sample set, in file order. Returns (samples, floating) where
+    floating is the set of keys whose samples are floating-point
+    (gauge values, histogram sums, timer seconds).
 
     Malformed series (missing name/labels/type or the fields their
     type requires) are an input error: exit 2 naming the series and
     the missing field rather than tracing back with a KeyError.
     """
     samples = {}
+    floating = set()
+
+    def add(key, value, is_float=False):
+        value = float(value)
+        if fold is not None:
+            value += samples.get(key, 0.0)
+        samples[key] = value
+        if is_float:
+            floating.add(key)
+
     for i, s in enumerate(series_list):
         name = s.get("name", f"series #{i}")
         try:
             labels = ",".join(f"{k}={v}"
-                              for k, v in sorted(s["labels"].items()))
+                              for k, v in sorted(s["labels"].items())
+                              if k != fold)
             key = f"{s['name']}{{{labels}}}"
             kind = s["type"]
-            if kind in ("counter", "gauge"):
-                samples[key] = float(s["value"])
+            if kind == "counter":
+                add(key, s["value"])
+            elif kind == "gauge":
+                add(key, s["value"], is_float=True)
             elif kind == "histogram":
-                samples[f"{key}/count"] = float(s["count"])
-                samples[f"{key}/sum"] = float(s["sum"])
+                add(f"{key}/count", s["count"])
+                add(f"{key}/sum", s["sum"], is_float=True)
                 for bucket in s["buckets"]:
-                    samples[f"{key}/le={bucket['le']}"] = \
-                        float(bucket["count"])
+                    add(f"{key}/le={bucket['le']}", bucket["count"])
             elif kind == "timer":
-                samples[f"{key}/seconds"] = float(s["seconds"])
-                samples[f"{key}/laps"] = float(s["laps"])
+                add(f"{key}/seconds", s["seconds"], is_float=True)
+                add(f"{key}/laps", s["laps"])
             else:
                 die(f"{path}: {name}: unknown series type {kind!r}")
         except KeyError as err:
@@ -116,7 +146,7 @@ def flatten(series_list, path):
                 f"{err.args[0]!r}")
         except (TypeError, ValueError) as err:
             die(f"{path}: {name}: malformed series ({err})")
-    return samples
+    return samples, floating
 
 
 def delta_pct(base, cand):
@@ -159,10 +189,18 @@ def main():
     parser.add_argument("--allow-missing", action="store_true",
                         help="don't fail when a baseline sample is "
                              "missing from the candidate")
+    parser.add_argument("--fold", metavar="LABEL",
+                        help="sum each input's series over LABEL "
+                             "before comparing; floating-point "
+                             "samples then allow "
+                             f"{FOLD_REL_TOLERANCE:g} relative")
     args = parser.parse_args()
 
-    base = flatten(load_series(args.base), args.base)
-    cand = flatten(load_series(args.candidate), args.candidate)
+    base, floating = flatten(load_series(args.base), args.base,
+                             args.fold)
+    cand, cand_floating = flatten(load_series(args.candidate),
+                                  args.candidate, args.fold)
+    floating |= cand_floating
     ignore = re.compile(args.ignore) if args.ignore else None
 
     cand_families = {family(k) for k in cand}
@@ -183,6 +221,8 @@ def main():
             if pattern.search(key):
                 limit = pct
                 break
+        if args.fold and key in floating:
+            limit = max(limit, 100.0 * FOLD_REL_TOLERANCE)
         pct = delta_pct(base[key], cand[key])
         if pct > limit or math.isnan(pct):
             regressions.append(

@@ -5,7 +5,9 @@
 # Gates, in order:
 #   1. every report byte-identical to bench/reference (compare_bench)
 #   2. runs 1 and 2 produce identical deterministic metrics
-#      (metrics_diff, zero regressions allowed)
+#      (metrics_diff, zero regressions allowed); --metrics-detail
+#      runs at one and four jobs agree exactly, and summed over app
+#      (metrics_diff --fold app) they equal run 1's rolled-up export
 #   3. every report is checked against an enforced wall-time budget
 #      (generous — the gate catches order-of-magnitude regressions,
 #      not scheduler noise)
@@ -81,6 +83,17 @@ echo
 echo "== metrics determinism (run 1 vs run 2) =="
 python3 "$root/tools/metrics_diff.py" \
     "$scratch/run1.json" "$scratch/run2.json"
+
+echo
+echo "== detail metrics (--metrics-detail at 1 and 4 jobs, app rollup) =="
+"$build/bench/bench_all" --jobs 1 --metrics-detail \
+    --json "$scratch/detail-j1.json" > /dev/null
+"$build/bench/bench_all" --jobs 4 --metrics-detail \
+    --json "$scratch/detail-j4.json" > /dev/null
+python3 "$root/tools/metrics_diff.py" \
+    "$scratch/detail-j1.json" "$scratch/detail-j4.json"
+python3 "$root/tools/metrics_diff.py" --fold app \
+    "$scratch/detail-j4.json" "$scratch/run1.json"
 
 echo
 echo "== timeline schema + HTML render (instrumented run 2) =="
