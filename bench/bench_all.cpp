@@ -194,7 +194,7 @@ recordBenchMetrics(obs::MetricsRegistry &registry, double inputs_ms,
         .timer("pcap_bench_phase_wall_seconds", {{"phase", "total"}})
         .addSeconds(total_ms / 1e3);
 
-    const ThreadPool::GlobalStats pool = ThreadPool::globalStats();
+    const ThreadPoolStats pool = threadPoolStats();
     registry.counter("pcap_thread_pool_tasks_submitted_total")
         .inc(pool.tasksSubmitted);
     registry.counter("pcap_thread_pool_tasks_executed_total")
@@ -203,6 +203,8 @@ recordBenchMetrics(obs::MetricsRegistry &registry, double inputs_ms,
         .set(static_cast<double>(pool.taskNanos) * 1e-9);
     registry.gauge("pcap_thread_pool_peak_queue_depth")
         .set(static_cast<double>(pool.peakQueueDepth));
+    registry.gauge("pcap_thread_pool_workers")
+        .set(static_cast<double>(pool.workers));
 }
 
 Json
@@ -221,7 +223,7 @@ linesJson(const std::string &text)
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = ThreadPool::hardwareJobs();
+    unsigned jobs = hardwareJobs();
     bool use_metrics = true;
     bool metrics_detail = false;
     std::string json_path = "BENCH_RESULTS.json";
@@ -351,8 +353,8 @@ main(int argc, char **argv)
     }
 
     // The span recorder (when requested) outlives every traced
-    // scope, including pool-thread task hooks that may still fire
-    // while the process winds down — so it is deliberately leaked.
+    // scope, including those of pool workers, which are never
+    // joined — so it is deliberately leaked.
     obs::TraceRecorder *trace_recorder = nullptr;
     if (!trace_profile_path.empty()) {
         trace_recorder = new obs::TraceRecorder();

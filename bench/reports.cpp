@@ -756,13 +756,13 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
         }
         rows.push_back(std::move(row));
     }
-    // Overlap the rows: each prefetch fans its cells over its own
-    // transient pool, and the slowest cell of one configuration no
-    // longer gates the start of the next.
-    pcap::parallelFor(static_cast<unsigned>(rows.size()),
-                      rows.size(), [&](std::size_t i) {
-                          rows[i].eval->prefetch(cellsAblationCache());
-                      });
+    // Overlap the rows within the engine's job count: each row's
+    // prefetch nests its cells inside this call, and the slowest
+    // cell of one configuration no longer gates the start of the
+    // next.
+    pcap::parallelFor(ctx.eval.jobs(), rows.size(), [&](std::size_t i) {
+        rows[i].eval->prefetch(cellsAblationCache());
+    });
 
     for (const SweepRow &row : rows) {
         sim::ParallelEvaluation *eval = row.eval;

@@ -331,7 +331,7 @@ Span::~Span()
 void
 installThreadPoolTraceHook()
 {
-    ThreadPool::TaskHook hook;
+    ThreadPoolTaskHook hook;
     hook.begin = []() -> void * {
         if (!traceEnabled())
             return nullptr;
@@ -340,7 +340,7 @@ installThreadPoolTraceHook()
     hook.end = [](void *token) {
         delete static_cast<Span *>(token);
     };
-    ThreadPool::setTaskHook(hook);
+    setThreadPoolTaskHook(hook);
 }
 
 } // namespace pcap::obs

@@ -178,9 +178,10 @@ class Span
 };
 
 /**
- * Wire ThreadPool's task hook to the tracer: every pool task runs
- * under a "pool-task" span while a recorder is installed. Idempotent;
- * call once at startup when --trace-profile is requested.
+ * Wire the thread pool's task hook to the tracer: every pool lane
+ * runs under a "pool-task" span while a recorder is installed.
+ * Idempotent; call once at startup when --trace-profile is
+ * requested.
  */
 void installThreadPoolTraceHook();
 

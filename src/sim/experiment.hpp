@@ -181,6 +181,10 @@ class ParallelEvaluation
     /** The configuration in use. */
     const ExperimentConfig &config() const { return config_; }
 
+    /** Threads prefetch() may use; hardwareJobs() if constructed
+     * with 0. */
+    unsigned jobs() const { return options_.jobs; }
+
     /** The six application names of Table 1. */
     const std::vector<std::string> &appNames() const
     {

@@ -317,7 +317,7 @@ FleetDriver::FleetDriver(workload::FleetConfig fleet, SimParams sim,
       cacheParams_(cacheParams), options_(options)
 {
     if (options_.jobs == 0)
-        options_.jobs = ThreadPool::hardwareJobs();
+        options_.jobs = hardwareJobs();
 }
 
 HostCellResult

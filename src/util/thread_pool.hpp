@@ -1,141 +1,85 @@
 /**
  * @file
- * A small fixed-size thread pool with a deterministic fan-out/join
- * API for the parallel experiment engine.
+ * One process-wide worker pool behind a deterministic fan-out/join,
+ * parallelFor(), for the parallel experiment engine.
  *
- * The pool is built for embarrassingly parallel (app x policy)
- * simulation cells: parallelFor() hands out indices from a shared
- * atomic counter, every worker writes only to the slots it owns, and
- * the call joins before returning — so results are positionally
- * deterministic no matter how the OS schedules the workers. With
- * jobs <= 1 (or n == 1) the loop body runs inline on the calling
- * thread and no threads are spawned, which keeps single-core runs
- * and unit tests free of scheduling noise.
+ * parallelFor(jobs, n, body) runs body(i) for every i in [0, n) and
+ * returns once all calls finished. Indices come from one shared
+ * atomic counter and every body writes only to the slots it owns, so
+ * results are positionally deterministic however the OS schedules the
+ * threads. jobs <= 1 or n <= 1 runs inline and starts no thread,
+ * which keeps single-core runs and unit tests free of scheduling
+ * noise.
+ *
+ * Otherwise the call enqueues at most min(jobs, n) - 1 helper lanes
+ * on a pool that starts lazily, grows to the largest jobs - 1 asked
+ * for and is never joined, then claims indices itself like any
+ * helper. A nested call therefore always finishes, even when every
+ * worker is busy. Once its own claims run out, the caller waits only
+ * for helpers that already claimed an index, and meanwhile runs the
+ * queued lanes of calls nested inside its own. The jobs of the
+ * outermost call that reaches the pool bound the threads working on
+ * it and on every call nested inside it.
  */
 
 #ifndef PCAP_UTIL_THREAD_POOL_HPP
 #define PCAP_UTIL_THREAD_POOL_HPP
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace pcap {
 
 /**
- * Fixed set of worker threads draining a shared task queue.
- *
- * Tasks are plain std::function<void()> thunks. The first exception
- * thrown by any task is captured and rethrown from wait() (or the
- * destructor swallows it after draining, so a pool can always be
- * destroyed safely). Submitting from inside a task is allowed.
- */
-class ThreadPool
-{
-  public:
-    /**
-     * Process-wide task accounting, aggregated over every pool that
-     * ever ran (pools are transient — parallelFor() creates and
-     * destroys one per call — so per-pool counters would vanish with
-     * the pool). Exported by bench_all as pcap_thread_pool_* wall
-     * metrics.
-     */
-    struct GlobalStats {
-        std::uint64_t tasksSubmitted = 0; ///< submit() calls
-        std::uint64_t tasksExecuted = 0;  ///< tasks run to completion
-        std::uint64_t taskNanos = 0;      ///< summed task wall time
-        std::uint64_t peakQueueDepth = 0; ///< max queued-task backlog
-    };
-
-    /** Snapshot of the process-wide task counters. */
-    static GlobalStats globalStats();
-
-    /**
-     * Optional process-wide observation hook around task execution:
-     * begin() runs on the executing thread just before a task,
-     * end(token) runs right after with begin's return value — even
-     * when the task throws. Plain function pointers (not
-     * std::function) so installing and invoking stay lock-free;
-     * util cannot depend on obs, so the tracer installs itself
-     * through this seam (obs::installThreadPoolTraceHook).
-     */
-    struct TaskHook {
-        void *(*begin)() = nullptr;
-        void (*end)(void *token) = nullptr;
-    };
-
-    /** Install @p hook for every subsequently executed task; a
-     * default-constructed hook uninstalls. Not synchronized with
-     * running tasks — install before submitting work. */
-    static void setTaskHook(TaskHook hook);
-
-    /**
-     * @param jobs Number of worker threads; 0 and 1 both mean "run
-     *        everything inline on the calling thread".
-     */
-    explicit ThreadPool(unsigned jobs);
-
-    /** Joins all workers; pending tasks are still executed. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Worker count (0 when the pool runs inline). */
-    unsigned workerCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-    /** Enqueue one task. Inline pools run it immediately. */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until every submitted task has finished, then rethrow
-     * the first captured task exception, if any.
-     */
-    void wait();
-
-    /**
-     * Deterministic fan-out/join: run body(i) for every i in [0, n),
-     * distributing indices across the pool, and return only when all
-     * calls completed. The body must confine its writes to
-     * index-owned state; under that contract the result is identical
-     * to the serial loop `for (i = 0; i < n; ++i) body(i)`.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body);
-
-    /** A sensible default worker count for this machine. */
-    static unsigned hardwareJobs();
-
-  private:
-    void workerLoop();
-    void recordException(std::exception_ptr error);
-    static void runCounted(const std::function<void()> &task);
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable wake_;     ///< workers wait for tasks
-    std::condition_variable drained_;  ///< wait() waits for idle
-    std::size_t inFlight_ = 0;         ///< queued + running tasks
-    bool stopping_ = false;
-    std::exception_ptr firstError_;
-};
-
-/**
- * One-shot convenience: fan body(i), i in [0, n), over a transient
- * pool of @p jobs workers and join. jobs <= 1 runs inline.
+ * Run body(i) for every i in [0, n) on at most @p jobs threads and
+ * join. The body must confine its writes to index-owned state; under
+ * that contract the result is identical to the serial loop
+ * `for (i = 0; i < n; ++i) body(i)`. The first exception thrown by a
+ * body stops further claims and is rethrown here once no thread runs
+ * a body of this call any more.
  */
 void parallelFor(unsigned jobs, std::size_t n,
                  const std::function<void(std::size_t)> &body);
+
+/** A sensible default job count for this machine. */
+unsigned hardwareJobs();
+
+/**
+ * Process-wide pool accounting, exported by bench_all as the
+ * pcap_thread_pool_* wall metrics. A task is one helper lane: a
+ * thread claiming indices of one parallelFor call until none remain.
+ */
+struct ThreadPoolStats {
+    std::uint64_t tasksSubmitted = 0; ///< lanes enqueued
+    std::uint64_t tasksExecuted = 0;  ///< lanes run to completion
+    /** Summed wall time of the outermost lane on each thread, so a
+     * lane run while waiting inside another is not counted twice. */
+    std::uint64_t taskNanos = 0;
+    std::uint64_t peakQueueDepth = 0; ///< max queued lanes
+    std::uint64_t workers = 0;        ///< threads the pool started
+};
+
+/** Snapshot of the process-wide pool counters. */
+ThreadPoolStats threadPoolStats();
+
+/**
+ * Optional process-wide observation hook around each lane: begin()
+ * runs on the executing thread just before a lane, end(token) right
+ * after with begin's return value. Plain function pointers (not
+ * std::function) so installing and invoking stay lock-free; util
+ * cannot depend on obs, so the tracer installs itself through this
+ * seam (obs::installThreadPoolTraceHook).
+ */
+struct ThreadPoolTaskHook {
+    void *(*begin)() = nullptr;
+    void (*end)(void *token) = nullptr;
+};
+
+/** Install @p hook for every subsequently run lane; a
+ * default-constructed hook uninstalls. Not synchronized with running
+ * lanes — install before calling parallelFor. */
+void setThreadPoolTaskHook(ThreadPoolTaskHook hook);
 
 } // namespace pcap
 

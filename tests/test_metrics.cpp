@@ -71,8 +71,7 @@ TEST(MetricsRegistry, ConcurrentIncrementsAreExact)
 
     const std::size_t tasks = 64;
     const std::uint64_t perTask = 2000;
-    ThreadPool pool(8);
-    pool.parallelFor(tasks, [&](std::size_t) {
+    parallelFor(8, tasks, [&](std::size_t) {
         for (std::uint64_t i = 0; i < perTask; ++i) {
             counter.inc();
             gauge.add(1.0);
@@ -93,8 +92,7 @@ TEST(MetricsRegistry, ConcurrentCreateOrGetIsSafe)
     // them; totals must still be exact.
     MetricsRegistry registry;
     const std::size_t tasks = 64;
-    ThreadPool pool(8);
-    pool.parallelFor(tasks, [&](std::size_t task) {
+    parallelFor(8, tasks, [&](std::size_t task) {
         for (int i = 0; i < 16; ++i) {
             registry
                 .counter("series_total",
@@ -413,9 +411,8 @@ TEST(ExportFold, ThreadsAndRegistrationOrderDoNotChangeTheExport)
         record(serial, app);
     for (std::size_t app = apps.size(); app-- > 0;)
         record(reversed, app);
-    ThreadPool pool(4);
-    pool.parallelFor(apps.size(),
-                     [&](std::size_t app) { record(threaded, app); });
+    parallelFor(4, apps.size(),
+                [&](std::size_t app) { record(threaded, app); });
 
     const std::string expected = exported(serial);
     EXPECT_NE(expected.find("order_cancel{mode=\"m\"} 2.5\n"),
