@@ -29,7 +29,6 @@
 #include "obs/perf.hpp"
 #include "obs/tracing.hpp"
 #include "reports.hpp"
-#include "sim/trace_store.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/resource.hpp"
@@ -379,18 +378,10 @@ main(int argc, char **argv)
     options.timelineDir = timeline_dir;
     options.metrics = use_metrics ? &registry : nullptr;
     options.metricsDetail = metrics_detail;
-    // Shared across the standard engine and every sweep engine the
-    // reports build (ablation_cache): raw traces are generated once
-    // per app, each configuration re-runs only the cache filter.
-    options.traceStore = std::make_shared<sim::TraceStore>();
 
     sim::ParallelEvaluation eval(bench::standardConfig(), options);
     Json fleet_json;
-    bench::ReportContext ctx{
-        eval, [&options](const sim::ExperimentConfig &config) {
-            return std::make_unique<sim::ParallelEvaluation>(config,
-                                                             options);
-        }};
+    bench::ReportContext ctx{.eval = eval};
     ctx.fleet.hosts = fleet_hosts;
     ctx.fleet.jobs = options.jobs;
     ctx.fleet.metrics = options.metrics;

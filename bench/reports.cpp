@@ -14,7 +14,6 @@
 #include "sim/fleet.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 #include "util/table.hpp"
 #include "workload/app_model.hpp"
 
@@ -102,15 +101,6 @@ reportTable1(ReportContext &ctx, std::ostream &os)
                       std::to_string(paper.totalIos)});
     }
     table.print(os);
-}
-
-std::vector<sim::Cell>
-cellsTable1()
-{
-    std::vector<sim::Cell> cells;
-    for (const std::string &app : workload::standardAppNames())
-        cells.push_back({sim::CellMode::Table1, app, {}});
-    return cells;
 }
 
 // -- Table 2 ---------------------------------------------------
@@ -706,11 +696,21 @@ cellsAblationWaitWindow()
 
 // -- Ablation: file-cache size ---------------------------------
 
-/** The cells one row of the cache sweep queries (any config). */
+/** The file-cache capacities of the sweep; 256 KB is the paper's. */
+constexpr std::size_t kCacheSweepKb[] = {64, 128, 256, 512, 1024, 4096};
+
 std::vector<sim::Cell>
 cellsAblationCache()
 {
-    return globalCells(policiesByName({"PCAP"}), /*withBase=*/true);
+    std::vector<sim::Cell> cells;
+    for (std::size_t kb : kCacheSweepKb) {
+        for (sim::Cell cell : globalCells(policiesByName({"PCAP"}),
+                                          /*withBase=*/true)) {
+            cell.cacheBytes = kb * 1024;
+            cells.push_back(std::move(cell));
+        }
+    }
+    return cells;
 }
 
 void
@@ -724,67 +724,27 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
     table.setHeader({"cache", "disk accesses", "global periods",
                      "PCAP hit", "PCAP miss", "PCAP saved"});
 
-    // Build every engine up front and prefetch each row's cells:
-    // raw workload traces are shared across the sweep through the
-    // trace store (generation is cache-independent), so each extra
-    // cache size pays only the file-cache filter and the replays —
-    // fanned across the worker pool instead of run serially inside
-    // the render loop below.
-    struct SweepRow
-    {
-        std::size_t kb = 0;
-        sim::ExperimentConfig config;
-        std::unique_ptr<sim::ParallelEvaluation> owned;
-        sim::ParallelEvaluation *eval = nullptr;
-    };
-    std::vector<SweepRow> rows;
-    for (std::size_t kb : {64, 128, 256, 512, 1024, 4096}) {
-        SweepRow row;
-        row.kb = kb;
-        row.config = standardConfig();
-        row.config.cache.capacityBytes = kb * 1024;
-        // The paper's 256 KB row IS the standard configuration —
-        // reuse the shared engine (and its memoized cells) there.
-        const bool standard =
-            row.config.cache.capacityBytes ==
-            standardConfig().cache.capacityBytes;
-        if (!standard) {
-            row.owned = ctx.makeEval(row.config);
-            row.eval = row.owned.get();
-        } else {
-            row.eval = &ctx.eval;
-        }
-        rows.push_back(std::move(row));
-    }
-    // Overlap the rows within the engine's job count: each row's
-    // prefetch nests its cells inside this call, and the slowest
-    // cell of one configuration no longer gates the start of the
-    // next.
-    pcap::parallelFor(ctx.eval.jobs(), rows.size(), [&](std::size_t i) {
-        rows[i].eval->prefetch(cellsAblationCache());
-    });
-
-    for (const SweepRow &row : rows) {
-        sim::ParallelEvaluation *eval = row.eval;
-        const sim::ExperimentConfig &config = row.config;
-
+    sim::ParallelEvaluation &eval = ctx.eval;
+    const sim::PolicyConfig pcap = sim::policyByName("PCAP");
+    for (std::size_t kb : kCacheSweepKb) {
+        const std::size_t bytes = kb * 1024;
         std::uint64_t accesses = 0, periods = 0;
         std::vector<double> hit, miss, saved;
-        for (const std::string &app : eval->appNames()) {
-            for (const auto &input : eval->inputs(app)) {
+        for (const std::string &app : eval.appNames()) {
+            for (const auto &input : eval.inputs(app, bytes))
                 accesses += input.accesses.size();
-                periods += input.countGlobalOpportunities(
-                    config.sim.breakeven());
-            }
-            const auto outcome =
-                eval->globalRun(app, sim::policyByName("PCAP"));
+            // The global replay classifies every idle period of the
+            // merged stream: its opportunities are the periods
+            // longer than the breakeven time.
+            const auto &outcome = eval.globalRun(app, pcap, bytes);
+            periods += outcome.run.accuracy.opportunities;
             hit.push_back(outcome.run.accuracy.hitFraction());
             miss.push_back(outcome.run.accuracy.missFraction());
             saved.push_back(1.0 -
                             outcome.run.energy.normalizedTo(
-                                eval->baseRun(app).energy));
+                                eval.baseRun(app, bytes).energy));
         }
-        table.addRow({std::to_string(row.kb) + " KB",
+        table.addRow({std::to_string(kb) + " KB",
                       std::to_string(accesses),
                       std::to_string(periods),
                       percentString(averageOf(hit)),
@@ -1400,7 +1360,7 @@ const std::vector<Report> &
 allReports()
 {
     static const std::vector<Report> kReports = {
-        {"table1", "bench_table1", reportTable1, cellsTable1},
+        {"table1", "bench_table1", reportTable1, cellsNone},
         {"table2", "bench_table2", reportTable2, cellsNone},
         {"table3", "bench_table3", reportTable3, cellsTable3},
         {"fig6", "bench_fig6", reportFig6, cellsFig6},

@@ -7,9 +7,10 @@
  * generated workload and memoized simulation cells
  * (`bench_all --only NAME` renders one report).
  *
- * Each report also enumerates the standard-config simulation cells
- * it will query, so bench_all can prefetch the union across the
- * thread pool before rendering.
+ * Each report also enumerates the simulation cells it will query —
+ * the cache-size ablation's at each capacity of its sweep — so
+ * bench_all can prefetch the union across the thread pool before
+ * rendering.
  */
 
 #ifndef PCAP_BENCH_REPORTS_HPP
@@ -49,10 +50,8 @@ standardConfig()
  * applications, never pooling periods). */
 double averageOf(const std::vector<double> &values);
 
-/**
- * Builds an experiment engine for a non-standard config (the
- * file-cache ablation sweeps cache sizes, each a separate workload).
- */
+/** Builds an experiment engine for another config (see
+ * ReportContext::makeEval). */
 using EvalFactory =
     std::function<std::unique_ptr<sim::ParallelEvaluation>(
         const sim::ExperimentConfig &)>;
@@ -79,8 +78,13 @@ struct ReportContext
     /** Engine configured with standardConfig(). */
     sim::ParallelEvaluation &eval;
 
-    /** Factory for engines with other configs. */
-    EvalFactory makeEval;
+    /**
+     * Factory for engines with other configs. No report calls it
+     * (the cache-size sweep queries capacities of eval); kept only
+     * because the benchmark harness (perfbench/) aggregate-
+     * initialises the context with a factory.
+     */
+    EvalFactory makeEval{};
 
     /** Fleet-report knobs (defaults match the CI smoke run). */
     FleetSettings fleet{};
@@ -107,8 +111,8 @@ struct Report
     /** Render the report. */
     void (*run)(ReportContext &ctx, std::ostream &os);
 
-    /** Standard-config cells the report queries, for prefetching.
-     * Empty for reports that use other configs or none. */
+    /** Cells the report queries, for prefetching; empty for
+     * reports that query none. */
     std::vector<sim::Cell> (*cells)();
 
     /** Opt-in reports run only when named via --only; they are not

@@ -5,11 +5,11 @@
 #include <iomanip>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "obs/perf.hpp"
 #include "obs/tracing.hpp"
 #include "sim/drivers.hpp"
-#include "sim/trace_store.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/app_model.hpp"
@@ -17,34 +17,6 @@
 namespace pcap::sim {
 
 namespace {
-
-/**
- * Generate every execution of @p app from seed. Either leg of the
- * split pipeline (trace generation, file-cache filtering) is
- * deterministic, so going through a shared @p store — which may
- * return traces generated by a different evaluation — yields
- * bit-identical inputs to private generation.
- *
- * @p scope receives the pcap_workload_generated_* counters (a
- * disabled scope records nothing; a store that already holds the
- * traces records nothing either).
- */
-std::vector<ExecutionInput>
-generateInputs(const ExperimentConfig &config, const std::string &app,
-               unsigned jobs, const obs::ScopedMetrics &scope,
-               TraceStore *store)
-{
-    if (store) {
-        return inputsFromTraces(
-            store->traces(config.seed, app, config.maxExecutions,
-                          jobs, scope),
-            config.cache, jobs);
-    }
-    return inputsFromTraces(
-        generateTraces(config.seed, app, config.maxExecutions, jobs,
-                       scope),
-        config.cache, jobs);
-}
 
 /** 16-hex-digit rendering of @p hash (trace-file and label style). */
 std::string
@@ -85,8 +57,6 @@ const char *
 modeName(CellMode mode)
 {
     switch (mode) {
-    case CellMode::Table1:
-        break;
     case CellMode::Local:
         return "local";
     case CellMode::Global:
@@ -98,20 +68,31 @@ modeName(CellMode mode)
     case CellMode::Ideal:
         return "ideal";
     }
-    panic("modeName: Table1 cells do not replay");
+    panic("modeName: unknown cell mode");
+}
+
+/** The policy @p cell replays, or null for Base and Ideal cells. */
+const PolicyConfig *
+policyOf(const Cell &cell)
+{
+    const bool policyFree =
+        cell.mode == CellMode::Base || cell.mode == CellMode::Ideal;
+    return policyFree ? nullptr : &cell.policy;
 }
 
 /**
- * Memo key of one cell: mode + app (+ canonical policy). Hash-free,
- * so distinct cells cannot collide into one slot.
+ * Memo key of one cell: mode + app + capacity (+ canonical policy).
+ * Hash-free, so distinct cells cannot collide into one slot.
  */
 std::string
-cellKey(CellMode mode, const std::string &app,
+cellKey(CellMode mode, const std::string &app, std::size_t capacity,
         const PolicyConfig *policy)
 {
     std::string key = modeName(mode);
     key += '\x1f';
     key += app;
+    key += '\x1f';
+    key += std::to_string(capacity);
     if (policy) {
         key += '\x1f';
         key += policyCacheKey(*policy);
@@ -120,6 +101,50 @@ cellKey(CellMode mode, const std::string &app,
 }
 
 } // namespace
+
+std::vector<trace::Trace>
+generateTraces(std::uint64_t seed, const std::string &app,
+               int maxExecutions, unsigned jobs,
+               const obs::ScopedMetrics &scope)
+{
+    const auto model = workload::makeApp(app);
+    if (!model)
+        fatal("generateTraces: unknown application '" + app + "'");
+
+    int executions = model->info().executions;
+    if (maxExecutions > 0)
+        executions = std::min(executions, maxExecutions);
+
+    // Fork the per-execution RNGs sequentially before the parallel
+    // expansion — trace content must not depend on worker count.
+    std::vector<Rng> rngs;
+    rngs.reserve(executions);
+    Rng app_rng(seed ^ hashString(app));
+    for (int execution = 0; execution < executions; ++execution)
+        rngs.push_back(
+            app_rng.fork(static_cast<std::uint64_t>(execution)));
+
+    std::vector<trace::Trace> traces(executions);
+    pcap::parallelFor(jobs, static_cast<std::size_t>(executions),
+                      [&](std::size_t i) {
+                          traces[i] = model->generate(
+                              static_cast<int>(i), rngs[i]);
+                          workload::recordTraceMetrics(traces[i],
+                                                       scope);
+                      });
+    return traces;
+}
+
+std::vector<ExecutionInput>
+inputsFromTraces(const std::vector<trace::Trace> &traces,
+                 const cache::CacheParams &params, unsigned jobs)
+{
+    std::vector<ExecutionInput> result(traces.size());
+    pcap::parallelFor(jobs, traces.size(), [&](std::size_t i) {
+        result[i] = ExecutionInput::fromTrace(traces[i], params);
+    });
+    return result;
+}
 
 std::string
 WorkloadKey::canonical() const
@@ -204,22 +229,32 @@ ParallelEvaluation::ParallelEvaluation(ExperimentConfig config,
 }
 
 std::string
+ParallelEvaluation::configHashAt(std::size_t capacity) const
+{
+    if (capacity == config_.cache.capacityBytes)
+        return configHash_;
+    ExperimentConfig config = config_;
+    config.cache.capacityBytes = capacity;
+    return hex16(hashString(configCacheKey(config)));
+}
+
+std::string
 ParallelEvaluation::cellFileStem(const char *mode,
                                  const std::string &app,
-                                 const PolicyConfig *policy) const
+                                 const PolicyConfig *policy,
+                                 const std::string &configHash) const
 {
     // Sweep reports (e.g. the cache-size ablation) replay the same
-    // (mode, app, policy) cell under several experiment configs,
-    // and with per-cell artifacts enabled those evaluations can run
-    // concurrently — without a config digest in the stem they would
-    // race on one file and the survivor would depend on scheduling.
-    // The default config stays unsuffixed so the common artifact
-    // names remain stable.
+    // (mode, app, policy) cell under several configs, concurrently
+    // — without a config digest in the stem they would race on one
+    // file and the survivor would depend on scheduling. The default
+    // config stays unsuffixed so the common artifact names remain
+    // stable.
     static const std::string defaultConfigHash =
         hex16(hashString(configCacheKey(ExperimentConfig{})));
     std::string name = std::string(mode) + "-" + app;
-    if (configHash_ != defaultConfigHash)
-        name += "-c" + configHash_;
+    if (configHash != defaultConfigHash)
+        name += "-c" + configHash;
     if (policy) {
         name += "-" + policy->label + "-" +
                 hex16(hashString(policyCacheKey(*policy)));
@@ -230,11 +265,12 @@ ParallelEvaluation::cellFileStem(const char *mode,
 obs::ScopedMetrics
 ParallelEvaluation::cellScope(const char *mode,
                               const std::string &app,
-                              const PolicyConfig *policy) const
+                              const PolicyConfig *policy,
+                              const std::string &configHash) const
 {
     if (!options_.metrics)
         return {};
-    obs::Labels labels = {{"config", configHash_},
+    obs::Labels labels = {{"config", configHash},
                           {"mode", mode},
                           {"app", app}};
     if (policy) {
@@ -247,12 +283,13 @@ ParallelEvaluation::cellScope(const char *mode,
 }
 
 obs::ScopedMetrics
-ParallelEvaluation::appScope(const std::string &app) const
+ParallelEvaluation::appScope(const std::string &app,
+                             const std::string &configHash) const
 {
     if (!options_.metrics)
         return {};
     return obs::ScopedMetrics(
-        options_.metrics, {{"config", configHash_}, {"app", app}});
+        options_.metrics, {{"config", configHash}, {"app", app}});
 }
 
 /** One cell's observer stack; observer is what the kernel sees. */
@@ -310,16 +347,18 @@ ParallelEvaluation::CellInstruments
 ParallelEvaluation::instrument(const char *mode,
                                const std::string &app,
                                const PolicyConfig *policy,
+                               const std::string &configHash,
                                bool trackDisk) const
 {
     CellInstruments inst;
-    inst.scope = cellScope(mode, app, policy);
+    inst.scope = cellScope(mode, app, policy, configHash);
     if (options_.metrics) {
         inst.metrics = std::make_unique<MetricsObserver>(
             inst.scope, config_.sim.breakeven(), trackDisk);
     }
     if (!options_.provenanceDir.empty() && policy) {
-        const std::string stem = cellFileStem(mode, app, policy);
+        const std::string stem =
+            cellFileStem(mode, app, policy, configHash);
         const std::string base = options_.provenanceDir + "/" + stem;
         inst.provRecorder =
             std::make_unique<obs::ProvenanceRecorder>();
@@ -333,7 +372,8 @@ ParallelEvaluation::instrument(const char *mode,
             *inst.provRecorder, config_.sim.disk);
     }
     if (!options_.timelineDir.empty()) {
-        const std::string stem = cellFileStem(mode, app, policy);
+        const std::string stem =
+            cellFileStem(mode, app, policy, configHash);
         inst.timeline = std::make_unique<TimelineObserver>(
             config_.sim.disk, trackDisk);
         inst.timelineMeta = TimelineObserver::makeMeta(
@@ -374,16 +414,32 @@ ParallelEvaluation::slot(
     return entry;
 }
 
-const std::vector<ExecutionInput> &
-ParallelEvaluation::inputs(const std::string &app)
+const std::vector<trace::Trace> &
+ParallelEvaluation::traces(const std::string &app)
 {
-    auto memo = slot(inputs_, app);
+    auto memo = slot(traces_, app);
+    std::call_once(memo->once, [&] {
+        memo->value =
+            generateTraces(config_.seed, app, config_.maxExecutions,
+                           options_.jobs, appScope(app, configHash_));
+    });
+    return memo->value;
+}
+
+const std::vector<ExecutionInput> &
+ParallelEvaluation::inputs(const std::string &app,
+                           std::size_t cacheBytes)
+{
+    const std::size_t capacity = capacityOf(cacheBytes);
+    auto memo = slot(inputs_, app + '\x1f' + std::to_string(capacity));
     std::call_once(memo->once, [&] {
         obs::Span span("workload-gen", app);
         obs::PerfRegion perf("workload:generate");
-        const obs::ScopedMetrics scope = appScope(app);
-        memo->value = generateInputs(config_, app, options_.jobs,
-                                     scope, options_.traceStore.get());
+        cache::CacheParams params = config_.cache;
+        params.capacityBytes = capacity;
+        memo->value = inputsFromTraces(traces(app), params, options_.jobs);
+        const obs::ScopedMetrics scope =
+            appScope(app, configHashAt(capacity));
 
         cache::CacheStats stats;
         std::uint64_t accesses = 0, tracedIos = 0, spanUs = 0;
@@ -423,23 +479,28 @@ ParallelEvaluation::table1(const std::string &app)
 }
 
 const sim::GlobalOutcome &
-ParallelEvaluation::outcome(CellMode mode, const std::string &app,
-                            const PolicyConfig *policy)
+ParallelEvaluation::outcome(const Cell &cell)
 {
-    auto memo = slot(cells_, cellKey(mode, app, policy));
+    const std::size_t capacity = capacityOf(cell.cacheBytes);
+    auto memo = slot(cells_, cellKey(cell.mode, cell.app, capacity,
+                                     policyOf(cell)));
     std::call_once(memo->once,
-                   [&] { memo->value = runCell(mode, app, policy); });
+                   [&] { memo->value = runCell(cell, capacity); });
     return memo->value;
 }
 
 sim::GlobalOutcome
-ParallelEvaluation::runCell(CellMode mode, const std::string &app,
-                            const PolicyConfig *policy)
+ParallelEvaluation::runCell(const Cell &cell, std::size_t capacity)
 {
+    const CellMode mode = cell.mode;
+    const std::string &app = cell.app;
+    const PolicyConfig *policy = policyOf(cell);
     const char *name = modeName(mode);
-    obs::Span span("cell-replay", cellFileStem(name, app, policy));
+    const std::string configHash = configHashAt(capacity);
+    obs::Span span("cell-replay",
+                   cellFileStem(name, app, policy, configHash));
     obs::PerfRegion perf("cells:replay");
-    auto inst = instrument(name, app, policy,
+    auto inst = instrument(name, app, policy, configHash,
                            /*trackDisk=*/mode != CellMode::Local);
     std::optional<PolicySession> session;
     if (policy) {
@@ -469,13 +530,11 @@ ParallelEvaluation::runCell(CellMode mode, const std::string &app,
     case CellMode::Ideal:
         driver = std::make_unique<OracleDriver>();
         break;
-    case CellMode::Table1:
-        break;
     }
     SimulationKernel kernel(config_.sim, *inst.observer);
     auto lap = inst.scope.timer("pcap_cell_wall_seconds").measure();
     sim::GlobalOutcome result;
-    result.run = kernel.run(inputs(app), *driver);
+    result.run = kernel.run(inputs(app, capacity), *driver);
     inst.finishProvenance();
     inst.finishTimeline();
     if (session) {
@@ -486,35 +545,26 @@ ParallelEvaluation::runCell(CellMode mode, const std::string &app,
 }
 
 void
-ParallelEvaluation::computeCell(const Cell &cell)
-{
-    if (cell.mode == CellMode::Table1) {
-        table1(cell.app);
-        return;
-    }
-    const bool policyFree =
-        cell.mode == CellMode::Base || cell.mode == CellMode::Ideal;
-    outcome(cell.mode, cell.app, policyFree ? nullptr : &cell.policy);
-}
-
-void
 ParallelEvaluation::prefetch(const std::vector<Cell> &cells)
 {
     // Make inputs resident first: cell workers would otherwise
-    // serialize on the per-app call_once, and generation has its
-    // own inner parallelism to exploit. Distinct apps load (or
-    // generate) concurrently.
-    std::vector<std::string> apps;
+    // serialize on the per-input call_once, and generation has its
+    // own inner parallelism to exploit. Distinct (app, capacity)
+    // inputs load concurrently.
+    std::vector<std::pair<std::string, std::size_t>> needed;
     for (const Cell &cell : cells) {
-        if (std::find(apps.begin(), apps.end(), cell.app) ==
-            apps.end())
-            apps.push_back(cell.app);
+        const std::pair<std::string, std::size_t> input(
+            cell.app, capacityOf(cell.cacheBytes));
+        if (std::find(needed.begin(), needed.end(), input) ==
+            needed.end())
+            needed.push_back(input);
     }
-    pcap::parallelFor(options_.jobs, apps.size(),
-                      [&](std::size_t i) { inputs(apps[i]); });
+    pcap::parallelFor(options_.jobs, needed.size(), [&](std::size_t i) {
+        inputs(needed[i].first, needed[i].second);
+    });
 
     pcap::parallelFor(options_.jobs, cells.size(),
-                      [&](std::size_t i) { computeCell(cells[i]); });
+                      [&](std::size_t i) { outcome(cells[i]); });
 }
 
 void

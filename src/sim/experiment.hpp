@@ -4,12 +4,12 @@
  * the replay kernel together, so every report and integration test
  * asks one object for the paper's numbers.
  *
- * ParallelEvaluation generates each application's inputs exactly
- * once behind a thread-safe memo, memoizes every (mode x app x
- * policy) cell, and can prefetch a batch of cells across a thread
- * pool. Each cell replays on a private PolicySession, so results
- * do not depend on the thread count; at jobs = 1 everything runs on
- * the caller.
+ * ParallelEvaluation generates each application's traces exactly
+ * once, filters them into inputs once per file-cache capacity,
+ * memoizes every (mode x app x policy x capacity) cell, and can
+ * prefetch a batch of cells across a thread pool. Each cell replays
+ * on a private PolicySession, so results do not depend on the
+ * thread count; at jobs = 1 everything runs on the caller.
  */
 
 #ifndef PCAP_SIM_EXPERIMENT_HPP
@@ -28,8 +28,6 @@
 #include "sim/policy.hpp"
 
 namespace pcap::sim {
-
-class TraceStore;
 
 /**
  * The recipe of one application's inputs: every field that
@@ -86,6 +84,31 @@ struct GlobalOutcome
 };
 
 /**
+ * Generate every execution of @p app from @p seed. Per-execution
+ * RNGs are forked sequentially from the app RNG before the parallel
+ * expansion, so results do not depend on @p jobs. Generation does
+ * not read the file-cache parameters; only the filter below does.
+ *
+ * @p maxExecutions caps the paper's execution count when positive
+ * (0 runs the full Table 1 count). @p scope receives the
+ * pcap_workload_generated_* counters (a disabled scope records
+ * nothing).
+ */
+std::vector<trace::Trace>
+generateTraces(std::uint64_t seed, const std::string &app,
+               int maxExecutions, unsigned jobs,
+               const obs::ScopedMetrics &scope);
+
+/**
+ * The cache-dependent half of input generation: filter each trace
+ * through a cold file cache with @p params and extract its process
+ * spans.
+ */
+std::vector<ExecutionInput>
+inputsFromTraces(const std::vector<trace::Trace> &traces,
+                 const cache::CacheParams &params, unsigned jobs);
+
+/**
  * Stable identity of a PolicyConfig for result memoization: every
  * field that can alter simulation output, canonically serialized.
  */
@@ -93,7 +116,6 @@ std::string policyCacheKey(const PolicyConfig &policy);
 
 /** How one simulation cell evaluates its inputs. */
 enum class CellMode {
-    Table1,     ///< workload statistics only
     Local,      ///< per-process accuracy (Figure 6)
     Global,     ///< full multiprocess run (Figures 7-10)
     MultiState, ///< Section 7 extension
@@ -106,7 +128,10 @@ struct Cell
 {
     CellMode mode = CellMode::Global;
     std::string app;
-    PolicyConfig policy; ///< ignored by Table1/Base/Ideal cells
+    PolicyConfig policy; ///< ignored by Base/Ideal cells
+    /** File-cache capacity the cell replays at; 0 means the
+     * engine's config().cache.capacityBytes. */
+    std::size_t cacheBytes = 0;
 };
 
 /** Options of the parallel experiment engine. */
@@ -149,16 +174,6 @@ struct ParallelOptions
     /** Export every per-application series of metrics as recorded
      * instead of rolling them up over `app`. */
     bool metricsDetail = false;
-
-    /**
-     * Shared raw-trace memo (see trace_store.hpp), or null to
-     * generate traces privately. Evaluations over different cache
-     * or disk configurations share one store so an ablation sweep
-     * generates each application's traces once; inputs are
-     * bit-identical either way because generation depends only on
-     * (seed, app, maxExecutions).
-     */
-    std::shared_ptr<TraceStore> traceStore;
 };
 
 /**
@@ -166,6 +181,12 @@ struct ParallelOptions
  * called from any thread; equal queries are computed once and
  * memoized. prefetch() fans a batch of cells across a thread pool
  * and joins — afterwards the plain accessors are cheap lookups.
+ *
+ * A query may name a file-cache capacity (a cache-size sweep); 0,
+ * the default, and config().cache.capacityBytes both mean the
+ * engine's own and share one memo slot. Capacities other than the
+ * engine's label their metrics and artifacts with the config hash
+ * of the config with that capacity substituted.
  *
  * Results do not depend on the thread count or the memo layers:
  * inputs are the same deterministic function of the seed (whether
@@ -191,8 +212,10 @@ class ParallelEvaluation
         return appNames_;
     }
 
-    /** Post-cache inputs of every execution of @p app (cached). */
-    const std::vector<ExecutionInput> &inputs(const std::string &app);
+    /** Post-cache inputs of every execution of @p app, filtered at
+     * @p cacheBytes (cached). */
+    const std::vector<ExecutionInput> &inputs(const std::string &app,
+                                              std::size_t cacheBytes = 0);
 
     /** Table 1 for @p app, from the generated workload. */
     sim::Table1Row table1(const std::string &app);
@@ -201,33 +224,35 @@ class ParallelEvaluation
     const AccuracyStats &localAccuracy(const std::string &app,
                                        const PolicyConfig &policy)
     {
-        return outcome(CellMode::Local, app, &policy).run.accuracy;
+        return outcome({CellMode::Local, app, policy}).run.accuracy;
     }
 
     /** Figures 7-10: global run of @p policy on @p app. */
     const sim::GlobalOutcome &globalRun(const std::string &app,
-                                        const PolicyConfig &policy)
+                                        const PolicyConfig &policy,
+                                        std::size_t cacheBytes = 0)
     {
-        return outcome(CellMode::Global, app, &policy);
+        return outcome({CellMode::Global, app, policy, cacheBytes});
     }
 
     /** Section 7 extension: multi-state global run. */
     const sim::GlobalOutcome &
     multiStateRun(const std::string &app, const PolicyConfig &policy)
     {
-        return outcome(CellMode::MultiState, app, &policy);
+        return outcome({CellMode::MultiState, app, policy});
     }
 
     /** Figure 8 "Base": no power management. */
-    const RunResult &baseRun(const std::string &app)
+    const RunResult &baseRun(const std::string &app,
+                             std::size_t cacheBytes = 0)
     {
-        return outcome(CellMode::Base, app, nullptr).run;
+        return outcome({CellMode::Base, app, {}, cacheBytes}).run;
     }
 
     /** Figure 8 "Ideal": the oracle. */
     const RunResult &idealRun(const std::string &app)
     {
-        return outcome(CellMode::Ideal, app, nullptr).run;
+        return outcome({CellMode::Ideal, app, {}}).run;
     }
 
     /**
@@ -236,7 +261,8 @@ class ParallelEvaluation
      */
     void prefetch(const std::vector<Cell> &cells);
 
-    /** Make every application's inputs resident, in parallel. */
+    /** Make every application's inputs at the engine's own capacity
+     * resident, in parallel. */
     void prefetchInputs();
 
   private:
@@ -252,29 +278,39 @@ class ParallelEvaluation
     slot(std::map<std::string, std::shared_ptr<Memo<T>>> &map,
          const std::string &key);
 
-    void computeCell(const Cell &cell);
+    /** The generated traces of @p app (cached); generation records
+     * into the engine's own config label. */
+    const std::vector<trace::Trace> &traces(const std::string &app);
 
-    /** The memoized outcome of one replay cell; @p policy is null
-     * for Base and Ideal cells. */
-    const sim::GlobalOutcome &outcome(CellMode mode,
-                                      const std::string &app,
-                                      const PolicyConfig *policy);
+    /** @p cacheBytes with 0 resolved to the engine's capacity. */
+    std::size_t capacityOf(std::size_t cacheBytes) const
+    {
+        return cacheBytes ? cacheBytes : config_.cache.capacityBytes;
+    }
+
+    /** The "config" label value of the config at @p capacity. */
+    std::string configHashAt(std::size_t capacity) const;
+
+    /** The memoized outcome of one replay cell. */
+    const sim::GlobalOutcome &outcome(const Cell &cell);
 
     /**
      * Replay one cell through the kernel with its instruments: the
-     * driver follows @p mode, and a PolicySession (with its metrics)
-     * exists only when @p policy is given.
+     * driver follows the mode, and a PolicySession (with its
+     * metrics) exists only for policy cells. @p capacity is
+     * resolved.
      */
-    sim::GlobalOutcome runCell(CellMode mode, const std::string &app,
-                               const PolicyConfig *policy);
+    sim::GlobalOutcome runCell(const Cell &cell, std::size_t capacity);
 
     /**
      * File stem identifying one cell:
-     * <mode>-<app>[-<label>-<policy hash>]; the hash disambiguates
-     * sweep variants sharing a label.
+     * <mode>-<app>[-c<config hash>][-<label>-<policy hash>]; the
+     * config hash appears for every config but the default one, and
+     * the policy hash disambiguates sweep variants sharing a label.
      */
     std::string cellFileStem(const char *mode, const std::string &app,
-                             const PolicyConfig *policy) const;
+                             const PolicyConfig *policy,
+                             const std::string &configHash) const;
 
     /** The metrics, provenance and timeline observers of one
      * cell, assembled. */
@@ -291,30 +327,38 @@ class ParallelEvaluation
     CellInstruments instrument(const char *mode,
                                const std::string &app,
                                const PolicyConfig *policy,
+                               const std::string &configHash,
                                bool trackDisk) const;
 
     /** Scope labelled {config, mode, app[, policy, policy_hash]};
      * disabled when no registry is attached. */
     obs::ScopedMetrics cellScope(const char *mode,
                                  const std::string &app,
-                                 const PolicyConfig *policy) const;
+                                 const PolicyConfig *policy,
+                                 const std::string &configHash) const;
 
     /** Scope labelled {config, app} for input-level metrics. */
-    obs::ScopedMetrics appScope(const std::string &app) const;
+    obs::ScopedMetrics appScope(const std::string &app,
+                                const std::string &configHash) const;
 
     ExperimentConfig config_;
     ParallelOptions options_;
     std::vector<std::string> appNames_;
     /** 16-hex digest of every config field that can alter results —
-     * the "config" label value separating ablation evaluations from
-     * the paper-default one in the shared registry. */
+     * the "config" label value of the engine's own capacity;
+     * configHashAt() gives the other capacities'. */
     std::string configHash_;
 
     std::mutex mutex_; ///< guards the maps below (not the memos)
+    /** Keyed by app; every capacity refilters the same traces. */
+    std::map<std::string,
+             std::shared_ptr<Memo<std::vector<trace::Trace>>>>
+        traces_;
+    /** Keyed by (app, capacity). */
     std::map<std::string,
              std::shared_ptr<Memo<std::vector<ExecutionInput>>>>
         inputs_;
-    /** Keyed by cellKey(mode, app, policy). */
+    /** Keyed by cellKey(mode, app, capacity, policy). */
     std::map<std::string, std::shared_ptr<Memo<sim::GlobalOutcome>>>
         cells_;
 };

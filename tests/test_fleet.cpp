@@ -10,8 +10,6 @@
  *    ParallelEvaluation engine: same numbers, bounded memory.
  *  - Fleet determinism: a 64-host fleet is field-equal across thread
  *    counts.
- *  - TraceStore: engines over different cache sizes share one
- *    generation per app, and each filters it with its own cache.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +32,6 @@
 #include "sim/execution_source.hpp"
 #include "sim/experiment.hpp"
 #include "sim/fleet.hpp"
-#include "sim/trace_store.hpp"
 #include "util/json.hpp"
 #include "workload/host_profile.hpp"
 
@@ -530,37 +527,6 @@ TEST(FleetOutliers, FlagsByMadScoreAndOrdersDeterministically)
 
     EXPECT_TRUE(
         flagOutliers("m", {}, 0.0, 0.0, 3.5).empty());
-}
-
-TEST(TraceStore, EnginesOverCacheSizesShareOneGenerationPerApp)
-{
-    ParallelOptions options;
-    options.traceStore = std::make_shared<TraceStore>();
-    ExperimentConfig small;
-    small.maxExecutions = 2;
-    small.cache.capacityBytes = 64 * 1024;
-    ExperimentConfig large = small;
-    large.cache.capacityBytes = 1024 * 1024;
-    ParallelEvaluation smallEval(small, options);
-    ParallelEvaluation largeEval(large, options);
-
-    const std::vector<std::string> apps = {"mozilla", "nedit"};
-    for (const std::string &app : apps) {
-        const auto reference = [&](const ExperimentConfig &config) {
-            return inputsFromTraces(
-                generateTraces(config.seed, app,
-                               config.maxExecutions, 1, {}),
-                config.cache, 1);
-        };
-        const auto &smallInputs = smallEval.inputs(app);
-        const auto &largeInputs = largeEval.inputs(app);
-        EXPECT_EQ(smallInputs, reference(small)) << app;
-        EXPECT_EQ(largeInputs, reference(large)) << app;
-        // The cache size reaches the filter: a 16x larger cache
-        // absorbs more of the traced I/O.
-        EXPECT_NE(smallInputs, largeInputs) << app;
-    }
-    EXPECT_EQ(options.traceStore->generatedSets(), apps.size());
 }
 
 // -- Drill-down + alert determinism ---------------------------------

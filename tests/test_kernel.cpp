@@ -211,11 +211,7 @@ TEST(KernelParity, EveryReportMatchesReference)
     ParallelOptions options;
     options.jobs = 2;
     ParallelEvaluation eval(bench::standardConfig(), options);
-    bench::ReportContext ctx{
-        eval, [](const ExperimentConfig &config) {
-            return std::make_unique<ParallelEvaluation>(
-                config, ParallelOptions{});
-        }};
+    bench::ReportContext ctx{.eval = eval};
 
     for (const bench::Report &report : bench::allReports()) {
         if (report.optIn) {

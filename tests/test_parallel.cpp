@@ -6,8 +6,10 @@
  * memo and no instruments. The engine must match it at one and at
  * four jobs, each cell kind must keep its observable surface
  * (artifact files, metric series), its metrics export must roll the
- * cell series up over `app` unless asked for detail, and the
- * workload key must cover every field of the recipe.
+ * cell series up over `app` unless asked for detail, cells at other
+ * file-cache capacities must match engines built at them while
+ * sharing one generation per app, and the workload key must cover
+ * every field of the recipe.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +27,6 @@
 #include "sim/drivers.hpp"
 #include "sim/experiment.hpp"
 #include "sim/kernel.hpp"
-#include "sim/trace_store.hpp"
 
 namespace pcap::sim {
 namespace {
@@ -108,11 +109,11 @@ expectSameRun(const RunResult &a, const RunResult &b)
 /** A scratch directory, removed on destruction. */
 struct TempDir
 {
-    TempDir()
+    explicit TempDir(const std::string &suffix = "")
     {
         path = (std::filesystem::temp_directory_path() /
-                ("pcap-test-cache-" +
-                 std::to_string(::getpid())))
+                ("pcap-test-cache-" + std::to_string(::getpid()) +
+                 suffix))
                    .string();
         std::filesystem::remove_all(path);
     }
@@ -248,6 +249,147 @@ labelOf(const obs::Labels &labels, const std::string &key)
     return {};
 }
 
+/** The files directly inside @p path. */
+std::set<std::string>
+fileNames(const std::string &path)
+{
+    std::set<std::string> found;
+    for (const auto &entry : std::filesystem::directory_iterator(path))
+        found.insert(entry.path().filename().string());
+    return found;
+}
+
+/** Every series of @p registry with its value, keyed by name and
+ * labels, except generation and scheduling-dependent ones. */
+std::map<std::string, double>
+cellSeries(const obs::MetricsRegistry &registry)
+{
+    std::map<std::string, double> found;
+    for (const auto &series : registry.snapshot()) {
+        if (series.name.rfind("pcap_workload_generated_", 0) == 0 ||
+            series.name.find("wall") != std::string::npos ||
+            series.name.find("thread_pool") != std::string::npos)
+            continue;
+        std::string key = series.name;
+        for (const auto &[name, value] : series.labels)
+            key += "|" + name + "=" + value;
+        found[key] = seriesValue(series);
+    }
+    return found;
+}
+
+TEST(ParallelEvaluation, CacheSizesShareOneGenerationPerApp)
+{
+    const ExperimentConfig config = fastConfig(2);
+    const std::vector<std::string> apps = {"mozilla", "nedit"};
+    // 0 is the engine's own 256 KB.
+    const std::vector<std::size_t> sizes = {64 * 1024, 0, 1024 * 1024};
+    const PolicyConfig pcap = PolicyConfig::pcapBase();
+    std::vector<Cell> cells;
+    for (const std::string &app : apps) {
+        for (std::size_t bytes : sizes) {
+            cells.push_back({CellMode::Global, app, pcap, bytes});
+            cells.push_back({CellMode::Base, app, {}, bytes});
+        }
+    }
+
+    for (unsigned jobs : {1u, 4u}) {
+        TempDir dir("-one"), aloneDir("-alone");
+        obs::MetricsRegistry registry, aloneRegistry;
+        ParallelOptions options;
+        options.jobs = jobs;
+        options.metrics = &registry;
+        options.timelineDir = dir.path;
+        ParallelEvaluation engine(config, options);
+        engine.prefetch(cells);
+        ParallelOptions aloneOptions;
+        aloneOptions.metrics = &aloneRegistry;
+        aloneOptions.timelineDir = aloneDir.path;
+        for (std::size_t bytes : sizes) {
+            ExperimentConfig at = config;
+            if (bytes)
+                at.cache.capacityBytes = bytes;
+            ParallelEvaluation alone(at, aloneOptions);
+            for (const std::string &app : apps) {
+                SCOPED_TRACE(app + " at " + std::to_string(bytes) +
+                             " bytes, jobs " + std::to_string(jobs));
+                EXPECT_EQ(engine.inputs(app, bytes),
+                          referenceInputs(at, app));
+                expectSameRun(engine.globalRun(app, pcap, bytes).run,
+                              alone.globalRun(app, pcap).run);
+                expectSameRun(engine.baseRun(app, bytes),
+                              alone.baseRun(app));
+            }
+        }
+        for (const std::string &app : apps) {
+            // The cache size reaches the filter: a 16x larger cache
+            // absorbs more of the traced I/O.
+            EXPECT_NE(engine.inputs(app, sizes[0]),
+                      engine.inputs(app, sizes[2]));
+        }
+        // Every capacity keeps the config label and artifact names
+        // an engine built at that config gives it.
+        EXPECT_EQ(cellSeries(registry), cellSeries(aloneRegistry));
+        EXPECT_EQ(fileNames(dir.path), fileNames(aloneDir.path));
+
+        // One generation per app, under the engine's own config.
+        std::map<std::string, double> generated;
+        std::set<std::string> configs;
+        for (const auto &series : registry.snapshot()) {
+            if (series.name != "pcap_workload_generated_traces_total")
+                continue;
+            generated[labelOf(series.labels, "app")] +=
+                seriesValue(series);
+            configs.insert(labelOf(series.labels, "config"));
+        }
+        EXPECT_EQ(generated, (std::map<std::string, double>{
+                                 {"mozilla", 2.0}, {"nedit", 2.0}}));
+        EXPECT_EQ(configs.size(), 1u);
+    }
+}
+
+TEST(ParallelEvaluation, CellAtOwnCapacityIsTheDefaultCell)
+{
+    TempDir dir;
+    obs::MetricsRegistry registry;
+    ParallelOptions options;
+    options.metrics = &registry;
+    options.timelineDir = dir.path;
+    // The default config, so the default cell's stem carries no
+    // config hash.
+    ParallelEvaluation engine(ExperimentConfig{}, options);
+    const std::size_t own = engine.config().cache.capacityBytes;
+    const PolicyConfig pcap = PolicyConfig::pcapBase();
+    engine.prefetch({{CellMode::Global, "nedit", pcap, own},
+                     {CellMode::Base, "nedit", {}, own}});
+
+    const auto state = [&] {
+        std::set<std::string> found = fileNames(dir.path);
+        for (const auto &series : registry.snapshot())
+            found.insert("config=" + labelOf(series.labels, "config"));
+        return found;
+    };
+    const std::set<std::string> before = state();
+    EXPECT_EQ(&engine.globalRun("nedit", pcap),
+              &engine.globalRun("nedit", pcap, own));
+    EXPECT_EQ(&engine.baseRun("nedit"), &engine.baseRun("nedit", own));
+    EXPECT_EQ(&engine.inputs("nedit"), &engine.inputs("nedit", own));
+    engine.prefetch({{CellMode::Global, "nedit", pcap},
+                     {CellMode::Base, "nedit", {}}});
+    EXPECT_EQ(state(), before);
+
+    const std::string stem = "global-nedit-PCAP-70e4bba9c125126e";
+    EXPECT_EQ(before.count(stem + ".timeline.json"), 1u);
+    EXPECT_EQ(before.count("base-nedit.timeline.json"), 1u);
+    std::size_t configLabels = 0;
+    for (const std::string &entry : before) {
+        EXPECT_EQ(entry.find("-c"), std::string::npos) << entry;
+        configLabels += entry.rfind("config=", 0) == 0 &&
+                        entry != "config=";
+    }
+    EXPECT_EQ(configLabels, 1u);
+}
+
 TEST(ParallelEvaluation, EachCellKindKeepsItsArtifactsAndSeries)
 {
     TempDir dir;
@@ -264,13 +406,6 @@ TEST(ParallelEvaluation, EachCellKindKeepsItsArtifactsAndSeries)
                      {CellMode::Base, "nedit", {}},
                      {CellMode::Ideal, "nedit", {}}});
 
-    const auto names = [](const std::string &path) {
-        std::set<std::string> found;
-        for (const auto &entry :
-             std::filesystem::directory_iterator(path))
-            found.insert(entry.path().filename().string());
-        return found;
-    };
     // <mode>-<app>-c<config hash>[-<label>-<policy hash>]: the
     // config is not the default one, so its digest is in the stem.
     const std::string config = "-ca187bc166e807790";
@@ -289,8 +424,8 @@ TEST(ParallelEvaluation, EachCellKindKeepsItsArtifactsAndSeries)
         timelines.insert(stem + ".timeline.json");
         timelines.insert(stem + ".timeline.csv");
     }
-    EXPECT_EQ(names(options.timelineDir), timelines);
-    EXPECT_EQ(names(options.provenanceDir), provenance);
+    EXPECT_EQ(fileNames(options.timelineDir), timelines);
+    EXPECT_EQ(fileNames(options.provenanceDir), provenance);
 
     std::map<std::string, std::set<std::string>> sessionSeries;
     std::set<std::string> modes;

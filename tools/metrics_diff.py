@@ -44,9 +44,10 @@ import re
 import sys
 
 DEFAULT_IGNORE = (
-    # workload_cache: results of builds that still had the on-disk
-    # workload cache carry its hit/miss families.
-    r"wall|thread_pool|workload_cache|workload_generated"
+    # Wall-clock timers and pool scheduling differ run to run. The
+    # pcap_workload_generated_* families are compared: traces are
+    # generated once per app, under the engine's own config label.
+    r"wall|thread_pool"
     # Span-tracer volume depends on scheduling (pool-task spans, ring
     # drops); timelines are opt-in artifacts checked by
     # compare_bench.py --timeline-dir, not a metrics family to diff.
