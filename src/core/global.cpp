@@ -46,17 +46,8 @@ GlobalShutdownPredictor::onAccess(const trace::DiskAccess &access)
     }
     Slot &slot = it->second;
 
-    pred::IoContext ctx;
-    ctx.time = access.time;
-    ctx.sincePrev = slot.lastIoTime >= 0
-                        ? access.time - slot.lastIoTime
-                        : -1;
-    ctx.pc = access.pc;
-    ctx.fd = access.fd;
-    ctx.file = access.file;
-    ctx.isWrite = access.isWrite;
-
-    slot.decision = slot.predictor->onIo(ctx);
+    slot.decision =
+        slot.predictor->onIo(ioContextOf(access, slot.lastIoTime));
     slot.lastIoTime = access.time;
     return globalDecision();
 }

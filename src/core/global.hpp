@@ -17,6 +17,21 @@
 
 namespace pcap::core {
 
+/** What a local predictor sees of @p access, given its process's
+ * previous disk-access time (-1 for the process's first access). */
+inline pred::IoContext
+ioContextOf(const trace::DiskAccess &access, TimeUs prevIoTime)
+{
+    pred::IoContext ctx;
+    ctx.time = access.time;
+    ctx.sincePrev = prevIoTime >= 0 ? access.time - prevIoTime : -1;
+    ctx.pc = access.pc;
+    ctx.fd = access.fd;
+    ctx.file = access.file;
+    ctx.isWrite = access.isWrite;
+    return ctx;
+}
+
 /**
  * System-wide shutdown prediction for one execution of an
  * application.

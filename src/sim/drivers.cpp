@@ -129,14 +129,8 @@ LocalDriver::onAccess(const trace::DiskAccess &access,
                       ctx.decision.source);
     }
 
-    pred::IoContext io;
-    io.time = access.time;
-    io.sincePrev = ctx.prev >= 0 ? access.time - ctx.prev : -1;
-    io.pc = access.pc;
-    io.fd = access.fd;
-    io.file = access.file;
-    io.isWrite = access.isWrite;
-    ctx.decision = ctx.predictor->onIo(io);
+    ctx.decision =
+        ctx.predictor->onIo(core::ioContextOf(access, ctx.prev));
     ctx.prev = access.time;
 }
 

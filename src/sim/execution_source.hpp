@@ -1,72 +1,20 @@
 /**
  * @file
- * Pull-based execution streaming: the kernel's input abstraction.
- *
- * Historically every replay materialized its full input vector —
- * generate all traces, filter them all, then run. That caps fleet
- * size at whatever fits in memory. An ExecutionSource inverts the
- * flow: the kernel *pulls* one ExecutionInput at a time, and the
- * source decides whether that input already exists (MaterializedSource
- * wraps a vector — the six-app reference path, byte-identical by
- * construction) or is generated on demand and discarded after the
- * replay (HostExecutionSource — memory stays bounded no matter how
- * many executions a host streams).
+ * Streamed executions of one host: each input is generated on
+ * demand and discarded after its replay, so memory stays bounded no
+ * matter how many executions a host streams.
  */
 
 #ifndef PCAP_SIM_EXECUTION_SOURCE_HPP
 #define PCAP_SIM_EXECUTION_SOURCE_HPP
 
 #include <cstddef>
-#include <vector>
 
 #include "cache/file_cache.hpp"
 #include "sim/input.hpp"
 #include "workload/host_profile.hpp"
 
 namespace pcap::sim {
-
-/**
- * A stream of executions for the kernel to replay, in order.
- *
- * Contract: next() returns the next execution, or null when the
- * stream is exhausted. The returned pointer stays valid only until
- * the following next() call — streaming sources reuse one internal
- * slot (generate-replay-discard), so callers must finish with an
- * input before pulling the next.
- */
-class ExecutionSource
-{
-  public:
-    virtual ~ExecutionSource() = default;
-
-    virtual const ExecutionInput *next() = 0;
-};
-
-/**
- * The materialized path as a trivial source: walks an existing
- * vector without copying. The kernel's vector overload goes through
- * this, so streaming and materialized replays share one loop.
- */
-class MaterializedSource final : public ExecutionSource
-{
-  public:
-    explicit MaterializedSource(
-        const std::vector<ExecutionInput> &inputs)
-        : inputs_(&inputs)
-    {
-    }
-
-    const ExecutionInput *next() override
-    {
-        if (index_ == inputs_->size())
-            return nullptr;
-        return &(*inputs_)[index_++];
-    }
-
-  private:
-    const std::vector<ExecutionInput> *inputs_;
-    std::size_t index_ = 0;
-};
 
 /**
  * Streams one host's workload: each next() generates the next
@@ -79,13 +27,18 @@ class MaterializedSource final : public ExecutionSource
  * ExecutionInput, the largest streamed, regardless of how many
  * executions a profile schedules.
  */
-class HostExecutionSource final : public ExecutionSource
+class HostExecutionSource
 {
   public:
     HostExecutionSource(workload::HostProfile profile,
                         cache::CacheParams cacheParams);
 
-    const ExecutionInput *next() override;
+    /**
+     * The next execution, or null when the stream is exhausted. The
+     * pointer stays valid only until the following next() call: the
+     * slot is refilled in place.
+     */
+    const ExecutionInput *next();
 
     /**
      * Stream another host's workload from its first execution,

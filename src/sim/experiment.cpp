@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <iomanip>
-#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "obs/perf.hpp"
 #include "obs/tracing.hpp"
-#include "sim/drivers.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/app_model.hpp"
@@ -212,6 +210,12 @@ policyCacheKey(const PolicyConfig &policy)
     return os.str();
 }
 
+std::string
+policyHash(const PolicyConfig &policy)
+{
+    return hex16(hashString(policyCacheKey(policy)));
+}
+
 ParallelEvaluation::ParallelEvaluation(ExperimentConfig config,
                                        ParallelOptions options)
     : config_(std::move(config)), options_(options),
@@ -256,8 +260,7 @@ ParallelEvaluation::cellFileStem(const char *mode,
     if (configHash != defaultConfigHash)
         name += "-c" + configHash;
     if (policy) {
-        name += "-" + policy->label + "-" +
-                hex16(hashString(policyCacheKey(*policy)));
+        name += "-" + policy->label + "-" + policyHash(*policy);
     }
     return name;
 }
@@ -275,9 +278,7 @@ ParallelEvaluation::cellScope(const char *mode,
                           {"app", app}};
     if (policy) {
         labels.emplace_back("policy", policy->label);
-        labels.emplace_back(
-            "policy_hash",
-            hex16(hashString(policyCacheKey(*policy))));
+        labels.emplace_back("policy_hash", policyHash(*policy));
     }
     return obs::ScopedMetrics(options_.metrics, std::move(labels));
 }
@@ -290,115 +291,6 @@ ParallelEvaluation::appScope(const std::string &app,
         return {};
     return obs::ScopedMetrics(
         options_.metrics, {{"config", configHash}, {"app", app}});
-}
-
-/** One cell's observer stack; observer is what the kernel sees. */
-struct ParallelEvaluation::CellInstruments
-{
-    obs::ScopedMetrics scope;
-    std::unique_ptr<MetricsObserver> metrics;
-    std::unique_ptr<obs::ProvenanceRecorder> provRecorder;
-    std::unique_ptr<obs::BinaryProvenanceWriter> provBinary;
-    std::unique_ptr<obs::JsonlProvenanceWriter> provJsonl;
-    std::unique_ptr<ProvenanceObserver> provenance;
-    std::unique_ptr<TimelineObserver> timeline;
-    obs::TimelineMeta timelineMeta;
-    std::string timelineJsonPath;
-    std::string timelineCsvPath;
-    std::unique_ptr<TeeObserver> tee;
-    SimObserver *observer = nullptr;
-
-    /** Bind the session to the cell's instruments: the provenance
-     * tap, and the timeline's table-size sampler. The session must
-     * outlive the kernel run. */
-    void
-    attachSession(PolicySession &session) const
-    {
-        if (provenance)
-            session.setProvenanceTap(provenance.get());
-        if (timeline) {
-            timeline->bindTableSize(
-                [&session] { return session.tableEntries(); });
-        }
-    }
-
-    /** Drain and close the provenance sinks after the run. */
-    void
-    finishProvenance() const
-    {
-        if (provRecorder)
-            provRecorder->close();
-    }
-
-    /** Serialize the timeline; no-op with timelines off. */
-    void
-    finishTimeline() const
-    {
-        if (!timeline)
-            return;
-        obs::writeTimelineJson(timeline->timeline(), timelineMeta,
-                               timelineJsonPath);
-        obs::writeTimelineCsv(timeline->timeline(), timelineMeta,
-                              timelineCsvPath);
-    }
-};
-
-ParallelEvaluation::CellInstruments
-ParallelEvaluation::instrument(const char *mode,
-                               const std::string &app,
-                               const PolicyConfig *policy,
-                               const std::string &configHash,
-                               bool trackDisk) const
-{
-    CellInstruments inst;
-    inst.scope = cellScope(mode, app, policy, configHash);
-    if (options_.metrics) {
-        inst.metrics = std::make_unique<MetricsObserver>(
-            inst.scope, config_.sim.breakeven(), trackDisk);
-    }
-    if (!options_.provenanceDir.empty() && policy) {
-        const std::string stem =
-            cellFileStem(mode, app, policy, configHash);
-        const std::string base = options_.provenanceDir + "/" + stem;
-        inst.provRecorder =
-            std::make_unique<obs::ProvenanceRecorder>();
-        inst.provBinary = std::make_unique<obs::BinaryProvenanceWriter>(
-            base + ".prov.bin");
-        inst.provJsonl = std::make_unique<obs::JsonlProvenanceWriter>(
-            base + ".prov.jsonl", stem);
-        inst.provRecorder->addSink(inst.provBinary.get());
-        inst.provRecorder->addSink(inst.provJsonl.get());
-        inst.provenance = std::make_unique<ProvenanceObserver>(
-            *inst.provRecorder, config_.sim.disk);
-    }
-    if (!options_.timelineDir.empty()) {
-        const std::string stem =
-            cellFileStem(mode, app, policy, configHash);
-        inst.timeline = std::make_unique<TimelineObserver>(
-            config_.sim.disk, trackDisk);
-        inst.timelineMeta = TimelineObserver::makeMeta(
-            stem, mode, app, policy ? policy->label : "");
-        inst.timelineJsonPath = options_.timelineDir + "/" + stem +
-                                ".timeline.json";
-        inst.timelineCsvPath =
-            options_.timelineDir + "/" + stem + ".timeline.csv";
-    }
-    std::vector<SimObserver *> children;
-    if (inst.metrics)
-        children.push_back(inst.metrics.get());
-    if (inst.provenance)
-        children.push_back(inst.provenance.get());
-    if (inst.timeline)
-        children.push_back(inst.timeline.get());
-    if (children.size() > 1) {
-        inst.tee = std::make_unique<TeeObserver>(std::move(children));
-        inst.observer = inst.tee.get();
-    } else if (children.size() == 1) {
-        inst.observer = children.front();
-    } else {
-        inst.observer = &nullObserver();
-    }
-    return inst;
 }
 
 template <typename T>
@@ -492,55 +384,24 @@ ParallelEvaluation::outcome(const Cell &cell)
 sim::GlobalOutcome
 ParallelEvaluation::runCell(const Cell &cell, std::size_t capacity)
 {
-    const CellMode mode = cell.mode;
-    const std::string &app = cell.app;
     const PolicyConfig *policy = policyOf(cell);
-    const char *name = modeName(mode);
+    const char *mode = modeName(cell.mode);
     const std::string configHash = configHashAt(capacity);
-    obs::Span span("cell-replay",
-                   cellFileStem(name, app, policy, configHash));
+    const std::string stem =
+        cellFileStem(mode, cell.app, policy, configHash);
+    obs::Span span("cell-replay", stem);
     obs::PerfRegion perf("cells:replay");
-    auto inst = instrument(name, app, policy, configHash,
-                           /*trackDisk=*/mode != CellMode::Local);
-    std::optional<PolicySession> session;
-    if (policy) {
-        session.emplace(*policy);
-        inst.attachSession(*session);
-    }
-    std::unique_ptr<PolicyDriver> driver;
-    switch (mode) {
-    case CellMode::Local:
-        driver = std::make_unique<LocalDriver>(*session);
-        break;
-    case CellMode::Global:
-    case CellMode::MultiState: {
-        auto global = std::make_unique<GlobalDriver>(
-            *session, GlobalDriver::Options{
-                          .multiState = mode == CellMode::MultiState});
-        if (inst.provenance) {
-            inst.provenance->bindDecisionPid(
-                [g = global.get()] { return g->decisionPid(); });
-        }
-        driver = std::move(global);
-        break;
-    }
-    case CellMode::Base:
-        driver = std::make_unique<BaseDriver>();
-        break;
-    case CellMode::Ideal:
-        driver = std::make_unique<OracleDriver>();
-        break;
-    }
-    SimulationKernel kernel(config_.sim, *inst.observer);
-    auto lap = inst.scope.timer("pcap_cell_wall_seconds").measure();
+    const obs::ScopedMetrics scope =
+        cellScope(mode, cell.app, policy, configHash);
+    CellRun run(config_.sim, cell.mode, policy, scope,
+                {options_.provenanceDir, options_.timelineDir,
+                 TimelineObserver::makeMeta(
+                     stem, mode, cell.app, policy ? policy->label : "")});
+    auto lap = scope.timer("pcap_cell_wall_seconds").measure();
     sim::GlobalOutcome result;
-    result.run = kernel.run(inputs(app, capacity), *driver);
-    inst.finishProvenance();
-    inst.finishTimeline();
-    if (session) {
-        result.tableEntries = session->tableEntries();
-        recordSessionMetrics(*session, inst.scope);
-    }
+    for (const ExecutionInput &input : inputs(cell.app, capacity))
+        result.run.merge(run.replay(input));
+    result.tableEntries = run.finish();
     return result;
 }
 

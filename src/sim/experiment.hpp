@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "sim/cell_run.hpp"
 #include "sim/input.hpp"
 #include "sim/kernel.hpp"
 #include "sim/policy.hpp"
@@ -114,14 +115,9 @@ inputsFromTraces(const std::vector<trace::Trace> &traces,
  */
 std::string policyCacheKey(const PolicyConfig &policy);
 
-/** How one simulation cell evaluates its inputs. */
-enum class CellMode {
-    Local,      ///< per-process accuracy (Figure 6)
-    Global,     ///< full multiprocess run (Figures 7-10)
-    MultiState, ///< Section 7 extension
-    Base,       ///< no power management
-    Ideal,      ///< oracle
-};
+/** 16-hex digest of policyCacheKey(): the "policy_hash" metric label
+ * and the policy part of every artifact stem. */
+std::string policyHash(const PolicyConfig &policy);
 
 /** One independent unit of work for ParallelEvaluation::prefetch. */
 struct Cell
@@ -295,10 +291,8 @@ class ParallelEvaluation
     const sim::GlobalOutcome &outcome(const Cell &cell);
 
     /**
-     * Replay one cell through the kernel with its instruments: the
-     * driver follows the mode, and a PolicySession (with its
-     * metrics) exists only for policy cells. @p capacity is
-     * resolved.
+     * Replay one cell through a CellRun carrying the engine's
+     * metrics scope and artifact paths. @p capacity is resolved.
      */
     sim::GlobalOutcome runCell(const Cell &cell, std::size_t capacity);
 
@@ -311,24 +305,6 @@ class ParallelEvaluation
     std::string cellFileStem(const char *mode, const std::string &app,
                              const PolicyConfig *policy,
                              const std::string &configHash) const;
-
-    /** The metrics, provenance and timeline observers of one
-     * cell, assembled. */
-    struct CellInstruments;
-
-    /**
-     * Build one cell's observer stack: a MetricsObserver (when a
-     * registry is attached), the provenance recorder (policy cells
-     * with provenanceDir set) and a TimelineObserver (timelineDir
-     * set), behind a tee when more than one is active, or the
-     * shared NullObserver when none is.
-     * @p trackDisk is false for diskless (local-accuracy) replays.
-     */
-    CellInstruments instrument(const char *mode,
-                               const std::string &app,
-                               const PolicyConfig *policy,
-                               const std::string &configHash,
-                               bool trackDisk) const;
 
     /** Scope labelled {config, mode, app[, policy, policy_hash]};
      * disabled when no registry is attached. */

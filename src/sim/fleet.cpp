@@ -4,35 +4,20 @@
 #include <cmath>
 #include <deque>
 #include <filesystem>
-#include <iomanip>
 #include <iterator>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "obs/alerts.hpp"
-#include "obs/provenance.hpp"
-#include "obs/timeline.hpp"
 #include "obs/tracing.hpp"
-#include "sim/drivers.hpp"
+#include "sim/cell_run.hpp"
 #include "sim/execution_source.hpp"
 #include "sim/experiment.hpp"
-#include "sim/observer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pcap::sim {
 
 namespace {
-
-/** 16-hex policy hash, matching ParallelEvaluation's label style. */
-std::string
-policyHashLabel(const PolicyConfig &policy)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0')
-       << hashString(policyCacheKey(policy));
-    return os.str();
-}
 
 /** Ascending (value, host) — a total order, so every sort below is
  * deterministic even across equal values. */
@@ -339,30 +324,25 @@ FleetDriver::runHost(HostExecutionSource &source,
     cell.policyRuns.resize(policies.size());
     cell.tableEntries.resize(policies.size());
 
-    // The cell owns all learned state: one session + driver per
-    // policy, living across the host's whole execution stream (the
-    // kernel itself is stateless between executions). deques: the
-    // drivers hold references into sessions, so neither may relocate.
-    std::deque<PolicySession> sessions;
-    std::deque<GlobalDriver> drivers;
-    for (const PolicyConfig &policy : policies) {
-        sessions.emplace_back(policy);
-        drivers.emplace_back(sessions.back());
-    }
-    BaseDriver base;
-    SimulationKernel kernel(sim_); // null observer: the fast path
+    // The cell owns all learned state: one CellRun per policy,
+    // living across the host's whole execution stream, plus the Base
+    // run. deque: a CellRun holds references into itself, so it must
+    // not move.
+    std::deque<CellRun> runs;
+    for (const PolicyConfig &policy : policies)
+        runs.emplace_back(sim_, CellMode::Global, &policy);
+    CellRun base(sim_, CellMode::Base);
 
     while (const ExecutionInput *input = source.next()) {
         ++cell.executions;
         cell.accesses += input->accesses.size();
         cell.simSpanUs += static_cast<std::uint64_t>(input->endTime);
         for (std::size_t p = 0; p < policies.size(); ++p)
-            cell.policyRuns[p].merge(
-                kernel.runExecution(*input, drivers[p]));
-        cell.base.merge(kernel.runExecution(*input, base));
+            cell.policyRuns[p].merge(runs[p].replay(*input));
+        cell.base.merge(base.replay(*input));
     }
     for (std::size_t p = 0; p < policies.size(); ++p)
-        cell.tableEntries[p] = sessions[p].tableEntries();
+        cell.tableEntries[p] = runs[p].finish();
     return cell;
 }
 
@@ -381,55 +361,23 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
     drill.seed = profile.seed;
     drill.thinkTimeScale = profile.thinkTimeScale;
 
-    /** One policy's fully-instrumented cell: the same observer
-     * stack ParallelEvaluation::instrument assembles, bound to the
-     * host cell's persistent session. Fields initialize in
-     * declaration order — the tee and kernel come last because they
-     * hold references into the earlier members. */
-    struct DrillCell
-    {
-        std::string stem;
-        PolicySession session;
-        GlobalDriver driver;
-        obs::ProvenanceRecorder provRecorder;
-        obs::BinaryProvenanceWriter provBinary;
-        obs::JsonlProvenanceWriter provJsonl;
-        ProvenanceObserver provenance;
-        TimelineObserver timeline;
-        TeeObserver tee;
-        SimulationKernel kernel;
-
-        DrillCell(std::string cellStem, const PolicyConfig &policy,
-                  const SimParams &sim, const std::string &dir)
-            : stem(std::move(cellStem)), session(policy),
-              driver(session),
-              provBinary(dir + "/" + stem + ".prov.bin"),
-              provJsonl(dir + "/" + stem + ".prov.jsonl", stem),
-              provenance(provRecorder, sim.disk),
-              timeline(sim.disk),
-              tee({&provenance, &timeline}),
-              kernel(sim, tee)
-        {
-            provRecorder.addSink(&provBinary);
-            provRecorder.addSink(&provJsonl);
-            session.setProvenanceTap(&provenance);
-            provenance.bindDecisionPid(
-                [this] { return driver.decisionPid(); });
-            timeline.bindTableSize(
-                [this] { return session.tableEntries(); });
-        }
-    };
-
-    // deque: cells hold internal references, so they must not move.
-    std::deque<DrillCell> cells;
+    // One fully instrumented CellRun per policy, writing its
+    // provenance pair and timeline into dir; deque: a CellRun must
+    // not move.
+    const std::string app = appMixLabel(profile);
+    std::vector<std::string> stems;
+    std::deque<CellRun> cells;
     for (const PolicyConfig &policy : policies) {
-        cells.emplace_back("host" + std::to_string(profile.host) +
-                               "-" + policy.label + "-" +
-                               policyHashLabel(policy),
-                           policy, sim_, dir);
+        stems.push_back("host" + std::to_string(profile.host) + "-" +
+                        policy.label + "-" + policyHash(policy));
+        cells.emplace_back(
+            sim_, CellMode::Global, &policy, obs::ScopedMetrics{},
+            CellArtifacts{dir, dir,
+                          TimelineObserver::makeMeta(
+                              stems.back(), "fleet", app,
+                              policy.label)});
     }
-    BaseDriver base;
-    SimulationKernel baseKernel(sim_); // uninstrumented baseline
+    CellRun base(sim_, CellMode::Base); // uninstrumented baseline
 
     std::vector<RunResult> runs(policies.size());
     // Per-policy counter deltas over the drilled replay: which
@@ -446,29 +394,16 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
             static_cast<std::uint64_t>(input->endTime);
         for (std::size_t p = 0; p < policies.size(); ++p) {
             obs::PerfRegion perf(&perfTotals[p]);
-            runs[p].merge(
-                cells[p].kernel.runExecution(*input, cells[p].driver));
+            runs[p].merge(cells[p].replay(*input));
         }
-        baseRun.merge(baseKernel.runExecution(*input, base));
+        baseRun.merge(base.replay(*input));
     }
     drill.baseEnergyJ = baseRun.energy.total();
 
-    const std::string app = appMixLabel(profile);
     for (std::size_t p = 0; p < policies.size(); ++p) {
-        DrillCell &cell = cells[p];
-        cell.provRecorder.close();
-        const obs::TimelineMeta meta = TimelineObserver::makeMeta(
-            cell.stem, "fleet", app, policies[p].label);
-        obs::writeTimelineJson(cell.timeline.timeline(), meta,
-                               dir + "/" + cell.stem +
-                                   ".timeline.json");
-        obs::writeTimelineCsv(cell.timeline.timeline(), meta,
-                              dir + "/" + cell.stem +
-                                  ".timeline.csv");
-
         DrilldownPolicy summary;
         summary.policy = policies[p].label;
-        summary.stem = cell.stem;
+        summary.stem = stems[p];
         summary.energyJ = runs[p].energy.total();
         summary.savedFraction =
             drill.baseEnergyJ > 0.0
@@ -478,7 +413,7 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
         summary.missFraction = runs[p].accuracy.missFraction();
         summary.shutdowns = runs[p].shutdowns;
         summary.spinUps = runs[p].spinUps;
-        summary.tableEntries = cell.session.tableEntries();
+        summary.tableEntries = cells[p].finish();
         if (obs::perfEnabled()) {
             summary.perf = perfTotals[p];
             summary.hasPerf = true;
@@ -502,8 +437,6 @@ FleetDriver::run(const std::vector<PolicyConfig> &policies) const
     // order at every thread count.
     std::vector<ShardAccum> accums(
         shards, ShardAccum(policies.size()));
-    std::vector<HostCellResult> kept(
-        options_.keepHostResults ? hosts : 0);
     pcap::parallelFor(options_.jobs, shards, [&](std::size_t s) {
         const std::size_t first = s * kFleetHostsPerShard;
         const std::size_t last =
@@ -522,10 +455,7 @@ FleetDriver::run(const std::vector<PolicyConfig> &policies) const
             if (i > first)
                 source.restart(workload::hostProfile(
                     fleet_, static_cast<std::uint64_t>(i)));
-            HostCellResult cell = runHost(source, policies);
-            accums[s].foldHost(cell);
-            if (options_.keepHostResults)
-                kept[i] = std::move(cell);
+            accums[s].foldHost(runHost(source, policies));
         }
     });
 
@@ -608,9 +538,6 @@ FleetDriver::run(const std::vector<PolicyConfig> &policies) const
         report.policies.push_back(std::move(policyReport));
     }
 
-    if (options_.keepHostResults)
-        report.hostResults = std::move(kept);
-
     if (!options_.drilldownDir.empty()) {
         // Pass 2: re-simulate every flagged host, instrumented.
         // Flags dedup into one ascending host list; slot ownership
@@ -685,7 +612,7 @@ FleetDriver::recordMetrics(
         const FleetPolicyReport &policy = report.policies[p];
         const obs::ScopedMetrics policyScope = scope.with(
             {{"policy", policy.policy},
-             {"policy_hash", policyHashLabel(policies[p])}});
+             {"policy_hash", policyHash(policies[p])}});
         quantiles(policyScope, "pcap_fleet_energy_joules",
                   policy.energyJ);
         quantiles(policyScope, "pcap_fleet_saved_fraction",

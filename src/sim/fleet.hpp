@@ -2,13 +2,13 @@
  * @file
  * Fleet driver: N independent power-managed host cells, streamed.
  *
- * Each host cell owns its full simulation state — a kernel, one
- * PolicySession + GlobalDriver per evaluated policy, and the
- * no-power-management baseline — and replays its HostProfile's
- * workload through a HostExecutionSource: traces are generated,
- * filtered, replayed and discarded one execution at a time, so peak
- * memory is O(jobs) ExecutionInputs plus O(shards) aggregation
- * state no matter the fleet size.
+ * Each host cell owns its full simulation state — one CellRun
+ * (session, GlobalDriver, kernel) per evaluated policy plus a Base
+ * CellRun for the no-power-management baseline — and replays its
+ * HostProfile's workload through a HostExecutionSource: traces are
+ * generated, filtered, replayed and discarded one execution at a
+ * time, so peak memory is O(jobs) ExecutionInputs plus O(shards)
+ * aggregation state no matter the fleet size.
  *
  * Aggregation streams too: hosts fold into fixed-size shard
  * accumulators (integer counts, obs::LogSketch quantile sketches,
@@ -212,10 +212,6 @@ struct FleetReport
 
     std::vector<FleetPolicyReport> policies;
 
-    /** Per-host cells, only with FleetOptions::keepHostResults (the
-     * default drops them — a 10k-host report stays small). */
-    std::vector<HostCellResult> hostResults;
-
     /** Flagged hosts re-simulated with full instrumentation, in
      * host order; only with FleetOptions::drilldownDir. */
     std::vector<HostDrilldown> drilldowns;
@@ -233,11 +229,6 @@ struct FleetOptions
      * happens after the parallel phase, on the calling thread, so
      * series are deterministic for every thread count. */
     obs::MetricsRegistry *metrics = nullptr;
-
-    /** Retain every HostCellResult in FleetReport::hostResults
-     * (tests, forensics). Off by default: memory then stays bounded
-     * regardless of fleet size. */
-    bool keepHostResults = false;
 
     /** A host is an outlier when its value sits more than this many
      * MADs from the fleet median (the robust z-score cut; 3.5 is
@@ -286,10 +277,10 @@ class FleetDriver
     FleetReport run(const std::vector<PolicyConfig> &policies) const;
 
     /**
-     * One host cell, streamed generate-replay-discard. Public for
-     * parity tests: a pure single-app profile with scale 1.0 must be
-     * RunResult-field-equal to ParallelEvaluation::globalRun over
-     * materialized inputs.
+     * One host cell, streamed generate-replay-discard; run() folds
+     * exactly this per host. Public for parity tests: a pure
+     * single-app profile with scale 1.0 must be RunResult-field-equal
+     * to ParallelEvaluation::globalRun over materialized inputs.
      */
     HostCellResult
     runHost(const workload::HostProfile &profile,

@@ -1,7 +1,5 @@
 #include "sim/kernel.hpp"
 
-#include "sim/execution_source.hpp"
-
 #include <algorithm>
 #include <tuple>
 
@@ -255,16 +253,9 @@ RunResult
 SimulationKernel::run(const std::vector<ExecutionInput> &executions,
                       PolicyDriver &driver)
 {
-    MaterializedSource source(executions);
-    return run(source, driver);
-}
-
-RunResult
-SimulationKernel::run(ExecutionSource &source, PolicyDriver &driver)
-{
     RunResult total;
-    while (const ExecutionInput *input = source.next())
-        total.merge(runExecution(*input, driver));
+    for (const ExecutionInput &input : executions)
+        total.merge(runExecution(input, driver));
     return total;
 }
 

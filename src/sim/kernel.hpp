@@ -2,15 +2,12 @@
  * @file
  * The replay kernel: one event loop for every evaluation mode.
  *
- * Historically the simulator grew five hand-rolled replay loops
- * (local, global, multi-state global, base, ideal), each duplicating
- * event replay, idle-gap classification and disk accounting. The
- * kernel collapses them: it replays an ExecutionInput's accesses and
- * process starts/exits exactly once, in time order, and delegates
- * every policy decision to a PolicyDriver strategy — so classifyGap
- * (now IdleSink), shutdown issuance and RunResult assembly exist in
- * one place, and a new evaluation mode is a new driver, not a sixth
- * loop.
+ * The kernel replays an ExecutionInput's accesses and process
+ * starts/exits exactly once, in time order, and delegates every
+ * policy decision to a PolicyDriver strategy — so idle-period
+ * classification (IdleSink), shutdown issuance and RunResult
+ * assembly exist in one place, and a new evaluation mode is a new
+ * driver, not another loop.
  *
  * A SimObserver (observer.hpp) can be attached for per-idle-period
  * instrumentation; against the default NullObserver the replay is
@@ -29,8 +26,6 @@
 #include "sim/stats.hpp"
 
 namespace pcap::sim {
-
-class ExecutionSource;
 
 /** Parameters shared by every simulation run. */
 struct SimParams
@@ -202,8 +197,7 @@ class PolicyDriver
 
 /**
  * Replays executions against a driver, owning the disk model, the
- * merged-stream gap state machine and shutdown issuance. Results
- * are bit-identical to the historical per-mode loops.
+ * merged-stream gap state machine and shutdown issuance.
  *
  * The replay walks the access array in order and merges in the
  * process starts and exits; at equal times starts come first, then
@@ -228,14 +222,6 @@ class SimulationKernel
     /** Replay every execution in order and merge the results. */
     RunResult run(const std::vector<ExecutionInput> &executions,
                   PolicyDriver &driver);
-
-    /**
-     * Pull executions from @p source until it drains, replaying and
-     * merging each — the streaming entry point (execution_source.hpp).
-     * The vector overload above is this loop over a
-     * MaterializedSource, so both paths produce identical results.
-     */
-    RunResult run(ExecutionSource &source, PolicyDriver &driver);
 
     const SimParams &params() const { return params_; }
 

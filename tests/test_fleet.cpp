@@ -344,7 +344,6 @@ TEST(FleetDriver, DeterministicAcrossThreadCounts)
 
     FleetOptions serialOptions;
     serialOptions.jobs = 1;
-    serialOptions.keepHostResults = true;
     FleetOptions parallelOptions = serialOptions;
     parallelOptions.jobs = 4;
 
@@ -401,23 +400,6 @@ TEST(FleetDriver, DeterministicAcrossThreadCounts)
                              b.outliers[o].score);
         }
     }
-
-    ASSERT_EQ(serial.hostResults.size(),
-              parallel.hostResults.size());
-    for (std::size_t i = 0; i < serial.hostResults.size(); ++i) {
-        const auto &a = serial.hostResults[i];
-        const auto &b = parallel.hostResults[i];
-        EXPECT_EQ(a.host, b.host);
-        EXPECT_EQ(a.executions, b.executions);
-        EXPECT_EQ(a.accesses, b.accesses);
-        EXPECT_DOUBLE_EQ(a.thinkTimeScale, b.thinkTimeScale);
-        expectSameResult(a.base, b.base);
-        ASSERT_EQ(a.policyRuns.size(), b.policyRuns.size());
-        for (std::size_t p = 0; p < a.policyRuns.size(); ++p) {
-            expectSameResult(a.policyRuns[p], b.policyRuns[p]);
-            EXPECT_EQ(a.tableEntries[p], b.tableEntries[p]);
-        }
-    }
 }
 
 TEST(FleetPercentiles, NearestRankIsExact)
@@ -441,10 +423,10 @@ TEST(FleetPercentiles, NearestRankIsExact)
 
 TEST(FleetSketch, PercentilesMatchNearestRankWithinAccuracy)
 {
-    // Re-derive every per-host value the streaming path sketches
-    // from the retained host cells, and require the sketch-read
-    // percentiles to sit within the sketch's relative accuracy of
-    // the exact nearest-rank answer.
+    // Re-derive every per-host value the streaming path sketches by
+    // re-running each host cell through the public runHost, and
+    // require the sketch-read percentiles to sit within the sketch's
+    // relative accuracy of the exact nearest-rank answer.
     workload::FleetConfig fleet;
     fleet.fleetSeed = 21;
     fleet.hosts = 64;
@@ -459,12 +441,15 @@ TEST(FleetSketch, PercentilesMatchNearestRankWithinAccuracy)
     ExperimentConfig config;
     FleetOptions options;
     options.jobs = 2;
-    options.keepHostResults = true;
 
-    const FleetReport report =
-        FleetDriver(fleet, config.sim, config.cache, options)
-            .run(policies);
-    ASSERT_EQ(report.hostResults.size(), fleet.hosts);
+    const FleetDriver driver(fleet, config.sim, config.cache, options);
+    const FleetReport report = driver.run(policies);
+    std::vector<HostCellResult> hostCells;
+    for (std::uint64_t host = 0; host < fleet.hosts; ++host) {
+        hostCells.push_back(
+            driver.runHost(workload::hostProfile(fleet, host), policies));
+    }
+    ASSERT_EQ(hostCells.size(), fleet.hosts);
 
     const double accuracy = obs::LogSketch().relativeAccuracy();
     auto expectClose = [&](const FleetPercentiles &sketched,
@@ -480,14 +465,14 @@ TEST(FleetSketch, PercentilesMatchNearestRankWithinAccuracy)
     };
 
     std::vector<double> baseValues;
-    for (const auto &cell : report.hostResults)
+    for (const auto &cell : hostCells)
         baseValues.push_back(cell.base.energy.total());
     expectClose(report.baseEnergyJ, baseValues);
 
     ASSERT_EQ(report.policies.size(), policies.size());
     for (std::size_t p = 0; p < policies.size(); ++p) {
         std::vector<double> energy, saved, miss;
-        for (const auto &cell : report.hostResults) {
+        for (const auto &cell : hostCells) {
             const double baseJ = cell.base.energy.total();
             const double j = cell.policyRuns[p].energy.total();
             energy.push_back(j);
@@ -590,7 +575,6 @@ TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
 
     FleetOptions options;
     options.jobs = 2;
-    options.keepHostResults = true;
     // Low MAD cut so a 32-host fleet reliably flags outliers.
     options.outlierMadThreshold = 0.5;
     options.drilldownDir = fleetDir.path;
@@ -599,11 +583,13 @@ TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
     const FleetReport report = driver.run(policies);
 
     ASSERT_FALSE(report.drilldowns.empty());
-    ASSERT_EQ(report.hostResults.size(), fleet.hosts);
+    ASSERT_EQ(report.hosts, fleet.hosts);
 
     for (const HostDrilldown &drill : report.drilldowns) {
-        ASSERT_LT(drill.host, report.hostResults.size());
-        const HostCellResult &cell = report.hostResults[drill.host];
+        ASSERT_LT(drill.host, fleet.hosts);
+        // Pass 1's cell for this host, as run() folded it.
+        const HostCellResult cell = driver.runHost(
+            workload::hostProfile(fleet, drill.host), policies);
         EXPECT_EQ(cell.host, drill.host);
 
         // Pass 2 re-simulated exactly what pass 1 measured.
@@ -646,6 +632,76 @@ TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
                 readFileBytes(standaloneDir.path + "/" + name))
                 << name;
         }
+    }
+}
+
+TEST(FleetDrilldown, SingleAppDrillMatchesEngineProvenance)
+{
+    // Drill-downs and engine cells assemble their observer stacks
+    // the same way, so a pure single-app host at scale 1.0 records
+    // exactly the provenance of the engine's global cell.
+    ExperimentConfig config;
+    config.maxExecutions = 2;
+    const std::string app = "mozilla";
+    const std::vector<PolicyConfig> policies = {
+        PolicyConfig::timeoutPolicy(),
+        PolicyConfig::pcapFdHistory(),
+    };
+    TempDrillDir engineDir("engine");
+    TempDrillDir drillDir("single-app");
+
+    ParallelOptions options;
+    options.provenanceDir = engineDir.path;
+    ParallelEvaluation engine(config, options);
+    for (const PolicyConfig &policy : policies)
+        engine.globalRun(app, policy);
+
+    workload::HostProfile profile;
+    profile.seed = config.seed;
+    profile.appMix = {{app, 1.0}};
+    profile.executions = 0; // full-run parity mode
+    profile.maxExecutionsPerApp = config.maxExecutions;
+    const HostDrilldown drill =
+        FleetDriver({}, config.sim, config.cache)
+            .drillHost(profile, policies, drillDir.path);
+
+    // The JSONL header names the cell; the records follow it.
+    auto records = [](const std::string &jsonl) {
+        return jsonl.substr(jsonl.find('\n') + 1);
+    };
+    // The engine's stem carries the capped config's hash:
+    // global-<app>-c<config hash>-<label>-<policy hash>.
+    auto engineBaseOf = [&](const PolicyConfig &policy) {
+        const std::string prefix = "global-" + app + "-c";
+        const std::string suffix =
+            "-" + policy.label + "-" + policyHash(policy);
+        std::vector<std::string> bases;
+        for (const auto &entry :
+             std::filesystem::directory_iterator(engineDir.path)) {
+            if (entry.path().extension() != ".bin")
+                continue;
+            const std::string stem =
+                entry.path().stem().stem().string(); // x.prov.bin
+            if (stem.starts_with(prefix) && stem.ends_with(suffix))
+                bases.push_back(engineDir.path + "/" + stem);
+        }
+        EXPECT_EQ(bases.size(), 1u) << policy.label;
+        return bases.empty() ? std::string() : bases.front();
+    };
+    ASSERT_EQ(drill.policies.size(), policies.size());
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+        const std::string engineBase = engineBaseOf(policies[p]);
+        const std::string drillBase =
+            drillDir.path + "/" + drill.policies[p].stem;
+        const std::string bin = readFileBytes(drillBase + ".prov.bin");
+        EXPECT_EQ(bin, readFileBytes(engineBase + ".prov.bin"))
+            << policies[p].label;
+        const std::string jsonl =
+            records(readFileBytes(drillBase + ".prov.jsonl"));
+        EXPECT_FALSE(jsonl.empty()) << policies[p].label;
+        EXPECT_EQ(jsonl,
+                  records(readFileBytes(engineBase + ".prov.jsonl")))
+            << policies[p].label;
     }
 }
 
