@@ -1,6 +1,7 @@
 #include "core/global.hpp"
 
 #include <string>
+#include <utility>
 
 #include "util/logging.hpp"
 
@@ -16,85 +17,78 @@ GlobalShutdownPredictor::GlobalShutdownPredictor(Factory factory)
 void
 GlobalShutdownPredictor::processStart(Pid pid, TimeUs time)
 {
-    if (slots_.count(pid)) {
+    if (isLive(pid)) {
         panic("GlobalShutdownPredictor: pid " + std::to_string(pid) +
               " already live");
     }
-    Slot slot;
-    slot.predictor = factory_(pid, time);
-    slot.decision = pred::initialConsent(time);
-    slots_.emplace(pid, std::move(slot));
+    slots_.push_back({pid, factory_(pid, time), -1,
+                      pred::initialConsent(time)});
+    const std::size_t index = slots_.size() - 1;
+    if (!stale_ && (index == 0 || beats(slots_[index], slots_[winner_])))
+        winner_ = index;
 }
 
 void
 GlobalShutdownPredictor::processExit(Pid pid, TimeUs time)
 {
     (void)time;
-    if (slots_.erase(pid) == 0) {
+    const std::size_t index = find(pid);
+    if (index == slots_.size()) {
         panic("GlobalShutdownPredictor: exit of unknown pid " +
               std::to_string(pid));
     }
+    const std::size_t last = slots_.size() - 1;
+    if (index == winner_)
+        stale_ = true;
+    else if (winner_ == last)
+        winner_ = index; // the winner moves into the freed slot
+    std::swap(slots_[index], slots_[last]);
+    slots_.pop_back();
 }
 
 pred::ShutdownDecision
 GlobalShutdownPredictor::onAccess(const trace::DiskAccess &access)
 {
-    auto it = slots_.find(access.pid);
-    if (it == slots_.end()) {
+    const std::size_t index = find(access.pid);
+    if (index == slots_.size()) {
         panic("GlobalShutdownPredictor: access from unknown pid " +
               std::to_string(access.pid));
     }
-    Slot &slot = it->second;
+    Slot &slot = slots_[index];
+    const Slot before{slot.pid, nullptr, slot.lastIoTime, slot.decision};
 
     slot.decision =
         slot.predictor->onIo(ioContextOf(access, slot.lastIoTime));
     slot.lastIoTime = access.time;
+    if (!stale_) {
+        if (index == winner_)
+            stale_ = beats(before, slot); // the winner got worse
+        else if (beats(slot, slots_[winner_]))
+            winner_ = index;
+    }
     return globalDecision();
 }
 
-pred::ShutdownDecision
-GlobalShutdownPredictor::globalDecision() const
+void
+GlobalShutdownPredictor::rescan() const
 {
-    return globalDecisionDetailed().decision;
-}
-
-GlobalShutdownPredictor::AttributedDecision
-GlobalShutdownPredictor::globalDecisionDetailed() const
-{
-    pred::ShutdownDecision best;
-    bool first = true;
-    TimeUs best_last_io = -1;
-    Pid best_pid = -1;
-    for (const auto &[pid, slot] : slots_) {
-        // The latest earliest-time wins, so a process that never
-        // consents (kTimeNever) always does. Ties go to the process
-        // that decided most recently ("last decision" attribution),
-        // then to the lowest pid so the combine is independent of the
-        // hash map's iteration order.
-        if (first || slot.decision.earliest > best.earliest ||
-            (slot.decision.earliest == best.earliest &&
-             (slot.lastIoTime > best_last_io ||
-              (slot.lastIoTime == best_last_io && pid < best_pid)))) {
-            best = slot.decision;
-            best_last_io = slot.lastIoTime;
-            best_pid = pid;
-            first = false;
-        }
+    winner_ = 0;
+    for (std::size_t i = 1; i < slots_.size(); ++i) {
+        if (beats(slots_[i], slots_[winner_]))
+            winner_ = i;
     }
-    if (first)
-        return {{0, pred::DecisionSource::None}, -1}; // none live
-    return {best, best_pid};
+    stale_ = false;
 }
 
 pred::ShutdownDecision
 GlobalShutdownPredictor::localDecision(Pid pid) const
 {
-    auto it = slots_.find(pid);
-    if (it == slots_.end()) {
+    const std::size_t index = find(pid);
+    if (index == slots_.size()) {
         panic("GlobalShutdownPredictor: localDecision of unknown pid " +
               std::to_string(pid));
     }
-    return it->second.decision;
+    return slots_[index].decision;
 }
 
 } // namespace pcap::core

@@ -10,7 +10,8 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <tuple>
+#include <vector>
 
 #include "pred/predictor.hpp"
 #include "trace/event.hpp"
@@ -44,6 +45,11 @@ ioContextOf(const trace::DiskAccess &access, TimeUs prevIoTime)
  * holding the latest decision attributes the shutdown (primary vs
  * backup), matching the paper's "last decision" accounting in
  * Section 6.4.
+ *
+ * The winning slot is cached. A start or an access can only replace
+ * it by a slot that beats it; all slots are rescanned only after the
+ * winner exits or its own decision gets worse, so an access costs a
+ * short pid scan, one local onIo and one comparison.
  */
 class GlobalShutdownPredictor
 {
@@ -65,7 +71,7 @@ class GlobalShutdownPredictor
     void processExit(Pid pid, TimeUs time);
 
     /** True when @p pid is currently registered and live. */
-    bool isLive(Pid pid) const { return slots_.count(pid) > 0; }
+    bool isLive(Pid pid) const { return find(pid) != slots_.size(); }
 
     /** Number of live processes. */
     std::size_t liveCount() const { return slots_.size(); }
@@ -79,7 +85,10 @@ class GlobalShutdownPredictor
     pred::ShutdownDecision onAccess(const trace::DiskAccess &access);
 
     /** Current global decision (combine of all live processes). */
-    pred::ShutdownDecision globalDecision() const;
+    pred::ShutdownDecision globalDecision() const
+    {
+        return globalDecisionDetailed().decision;
+    }
 
     /** A global decision together with the process that holds it —
      * the paper's "last decision" attribution, exposed for the
@@ -91,7 +100,15 @@ class GlobalShutdownPredictor
     };
 
     /** globalDecision() plus the pid holding the winning decision. */
-    AttributedDecision globalDecisionDetailed() const;
+    AttributedDecision globalDecisionDetailed() const
+    {
+        if (slots_.empty())
+            return {{0, pred::DecisionSource::None}, -1}; // none live
+        if (stale_)
+            rescan();
+        const Slot &winner = slots_[winner_];
+        return {winner.decision, winner.pid};
+    }
 
     /** Standing decision of one live process (testing hook). */
     pred::ShutdownDecision localDecision(Pid pid) const;
@@ -99,17 +116,41 @@ class GlobalShutdownPredictor
   private:
     struct Slot
     {
+        Pid pid = -1;
         std::unique_ptr<pred::ShutdownPredictor> predictor;
         TimeUs lastIoTime = -1;
         pred::ShutdownDecision decision;
     };
 
+    /** Whether @p a wins the combine over @p b: the later earliest
+     * time (kTimeNever always wins), then the later lastIoTime ("last
+     * decision" attribution), then the lower pid. */
+    static bool beats(const Slot &a, const Slot &b)
+    {
+        return std::tie(a.decision.earliest, a.lastIoTime, b.pid) >
+               std::tie(b.decision.earliest, b.lastIoTime, a.pid);
+    }
+
+    /** Index of @p pid's slot, or slots_.size() when not live. */
+    std::size_t find(Pid pid) const
+    {
+        std::size_t i = 0;
+        while (i < slots_.size() && slots_[i].pid != pid)
+            ++i;
+        return i;
+    }
+
+    /** Recompute winner_ over every slot and clear stale_. */
+    void rescan() const;
+
     Factory factory_;
-    // Hash map rather than ordered: the hot path is the per-access
-    // find() plus a full scan in globalDecision(), neither of which
-    // needs ordering (the decision combine tie-breaks on pid
-    // explicitly). See bench_overhead for the measured difference.
-    std::unordered_map<Pid, Slot> slots_;
+    // Live processes, unordered (exit swap-removes). A pid is found
+    // by linear scan: executions have a handful of live processes.
+    std::vector<Slot> slots_;
+    // Cache state: a const query may rescan, so even const calls on
+    // one predictor must not race.
+    mutable std::size_t winner_ = 0; ///< cached beats() maximum
+    mutable bool stale_ = false;     ///< winner_ needs a rescan()
 };
 
 } // namespace pcap::core

@@ -16,35 +16,10 @@ energyCategoryName(EnergyCategory category)
     return "unknown";
 }
 
-void
-EnergyLedger::add(EnergyCategory category, double joules)
-{
-    if (joules < 0.0)
-        panic("EnergyLedger::add: negative energy");
-    switch (category) {
-      case EnergyCategory::BusyIo: busyIo_ += joules; break;
-      case EnergyCategory::IdleShort: idleShort_ += joules; break;
-      case EnergyCategory::IdleLong: idleLong_ += joules; break;
-      case EnergyCategory::PowerCycle: powerCycle_ += joules; break;
-    }
-}
-
-double
-EnergyLedger::get(EnergyCategory category) const
-{
-    switch (category) {
-      case EnergyCategory::BusyIo: return busyIo_;
-      case EnergyCategory::IdleShort: return idleShort_;
-      case EnergyCategory::IdleLong: return idleLong_;
-      case EnergyCategory::PowerCycle: return powerCycle_;
-    }
-    return 0.0;
-}
-
 double
 EnergyLedger::total() const
 {
-    return busyIo_ + idleShort_ + idleLong_ + powerCycle_;
+    return joules_[0] + joules_[1] + joules_[2] + joules_[3];
 }
 
 double
@@ -57,24 +32,20 @@ EnergyLedger::normalizedTo(const EnergyLedger &baseline) const
 void
 EnergyLedger::clear()
 {
-    busyIo_ = idleShort_ = idleLong_ = powerCycle_ = 0.0;
+    joules_ = {};
 }
 
 void
 EnergyLedger::merge(const EnergyLedger &other)
 {
-    busyIo_ += other.busyIo_;
-    idleShort_ += other.idleShort_;
-    idleLong_ += other.idleLong_;
-    powerCycle_ += other.powerCycle_;
+    for (std::size_t i = 0; i < joules_.size(); ++i)
+        joules_[i] += other.joules_[i];
 }
 
-double
-energyJ(double power_w, TimeUs duration)
+void
+panicEnergy(const char *message)
 {
-    if (duration < 0)
-        panic("energyJ: negative duration");
-    return power_w * usToSeconds(duration);
+    panic(message);
 }
 
 const char *

@@ -8,6 +8,7 @@
 #ifndef PCAP_POWER_ENERGY_HPP
 #define PCAP_POWER_ENERGY_HPP
 
+#include <array>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -27,6 +28,9 @@ enum class EnergyCategory {
 /** Human-readable category name as used in Figure 8 legends. */
 const char *energyCategoryName(EnergyCategory category);
 
+/** The panic of add() and energyJ(), out of their inlined bodies. */
+[[noreturn]] void panicEnergy(const char *message);
+
 /**
  * Per-category energy totals for one simulated policy run.
  *
@@ -37,10 +41,18 @@ class EnergyLedger
 {
   public:
     /** Add @p joules to @p category. Negative amounts panic. */
-    void add(EnergyCategory category, double joules);
+    void add(EnergyCategory category, double joules)
+    {
+        if (joules < 0.0) [[unlikely]]
+            panicEnergy("EnergyLedger::add: negative energy");
+        joules_[static_cast<std::size_t>(category)] += joules;
+    }
 
     /** Energy accumulated in one category. */
-    double get(EnergyCategory category) const;
+    double get(EnergyCategory category) const
+    {
+        return joules_[static_cast<std::size_t>(category)];
+    }
 
     /** Sum over all categories. */
     double total() const;
@@ -56,17 +68,20 @@ class EnergyLedger
     void merge(const EnergyLedger &other);
 
   private:
-    double busyIo_ = 0.0;
-    double idleShort_ = 0.0;
-    double idleLong_ = 0.0;
-    double powerCycle_ = 0.0;
+    std::array<double, 4> joules_{}; ///< indexed by EnergyCategory
 };
 
 /**
  * Helpers converting (power, duration) into joules. Durations are in
  * simulated microseconds.
  */
-double energyJ(double power_w, TimeUs duration);
+inline double
+energyJ(double power_w, TimeUs duration)
+{
+    if (duration < 0) [[unlikely]]
+        panicEnergy("energyJ: negative duration");
+    return power_w * usToSeconds(duration);
+}
 
 /** Metric-friendly category slug ("busy_io", "idle_short", ...). */
 const char *energyCategorySlug(EnergyCategory category);

@@ -93,12 +93,14 @@ LocalDriver::beginExecution(const ExecutionInput &input)
     warnedUnknownPid_ = false;
     contexts_.reserve(input.processes.size());
     for (const auto &span : input.processes) {
-        Ctx ctx;
-        ctx.predictor = session_.makeLocal(span.pid, span.start);
-        ctx.decision = pred::initialConsent(span.start);
-        ctx.spanEnd = span.end;
-        contexts_.emplace(span.pid, std::move(ctx));
+        contexts_.push_back({span.pid,
+                             session_.makeLocal(span.pid, span.start),
+                             -1, pred::initialConsent(span.start),
+                             span.end});
     }
+    // fromTrace lists spans in pid order; a hand-built input may not.
+    std::sort(contexts_.begin(), contexts_.end(),
+              [](const Ctx &a, const Ctx &b) { return a.pid < b.pid; });
 }
 
 void
@@ -106,8 +108,10 @@ LocalDriver::onAccess(const trace::DiskAccess &access,
                       TimeUs completion, IdleSink &sink)
 {
     (void)completion;
-    auto it = contexts_.find(access.pid);
-    if (it == contexts_.end()) {
+    const auto it = std::lower_bound(
+        contexts_.begin(), contexts_.end(), access.pid,
+        [](const Ctx &ctx, Pid pid) { return ctx.pid < pid; });
+    if (it == contexts_.end() || it->pid != access.pid) {
         // Malformed input: an access from a pid with no process
         // span. Historically dropped silently; make it visible
         // (once per execution) without changing the outcome.
@@ -120,7 +124,7 @@ LocalDriver::onAccess(const trace::DiskAccess &access,
         }
         return;
     }
-    Ctx &ctx = it->second;
+    Ctx &ctx = *it;
 
     if (ctx.prev >= 0) {
         sink.classify(access.pid, ctx.prev, access.time,
@@ -137,17 +141,13 @@ LocalDriver::onAccess(const trace::DiskAccess &access,
 void
 LocalDriver::endExecution(const ExecutionInput &input, IdleSink &sink)
 {
-    // Trailing idle period of each process, to its exit — iterated
-    // over the pid-sorted span list so observers see a
-    // deterministic record order.
-    for (const auto &span : input.processes) {
-        auto it = contexts_.find(span.pid);
-        if (it == contexts_.end())
-            continue;
-        Ctx &ctx = it->second;
+    (void)input;
+    // Trailing idle period of each process, to its exit — in pid
+    // order, so observers see a deterministic record order.
+    for (const Ctx &ctx : contexts_) {
         if (ctx.prev < 0 || ctx.spanEnd <= ctx.prev)
             continue;
-        sink.classify(span.pid, ctx.prev, ctx.spanEnd,
+        sink.classify(ctx.pid, ctx.prev, ctx.spanEnd,
                       localShutdownTime(ctx.decision, ctx.prev,
                                         ctx.spanEnd),
                       ctx.decision.source);

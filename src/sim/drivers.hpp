@@ -19,7 +19,7 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/global.hpp"
 #include "sim/kernel.hpp"
@@ -86,6 +86,7 @@ class LocalDriver final : public PolicyDriver
   private:
     struct Ctx
     {
+        Pid pid = -1;
         std::unique_ptr<pred::ShutdownPredictor> predictor;
         TimeUs prev = -1;
         pred::ShutdownDecision decision;
@@ -93,7 +94,9 @@ class LocalDriver final : public PolicyDriver
     };
 
     PolicySession &session_;
-    std::unordered_map<Pid, Ctx> contexts_;
+    /** One context per process span, sorted by pid (binary search:
+     * a hostile input with many processes stays O(log n)). */
+    std::vector<Ctx> contexts_;
     bool warnedUnknownPid_ = false;
 };
 

@@ -1,11 +1,31 @@
 #include "sim/input.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/logging.hpp"
 
 namespace pcap::sim {
+
+namespace {
+
+bool
+byPid(const ProcessSpan &a, const ProcessSpan &b)
+{
+    return a.pid < b.pid;
+}
+
+/** @p pid's index in the pid-sorted @p spans, or spans.size(). */
+std::size_t
+indexOf(const std::vector<ProcessSpan> &spans, Pid pid)
+{
+    const auto it = std::lower_bound(spans.begin(), spans.end(),
+                                     ProcessSpan{pid, 0, 0}, byPid);
+    return it != spans.end() && it->pid == pid
+               ? static_cast<std::size_t>(it - spans.begin())
+               : spans.size();
+}
+
+} // namespace
 
 void
 ExecutionInput::fromTrace(const trace::Trace &trace,
@@ -42,9 +62,6 @@ ExecutionInput::fromTrace(const trace::Trace &trace,
             spans.push_back({child, event.time, event.time});
         }
     }
-    const auto byPid = [](const ProcessSpan &a, const ProcessSpan &b) {
-        return a.pid < b.pid;
-    };
     std::sort(spans.begin(), spans.end(), byPid);
     const auto find = [&](Pid pid) {
         return std::lower_bound(spans.begin(), spans.end(),
@@ -77,11 +94,10 @@ ExecutionInput::fromTrace(const trace::Trace &trace,
 const ProcessSpan &
 ExecutionInput::spanOf(Pid pid) const
 {
-    for (const auto &span : processes) {
-        if (span.pid == pid)
-            return span;
-    }
-    panic("ExecutionInput: unknown pid " + std::to_string(pid));
+    const std::size_t i = indexOf(processes, pid);
+    if (i == processes.size())
+        panic("ExecutionInput: unknown pid " + std::to_string(pid));
+    return processes[i];
 }
 
 std::uint64_t
@@ -102,23 +118,23 @@ ExecutionInput::countGlobalOpportunities(TimeUs breakeven) const
 std::uint64_t
 ExecutionInput::countLocalOpportunities(TimeUs breakeven) const
 {
-    // Last access time of each span pid, -1 before its first access.
-    std::unordered_map<Pid, TimeUs> prev;
-    for (const auto &span : processes)
-        prev.emplace(span.pid, -1);
+    // The spans in pid order (fromTrace's; a hand-built input may
+    // differ) and each one's last access time, -1 before the first.
+    std::vector<ProcessSpan> spans = processes;
+    std::sort(spans.begin(), spans.end(), byPid);
+    std::vector<TimeUs> last(spans.size(), -1);
 
     std::uint64_t count = 0;
     for (const auto &access : accesses) {
-        const auto it = prev.find(access.pid);
-        if (it == prev.end())
+        const std::size_t i = indexOf(spans, access.pid);
+        if (i == spans.size())
             continue;
-        if (it->second >= 0 && access.time - it->second > breakeven)
+        if (last[i] >= 0 && access.time - last[i] > breakeven)
             ++count;
-        it->second = access.time;
+        last[i] = access.time;
     }
-    for (const auto &span : processes) {
-        const TimeUs last = prev.at(span.pid);
-        if (last >= 0 && span.end - last > breakeven)
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        if (last[i] >= 0 && spans[i].end - last[i] > breakeven)
             ++count;
     }
     return count;

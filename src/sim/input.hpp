@@ -36,8 +36,9 @@ struct ProcessSpan
 /**
  * Everything the simulator needs about one execution: the post-cache
  * disk access stream in (time, pid) order — the order every replay
- * feeds it — the process spans, one per pid, including the flush
- * daemon, which lives for the whole execution, and trace metadata.
+ * feeds it — the process spans, one per pid (fromTrace lists them
+ * in pid order), including the flush daemon, which lives for the
+ * whole execution, and trace metadata.
  */
 struct ExecutionInput
 {
@@ -64,7 +65,8 @@ struct ExecutionInput
     static ExecutionInput fromTrace(const trace::Trace &trace,
                                     const cache::CacheParams &params);
 
-    /** Span of one process; panics when the pid is unknown. */
+    /** Span of one process, found by binary search, so the spans
+     * must be in pid order; panics when the pid is unknown. */
     const ProcessSpan &spanOf(Pid pid) const;
 
     /**
