@@ -1112,14 +1112,15 @@ drilldownJson(const sim::FleetReport &report, std::uint64_t seed)
     Json &hostsJson = root["hosts"];
     hostsJson = Json::array();
     for (const auto &drill : report.drilldowns) {
+        const sim::HostCellResult &cell = drill.cell;
         Json entry = Json::object();
-        entry["host"] = drill.host;
+        entry["host"] = cell.host;
         entry["seed"] = drill.seed;
-        entry["think_time_scale"] = drill.thinkTimeScale;
-        entry["executions"] = drill.executions;
-        entry["accesses"] = drill.accesses;
-        entry["sim_span_us"] = drill.simSpanUs;
-        entry["base_energy_j"] = drill.baseEnergyJ;
+        entry["think_time_scale"] = cell.thinkTimeScale;
+        entry["executions"] = cell.executions;
+        entry["accesses"] = cell.accesses;
+        entry["sim_span_us"] = cell.simSpanUs;
+        entry["base_energy_j"] = cell.base.energy.total();
         Json &reasonsJson = entry["reasons"];
         reasonsJson = Json::array();
         for (const auto &reason : drill.reasons) {
@@ -1133,17 +1134,21 @@ drilldownJson(const sim::FleetReport &report, std::uint64_t seed)
         }
         Json &policiesJson = entry["policies"];
         policiesJson = Json::array();
-        for (const auto &policy : drill.policies) {
+        for (std::size_t p = 0; p < drill.policies.size(); ++p) {
+            const sim::DrilldownPolicy &policy = drill.policies[p];
+            const sim::RunResult &run = cell.policyRuns[p];
+            const sim::HostPolicyFractions figures =
+                sim::hostPolicyFractions(cell, p);
             Json item = Json::object();
             item["policy"] = policy.policy;
             item["stem"] = policy.stem;
-            item["energy_j"] = policy.energyJ;
-            item["saved_fraction"] = policy.savedFraction;
-            item["hit_fraction"] = policy.hitFraction;
-            item["miss_fraction"] = policy.missFraction;
-            item["shutdowns"] = policy.shutdowns;
-            item["spin_ups"] = policy.spinUps;
-            item["table_entries"] = policy.tableEntries;
+            item["energy_j"] = figures.energyJ;
+            item["saved_fraction"] = figures.saved;
+            item["hit_fraction"] = figures.hit;
+            item["miss_fraction"] = figures.miss;
+            item["shutdowns"] = run.shutdowns;
+            item["spin_ups"] = run.spinUps;
+            item["table_entries"] = cell.tableEntries[p];
             // Counter deltas ride along only under --perf: without
             // it the bundle stays byte-identical across runs and
             // thread counts (the CI `diff -r` gate).
@@ -1270,15 +1275,22 @@ reportFleet(ReportContext &ctx, std::ostream &os)
             TextTable drillTable;
             drillTable.setHeader({"host", "policy", "saved", "miss",
                                   "spin-ups", "table", "stem"});
-            for (const auto &drill : report.drilldowns)
-                for (const auto &policy : drill.policies)
+            for (const auto &drill : report.drilldowns) {
+                const sim::HostCellResult &cell = drill.cell;
+                for (std::size_t p = 0; p < drill.policies.size();
+                     ++p) {
+                    const sim::HostPolicyFractions figures =
+                        sim::hostPolicyFractions(cell, p);
                     drillTable.addRow(
-                        {std::to_string(drill.host), policy.policy,
-                         percentString(policy.savedFraction),
-                         percentString(policy.missFraction),
-                         std::to_string(policy.spinUps),
-                         std::to_string(policy.tableEntries),
-                         policy.stem});
+                        {std::to_string(cell.host),
+                         drill.policies[p].policy,
+                         percentString(figures.saved),
+                         percentString(figures.miss),
+                         std::to_string(cell.policyRuns[p].spinUps),
+                         std::to_string(cell.tableEntries[p]),
+                         drill.policies[p].stem});
+                }
+            }
             drillTable.print(os);
         }
         writeDrilldownIndex(report, ctx.fleet.seed,

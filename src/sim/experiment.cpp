@@ -391,13 +391,11 @@ ParallelEvaluation::runCell(const Cell &cell, std::size_t capacity)
         cellFileStem(mode, cell.app, policy, configHash);
     obs::Span span("cell-replay", stem);
     obs::PerfRegion perf("cells:replay");
-    const obs::ScopedMetrics scope =
-        cellScope(mode, cell.app, policy, configHash);
-    CellRun run(config_.sim, cell.mode, policy, scope,
+    CellRun run(config_.sim, cell.mode, policy,
+                cellScope(mode, cell.app, policy, configHash),
                 {options_.provenanceDir, options_.timelineDir,
                  TimelineObserver::makeMeta(
                      stem, mode, cell.app, policy ? policy->label : "")});
-    auto lap = scope.timer("pcap_cell_wall_seconds").measure();
     sim::GlobalOutcome result;
     for (const ExecutionInput &input : inputs(cell.app, capacity))
         result.run.merge(run.replay(input));

@@ -142,21 +142,18 @@ struct ShardAccum
         for (std::size_t p = 0; p < policies.size(); ++p) {
             PolicyAccum &accum = policies[p];
             const RunResult &run = cell.policyRuns[p];
-            const double joules = run.energy.total();
-            const double savedFraction =
-                baseJoules > 0.0 ? 1.0 - joules / baseJoules : 0.0;
-            const double missFraction =
-                run.accuracy.missFraction();
-            accum.energy.add(joules);
-            accum.saved.add(savedFraction);
-            accum.hit.add(run.accuracy.hitFraction());
-            accum.miss.add(missFraction);
-            accum.energySum += joules;
-            accum.savedSum += savedFraction;
+            const HostPolicyFractions figures =
+                hostPolicyFractions(cell, p);
+            accum.energy.add(figures.energyJ);
+            accum.saved.add(figures.saved);
+            accum.hit.add(figures.hit);
+            accum.miss.add(figures.miss);
+            accum.energySum += figures.energyJ;
+            accum.savedSum += figures.saved;
             accum.shutdowns += run.shutdowns;
             accum.spinUps += run.spinUps;
-            accum.savedTails.add(cell.host, savedFraction);
-            accum.missTails.add(cell.host, missFraction);
+            accum.savedTails.add(cell.host, figures.saved);
+            accum.missTails.add(cell.host, figures.miss);
         }
     }
 
@@ -205,6 +202,18 @@ feedAlertSketches(obs::AlertEngine &alerts, const ShardAccum &accum,
         feed("hit_fraction", label, policyAccum.hit);
         feed("miss_fraction", label, policyAccum.miss);
     }
+}
+
+/** Most deviant first: score descending, then host and metric
+ * ascending — a total order over one policy's outliers. */
+bool
+mostDeviantFirst(const FleetOutlier &a, const FleetOutlier &b)
+{
+    if (a.score != b.score)
+        return a.score > b.score;
+    if (a.host != b.host)
+        return a.host < b.host;
+    return a.metric < b.metric;
 }
 
 /** "mozilla+netscape": the host's app mix as one label. */
@@ -286,13 +295,22 @@ flagOutliers(const std::string &metric,
     flagged.reserve(byHost.size());
     for (auto &[host, outlier] : byHost)
         flagged.push_back(std::move(outlier));
-    std::sort(flagged.begin(), flagged.end(),
-              [](const FleetOutlier &a, const FleetOutlier &b) {
-                  if (a.score != b.score)
-                      return a.score > b.score;
-                  return a.host < b.host;
-              });
+    std::sort(flagged.begin(), flagged.end(), mostDeviantFirst);
     return flagged;
+}
+
+HostPolicyFractions
+hostPolicyFractions(const HostCellResult &cell, std::size_t p)
+{
+    const RunResult &run = cell.policyRuns[p];
+    const double baseJoules = cell.base.energy.total();
+    HostPolicyFractions figures;
+    figures.energyJ = run.energy.total();
+    figures.saved =
+        baseJoules > 0.0 ? 1.0 - figures.energyJ / baseJoules : 0.0;
+    figures.hit = run.accuracy.hitFraction();
+    figures.miss = run.accuracy.missFraction();
+    return figures;
 }
 
 FleetDriver::FleetDriver(workload::FleetConfig fleet, SimParams sim,
@@ -315,7 +333,9 @@ FleetDriver::runHost(const workload::HostProfile &profile,
 
 HostCellResult
 FleetDriver::runHost(HostExecutionSource &source,
-                     const std::vector<PolicyConfig> &policies) const
+                     const std::vector<PolicyConfig> &policies,
+                     std::vector<DrilldownPolicy> *drilled,
+                     const std::string &drillDir) const
 {
     const workload::HostProfile &profile = source.profile();
     HostCellResult cell;
@@ -327,22 +347,52 @@ FleetDriver::runHost(HostExecutionSource &source,
     // The cell owns all learned state: one CellRun per policy,
     // living across the host's whole execution stream, plus the Base
     // run. deque: a CellRun holds references into itself, so it must
-    // not move.
+    // not move. A drill writes each policy's provenance pair and
+    // timeline into drillDir; the Base run stays uninstrumented.
     std::deque<CellRun> runs;
-    for (const PolicyConfig &policy : policies)
-        runs.emplace_back(sim_, CellMode::Global, &policy);
+    for (const PolicyConfig &policy : policies) {
+        CellArtifacts artifacts;
+        if (drilled) {
+            DrilldownPolicy &summary = drilled->emplace_back();
+            summary.policy = policy.label;
+            summary.stem = "host" + std::to_string(profile.host) +
+                           "-" + policy.label + "-" +
+                           policyHash(policy);
+            artifacts = {drillDir, drillDir,
+                         TimelineObserver::makeMeta(
+                             summary.stem, "fleet",
+                             appMixLabel(profile), policy.label)};
+        }
+        runs.emplace_back(sim_, CellMode::Global, &policy,
+                          obs::ScopedMetrics{}, artifacts);
+    }
     CellRun base(sim_, CellMode::Base);
 
     while (const ExecutionInput *input = source.next()) {
         ++cell.executions;
         cell.accesses += input->accesses.size();
         cell.simSpanUs += static_cast<std::uint64_t>(input->endTime);
-        for (std::size_t p = 0; p < policies.size(); ++p)
-            cell.policyRuns[p].merge(runs[p].replay(*input));
+        // Pass 1 takes this branch once per execution and opens no
+        // region. A drill collects per-policy counter deltas: which
+        // policy's simulation is cycle-hungry, and how its IPC
+        // compares across policies on the same host workload.
+        if (!drilled) {
+            for (std::size_t p = 0; p < policies.size(); ++p)
+                cell.policyRuns[p].merge(runs[p].replay(*input));
+        } else {
+            for (std::size_t p = 0; p < policies.size(); ++p) {
+                obs::PerfRegion region(&(*drilled)[p].perf);
+                cell.policyRuns[p].merge(runs[p].replay(*input));
+            }
+        }
         cell.base.merge(base.replay(*input));
     }
     for (std::size_t p = 0; p < policies.size(); ++p)
         cell.tableEntries[p] = runs[p].finish();
+    if (drilled) {
+        for (DrilldownPolicy &summary : *drilled)
+            summary.hasPerf = obs::perfEnabled();
+    }
     return cell;
 }
 
@@ -357,69 +407,9 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
     std::filesystem::create_directories(dir);
 
     HostDrilldown drill;
-    drill.host = profile.host;
     drill.seed = profile.seed;
-    drill.thinkTimeScale = profile.thinkTimeScale;
-
-    // One fully instrumented CellRun per policy, writing its
-    // provenance pair and timeline into dir; deque: a CellRun must
-    // not move.
-    const std::string app = appMixLabel(profile);
-    std::vector<std::string> stems;
-    std::deque<CellRun> cells;
-    for (const PolicyConfig &policy : policies) {
-        stems.push_back("host" + std::to_string(profile.host) + "-" +
-                        policy.label + "-" + policyHash(policy));
-        cells.emplace_back(
-            sim_, CellMode::Global, &policy, obs::ScopedMetrics{},
-            CellArtifacts{dir, dir,
-                          TimelineObserver::makeMeta(
-                              stems.back(), "fleet", app,
-                              policy.label)});
-    }
-    CellRun base(sim_, CellMode::Base); // uninstrumented baseline
-
-    std::vector<RunResult> runs(policies.size());
-    // Per-policy counter deltas over the drilled replay: which
-    // policy's simulation is cycle-hungry, and how its IPC compares
-    // across policies on the same host workload. Zero-cost when no
-    // profiler is installed.
-    std::vector<obs::PerfCounts> perfTotals(policies.size());
-    RunResult baseRun;
     HostExecutionSource source(profile, cacheParams_);
-    while (const ExecutionInput *input = source.next()) {
-        ++drill.executions;
-        drill.accesses += input->accesses.size();
-        drill.simSpanUs +=
-            static_cast<std::uint64_t>(input->endTime);
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-            obs::PerfRegion perf(&perfTotals[p]);
-            runs[p].merge(cells[p].replay(*input));
-        }
-        baseRun.merge(base.replay(*input));
-    }
-    drill.baseEnergyJ = baseRun.energy.total();
-
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-        DrilldownPolicy summary;
-        summary.policy = policies[p].label;
-        summary.stem = stems[p];
-        summary.energyJ = runs[p].energy.total();
-        summary.savedFraction =
-            drill.baseEnergyJ > 0.0
-                ? 1.0 - summary.energyJ / drill.baseEnergyJ
-                : 0.0;
-        summary.hitFraction = runs[p].accuracy.hitFraction();
-        summary.missFraction = runs[p].accuracy.missFraction();
-        summary.shutdowns = runs[p].shutdowns;
-        summary.spinUps = runs[p].spinUps;
-        summary.tableEntries = cells[p].finish();
-        if (obs::perfEnabled()) {
-            summary.perf = perfTotals[p];
-            summary.hasPerf = true;
-        }
-        drill.policies.push_back(std::move(summary));
-    }
+    drill.cell = runHost(source, policies, &drill.policies, dir);
     return drill;
 }
 
@@ -526,14 +516,7 @@ FleetDriver::run(const std::vector<PolicyConfig> &policies) const
             std::make_move_iterator(missOutliers.begin()),
             std::make_move_iterator(missOutliers.end()));
         std::sort(policyReport.outliers.begin(),
-                  policyReport.outliers.end(),
-                  [](const FleetOutlier &a, const FleetOutlier &b) {
-                      if (a.score != b.score)
-                          return a.score > b.score;
-                      if (a.host != b.host)
-                          return a.host < b.host;
-                      return a.metric < b.metric;
-                  });
+                  policyReport.outliers.end(), mostDeviantFirst);
 
         report.policies.push_back(std::move(policyReport));
     }
@@ -562,7 +545,7 @@ FleetDriver::run(const std::vector<PolicyConfig> &policies) const
         for (HostDrilldown &drill : report.drilldowns) {
             for (const FleetPolicyReport &policy : report.policies)
                 for (const FleetOutlier &outlier : policy.outliers)
-                    if (outlier.host == drill.host)
+                    if (outlier.host == drill.cell.host)
                         drill.reasons.push_back(
                             {policy.policy, outlier.metric,
                              outlier.value, outlier.median,

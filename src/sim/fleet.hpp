@@ -121,6 +121,21 @@ struct HostCellResult
     std::vector<std::size_t> tableEntries;
 };
 
+/** One policy's per-host headline figures. */
+struct HostPolicyFractions
+{
+    double energyJ = 0.0;
+    double saved = 0.0; ///< 1 - energy/base; 0 without base energy
+    double hit = 0.0;
+    double miss = 0.0;
+};
+
+/** Policy @p p's energy in @p cell, its savings against the cell's
+ * base run and its accuracy fractions: the one formula the fleet's
+ * sketches, its drill-down index and its drill table all read. */
+HostPolicyFractions hostPolicyFractions(const HostCellResult &cell,
+                                        std::size_t p);
+
 /** Across-hosts aggregate of one policy. */
 struct FleetPolicyReport
 {
@@ -159,18 +174,12 @@ struct DrilldownReason
     double score = 0.0; ///< |value - median| in MAD units
 };
 
-/** One policy's drilled re-run of an outlier host. */
+/** One policy's artifacts and cost in a drilled re-run; its
+ * results are the HostDrilldown cell's. */
 struct DrilldownPolicy
 {
     std::string policy;
     std::string stem; ///< artifact basename (no directory/extension)
-    double energyJ = 0.0;
-    double savedFraction = 0.0; ///< vs. the host's base run
-    double hitFraction = 0.0;
-    double missFraction = 0.0;
-    std::uint64_t shutdowns = 0;
-    std::uint64_t spinUps = 0;
-    std::size_t tableEntries = 0;
 
     /** Hardware-counter delta over this policy's drilled replay;
      * only populated (hasPerf) when a PerfProfiler was installed
@@ -181,21 +190,17 @@ struct DrilldownPolicy
 
 /**
  * The pass-2 re-simulation of one flagged host, fully instrumented:
- * per policy one provenance pair (.prov.bin/.prov.jsonl) and one
- * timeline (.timeline.json/.csv), all named <stem>.<ext> inside the
- * drill-down directory.
+ * the same host replay as pass 1 (so @c cell equals pass 1's result
+ * field for field), plus per policy one provenance pair
+ * (.prov.bin/.prov.jsonl) and one timeline (.timeline.json/.csv),
+ * all named <stem>.<ext> inside the drill-down directory.
  */
 struct HostDrilldown
 {
-    std::uint64_t host = 0;
+    HostCellResult cell;
     std::uint64_t seed = 0; ///< the host's derived workload seed
-    double thinkTimeScale = 1.0;
-    std::uint64_t executions = 0;
-    std::uint64_t accesses = 0;
-    std::uint64_t simSpanUs = 0;
-    double baseEnergyJ = 0.0;
     std::vector<DrilldownReason> reasons; ///< pass-1 outlier flags
-    std::vector<DrilldownPolicy> policies;
+    std::vector<DrilldownPolicy> policies; ///< parallel to cell.policyRuns
 };
 
 /** The fleet run's aggregate output. */
@@ -289,10 +294,10 @@ class FleetDriver
     /**
      * Re-simulate one host with full instrumentation, writing one
      * provenance pair and timeline per policy into @p dir (stems
-     * "host<id>-<policy>-<hash16>"). The replay
-     * is bit-identical to runHost's — observers are passive — so a
-     * drilled host's artifacts answer "why was pass 1's number what
-     * it was". Public for the drill-down determinism tests.
+     * "host<id>-<policy>-<hash16>"). The replay is runHost's own
+     * loop and observers are passive, so the drill's cell equals
+     * runHost's and its artifacts answer "why was pass 1's number
+     * what it was". Public for the drill-down determinism tests.
      */
     HostDrilldown
     drillHost(const workload::HostProfile &profile,
@@ -302,10 +307,17 @@ class FleetDriver
     const workload::FleetConfig &fleet() const { return fleet_; }
 
   private:
-    /** runHost over @p source's host, streamed from @p source. */
+    /**
+     * The one host replay loop: runHost over @p source's host,
+     * streamed from @p source. With @p drilled it also drills: each
+     * policy's cell writes its artifacts into @p drillDir, and
+     * @p drilled receives per policy its stem and counter delta.
+     */
     HostCellResult
     runHost(HostExecutionSource &source,
-            const std::vector<PolicyConfig> &policies) const;
+            const std::vector<PolicyConfig> &policies,
+            std::vector<DrilldownPolicy> *drilled = nullptr,
+            const std::string &drillDir = {}) const;
 
     void recordMetrics(const FleetReport &report,
                        const std::vector<PolicyConfig> &policies)

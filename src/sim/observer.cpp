@@ -138,22 +138,6 @@ ProvenanceObserver::onPcapDecision(Pid pid,
 }
 
 void
-ProvenanceObserver::onPcapTraining(Pid pid,
-                                   const core::PcapTrainEvent &event)
-{
-    (void)pid;
-    (void)event;
-    ++trainings_;
-}
-
-void
-ProvenanceObserver::onTableEviction(const core::TableKey &key)
-{
-    (void)key;
-    ++evictions_;
-}
-
-void
 ProvenanceObserver::onShutdownLatched(TimeUs at,
                                       pred::DecisionSource source)
 {

@@ -193,15 +193,6 @@ class ProvenanceObserver final : public SimObserver,
     // core::ProvenanceTap hooks
     void onPcapDecision(Pid pid,
                         const core::PcapDecisionEvent &event) override;
-    void onPcapTraining(Pid pid,
-                        const core::PcapTrainEvent &event) override;
-    void onTableEviction(const core::TableKey &key) override;
-
-    /** Training events seen (table insertions and refreshes). */
-    std::uint64_t trainingCount() const { return trainings_; }
-
-    /** LRU evictions reported by the prediction table. */
-    std::uint64_t evictionCount() const { return evictions_; }
 
   private:
     /** Copy a decision event's evidence into @p out. */
@@ -222,8 +213,6 @@ class ProvenanceObserver final : public SimObserver,
 
     std::int32_t execution_ = 0;
     TimeUs execEnd_ = 0;
-    std::uint64_t trainings_ = 0;
-    std::uint64_t evictions_ = 0;
 };
 
 /**

@@ -586,27 +586,29 @@ TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
     ASSERT_EQ(report.hosts, fleet.hosts);
 
     for (const HostDrilldown &drill : report.drilldowns) {
-        ASSERT_LT(drill.host, fleet.hosts);
+        const HostCellResult &drilled = drill.cell;
+        ASSERT_LT(drilled.host, fleet.hosts);
         // Pass 1's cell for this host, as run() folded it.
         const HostCellResult cell = driver.runHost(
-            workload::hostProfile(fleet, drill.host), policies);
-        EXPECT_EQ(cell.host, drill.host);
+            workload::hostProfile(fleet, drilled.host), policies);
+        EXPECT_EQ(cell.host, drilled.host);
 
-        // Pass 2 re-simulated exactly what pass 1 measured.
-        EXPECT_EQ(drill.executions, cell.executions);
-        EXPECT_EQ(drill.accesses, cell.accesses);
-        EXPECT_EQ(drill.simSpanUs, cell.simSpanUs);
-        EXPECT_DOUBLE_EQ(drill.thinkTimeScale, cell.thinkTimeScale);
+        // Pass 2 re-simulated exactly what pass 1 measured: the
+        // whole cell, every policy run and the base run.
+        EXPECT_EQ(drilled.executions, cell.executions);
+        EXPECT_EQ(drilled.accesses, cell.accesses);
+        EXPECT_EQ(drilled.simSpanUs, cell.simSpanUs);
+        EXPECT_DOUBLE_EQ(drilled.thinkTimeScale, cell.thinkTimeScale);
+        expectSameResult(drilled.base, cell.base);
 
         ASSERT_EQ(drill.policies.size(), policies.size());
+        ASSERT_EQ(drilled.policyRuns.size(), policies.size());
+        ASSERT_EQ(drilled.tableEntries.size(), policies.size());
         for (std::size_t p = 0; p < policies.size(); ++p) {
-            const DrilldownPolicy &drilled = drill.policies[p];
-            EXPECT_EQ(drilled.policy, policies[p].label);
-            EXPECT_EQ(drilled.shutdowns,
-                      cell.policyRuns[p].shutdowns);
-            EXPECT_EQ(drilled.spinUps,
-                      cell.policyRuns[p].spinUps);
-            EXPECT_EQ(drilled.tableEntries, cell.tableEntries[p]);
+            EXPECT_EQ(drill.policies[p].policy, policies[p].label);
+            expectSameResult(drilled.policyRuns[p],
+                             cell.policyRuns[p]);
+            EXPECT_EQ(drilled.tableEntries[p], cell.tableEntries[p]);
         }
 
         // At least one pass-1 outlier flag explains the selection.
@@ -618,10 +620,10 @@ TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
     // function of (fleet config, host index, policies).
     const HostDrilldown &first = report.drilldowns.front();
     const HostDrilldown solo = driver.drillHost(
-        workload::hostProfile(fleet, first.host), policies,
+        workload::hostProfile(fleet, first.cell.host), policies,
         standaloneDir.path);
 
-    EXPECT_EQ(solo.host, first.host);
+    EXPECT_EQ(solo.cell.host, first.cell.host);
     ASSERT_EQ(solo.policies.size(), first.policies.size());
     for (std::size_t p = 0; p < first.policies.size(); ++p) {
         EXPECT_EQ(solo.policies[p].stem, first.policies[p].stem);
@@ -737,9 +739,10 @@ TEST(FleetDrilldown, BundlesIdenticalAcrossThreadCounts)
     for (std::size_t i = 0; i < serial.drilldowns.size(); ++i) {
         const HostDrilldown &a = serial.drilldowns[i];
         const HostDrilldown &b = parallel.drilldowns[i];
-        EXPECT_EQ(a.host, b.host);
+        EXPECT_EQ(a.cell.host, b.cell.host);
         EXPECT_EQ(a.seed, b.seed);
-        EXPECT_DOUBLE_EQ(a.baseEnergyJ, b.baseEnergyJ);
+        EXPECT_DOUBLE_EQ(a.cell.base.energy.total(),
+                         b.cell.base.energy.total());
         ASSERT_EQ(a.reasons.size(), b.reasons.size());
         for (std::size_t r = 0; r < a.reasons.size(); ++r) {
             EXPECT_EQ(a.reasons[r].policy, b.reasons[r].policy);
@@ -750,8 +753,8 @@ TEST(FleetDrilldown, BundlesIdenticalAcrossThreadCounts)
         ASSERT_EQ(a.policies.size(), b.policies.size());
         for (std::size_t p = 0; p < a.policies.size(); ++p) {
             EXPECT_EQ(a.policies[p].stem, b.policies[p].stem);
-            EXPECT_DOUBLE_EQ(a.policies[p].energyJ,
-                             b.policies[p].energyJ);
+            EXPECT_DOUBLE_EQ(a.cell.policyRuns[p].energy.total(),
+                             b.cell.policyRuns[p].energy.total());
             for (const char *ext : kDrillExtensions) {
                 const std::string name = a.policies[p].stem + ext;
                 EXPECT_EQ(

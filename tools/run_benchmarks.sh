@@ -3,7 +3,8 @@
 # results against the committed reference.
 #
 # Gates, in order:
-#   1. every report byte-identical to bench/reference (compare_bench)
+#   1. every report byte-identical to bench/reference (compare_bench),
+#      at the requested job count and at --jobs 1
 #   2. runs 1 and 2 produce identical deterministic metrics
 #      (metrics_diff, zero regressions allowed); --metrics-detail
 #      runs at one and four jobs agree exactly, and summed over app
@@ -92,6 +93,13 @@ echo "== detail metrics (--metrics-detail at 1 and 4 jobs, app rollup) =="
     --json "$scratch/detail-j4.json" > /dev/null
 python3 "$root/tools/metrics_diff.py" \
     "$scratch/detail-j1.json" "$scratch/detail-j4.json"
+# The single-thread run is the serial path: its reports must match
+# the reference too, not only agree with the four-job run's metrics.
+python3 "$root/tools/compare_bench.py" \
+    "$root/bench/reference/BENCH_RESULTS.ref.json" \
+    "$scratch/detail-j1.json" \
+    --max-report-seconds ablation_cache=20 \
+    --max-any-report-seconds 60
 python3 "$root/tools/metrics_diff.py" --fold app \
     "$scratch/detail-j4.json" "$scratch/run1.json"
 
