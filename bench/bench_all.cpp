@@ -81,12 +81,12 @@ usage(std::ostream &os)
           "per policy\n"
           "                    cell into directory P: one record per "
           "idle\n"
-          "                    period, binary + JSONL (see "
+          "                    period, binary (read with "
           "tools/pcap_explain)\n"
           "      --timeline-dir P  write a simulated-time timeline "
           "per cell\n"
           "                    into directory P (pcap-timeline-v1 "
-          "JSON + CSV;\n"
+          "JSON;\n"
           "                    see tools/pcap_timeline.py)\n"
           "      --trace-profile PATH  record wall-clock phase "
           "spans and\n"

@@ -227,38 +227,32 @@ BENCHMARK(BM_IdleSinkClassify<false>)->Name("BM_IdleSinkClassify/null");
 BENCHMARK(BM_IdleSinkClassify<true>)
     ->Name("BM_IdleSinkClassify/metrics");
 
-/**
- * Provenance flight recorder (PR 5): the raw ring append, and the
- * end-to-end recorder cost per classified idle period — the same
- * sink loop as BM_IdleSinkClassify, but with a ProvenanceObserver
- * attached (sink-less ring, flight-recorder mode). Compare against
- * BM_IdleSinkClassify/null for the per-period tax; the default
- * provenance-off path pays only a null pointer test in the
- * predictor.
- */
-void
-BM_ProvenanceRecorderAppend(benchmark::State &state)
+/** Provenance sink that keeps only the newest record, so the
+ * benchmark below measures the observer, not serialization. */
+class LastRecordSink final : public obs::ProvenanceSink
 {
-    obs::ProvenanceRecorder recorder(
-        static_cast<std::size_t>(state.range(0)));
-    obs::ProvenanceRecord record;
-    record.signature = 0x1234;
-    record.flags = obs::kProvHasDecision;
-    for (auto _ : state) {
-        record.startUs += 1000;
-        record.endUs = record.startUs + 500;
-        recorder.append(record);
+  public:
+    void write(const obs::ProvenanceRecord &record) override
+    {
+        last = record;
     }
-    benchmark::DoNotOptimize(recorder.appended());
-}
-BENCHMARK(BM_ProvenanceRecorderAppend)->Arg(4096);
 
+    obs::ProvenanceRecord last;
+};
+
+/**
+ * Provenance cost per classified idle period: the same sink loop as
+ * BM_IdleSinkClassify, but with a ProvenanceObserver attached.
+ * Compare against BM_IdleSinkClassify/null for the per-period tax;
+ * the default provenance-off path pays only a null pointer test in
+ * the predictor.
+ */
 void
 BM_IdleSinkClassifyProvenance(benchmark::State &state)
 {
     sim::SimParams params;
-    obs::ProvenanceRecorder recorder;
-    sim::ProvenanceObserver provenance(recorder, params.disk);
+    LastRecordSink records;
+    sim::ProvenanceObserver provenance(records, params.disk);
 
     sim::AccuracyStats stats;
     sim::IdleSink sink(params.breakeven(), stats, provenance);
@@ -272,6 +266,7 @@ BM_IdleSinkClassifyProvenance(benchmark::State &state)
         t += gap;
     }
     benchmark::DoNotOptimize(stats.opportunities);
+    benchmark::DoNotOptimize(records.last);
 }
 BENCHMARK(BM_IdleSinkClassifyProvenance)
     ->Name("BM_IdleSinkClassify/provenance");

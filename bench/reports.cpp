@@ -1049,10 +1049,8 @@ reportSignatureAttribution(ReportContext &ctx, std::ostream &os)
     std::uint64_t total_collisions = 0;
     std::string collision_notes;
     for (const std::string &app : ctx.eval.appNames()) {
-        obs::ProvenanceRecorder recorder;
         obs::ForensicsSink sink;
-        recorder.addSink(&sink);
-        sim::ProvenanceObserver observer(recorder, sim_params.disk);
+        sim::ProvenanceObserver observer(sink, sim_params.disk);
         sim::SimulationKernel kernel(sim_params, observer);
         sim::PolicySession session(pcap);
         session.setProvenanceTap(&observer);
@@ -1060,7 +1058,6 @@ reportSignatureAttribution(ReportContext &ctx, std::ostream &os)
         observer.bindDecisionPid(
             [&driver] { return driver.decisionPid(); });
         kernel.run(ctx.eval.inputs(app), driver);
-        recorder.close();
 
         const obs::ProvenanceForensics &forensics = sink.forensics();
         total_records += forensics.records();
@@ -1158,12 +1155,8 @@ drilldownJson(const sim::FleetReport &report, std::uint64_t seed)
             artifacts = Json::object();
             artifacts["provenance_binary"] =
                 policy.stem + ".prov.bin";
-            artifacts["provenance_jsonl"] =
-                policy.stem + ".prov.jsonl";
             artifacts["timeline_json"] =
                 policy.stem + ".timeline.json";
-            artifacts["timeline_csv"] =
-                policy.stem + ".timeline.csv";
             policiesJson.push(std::move(item));
         }
         hostsJson.push(std::move(entry));

@@ -92,7 +92,7 @@ class GlobalShutdownPredictor
 
     /** A global decision together with the process that holds it —
      * the paper's "last decision" attribution, exposed for the
-     * provenance flight recorder. */
+     * provenance observer. */
     struct AttributedDecision
     {
         pred::ShutdownDecision decision;

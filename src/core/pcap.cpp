@@ -188,7 +188,7 @@ PcapPredictor::onIo(const pred::IoContext &ctx)
     const TableKey key = makeKey(ctx.fd);
 
     // Snapshot the entry around the mutating lookup — tap-only work,
-    // worth two extra probes when the flight recorder is listening.
+    // worth two extra probes when a provenance tap is listening.
     std::uint32_t hits_before = 0, trainings_before = 0;
     bool present = false;
     if (tap_ && (present = table_->contains(key))) {

@@ -112,7 +112,7 @@ class PcapPredictor : public pred::ShutdownPredictor
     /**
      * Attach a provenance tap: every lookup and training is reported
      * to @p tap, attributed to @p pid, together with the PC-path
-     * context behind it (the flight recorder, obs/provenance.hpp).
+     * context behind it (see obs/provenance.hpp).
      * The tap must outlive the predictor; null detaches. Path-tail
      * tracking only happens while a tap is attached, so the default
      * path is untouched.

@@ -105,7 +105,7 @@ class PredictionTable
 
     /**
      * Callback fired with the victim key on every LRU eviction — the
-     * provenance flight recorder's churn hook. Empty disables (the
+     * provenance layer's churn hook. Empty disables (the
      * default); the hook must not reenter the table.
      */
     using EvictionHook = std::function<void(const TableKey &)>;

@@ -4,7 +4,7 @@
  * prediction machinery (PcapPredictor, PredictionTable) reports the
  * causal state behind every shutdown decision.
  *
- * The tap is the core-side half of the provenance flight recorder
+ * The tap is the core-side half of the provenance layer
  * (obs/provenance.hpp): core emits raw decision/training/eviction
  * events here, and a sim-layer observer joins them with idle-period
  * outcomes. Everything is gated behind a null check, so the default

@@ -181,25 +181,6 @@ decodeRecord(const unsigned char *buffer, std::size_t size,
     return r.ok();
 }
 
-/** Minimal JSON string escaping (the fields we emit are all plain
- * identifiers, but stay safe against odd cell labels). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 const char *
@@ -226,90 +207,6 @@ provenanceSourceName(std::uint8_t source)
       case 2: return "backup";
       default: return "unknown";
     }
-}
-
-ProvenanceRecorder::ProvenanceRecorder(std::size_t capacity)
-    : capacity_(capacity != 0 ? capacity : 1)
-{
-    ring_.reserve(std::min<std::size_t>(capacity_, 4096));
-}
-
-void
-ProvenanceRecorder::addSink(ProvenanceSink *sink)
-{
-    if (!sink)
-        fatal("ProvenanceRecorder::addSink: sink must not be null");
-    if (appended_ != 0)
-        fatal("ProvenanceRecorder::addSink: sinks must be attached "
-              "before the first append");
-    sinks_.push_back(sink);
-}
-
-void
-ProvenanceRecorder::append(const ProvenanceRecord &record)
-{
-    if (closed_)
-        fatal("ProvenanceRecorder::append after close");
-    ++appended_;
-    if (count_ < capacity_) {
-        const std::size_t slot = (start_ + count_) % capacity_;
-        if (slot < ring_.size())
-            ring_[slot] = record;
-        else
-            ring_.push_back(record);
-        ++count_;
-    } else if (!sinks_.empty()) {
-        // Batching mode: drain so nothing is lost, then buffer.
-        flush();
-        ring_[0] = record;
-        start_ = 0;
-        count_ = 1;
-    } else {
-        // Flight-recorder mode: overwrite the oldest record.
-        ring_[start_] = record;
-        start_ = (start_ + 1) % capacity_;
-        ++overwritten_;
-    }
-}
-
-void
-ProvenanceRecorder::flush()
-{
-    if (sinks_.empty()) {
-        // Nothing can consume the records; keep them buffered so the
-        // newest window stays inspectable via snapshot().
-        return;
-    }
-    for (std::size_t i = 0; i < count_; ++i) {
-        const ProvenanceRecord &record =
-            ring_[(start_ + i) % capacity_];
-        for (ProvenanceSink *sink : sinks_)
-            sink->write(record);
-        ++flushed_;
-    }
-    start_ = 0;
-    count_ = 0;
-}
-
-void
-ProvenanceRecorder::close()
-{
-    if (closed_)
-        return;
-    flush();
-    for (ProvenanceSink *sink : sinks_)
-        sink->close();
-    closed_ = true;
-}
-
-std::vector<ProvenanceRecord>
-ProvenanceRecorder::snapshot() const
-{
-    std::vector<ProvenanceRecord> out;
-    out.reserve(count_);
-    for (std::size_t i = 0; i < count_; ++i)
-        out.push_back(ring_[(start_ + i) % capacity_]);
-    return out;
 }
 
 BinaryProvenanceWriter::BinaryProvenanceWriter(const std::string &path)
@@ -346,77 +243,6 @@ BinaryProvenanceWriter::close()
     os_.flush();
     if (!os_)
         fatal("BinaryProvenanceWriter: flush failed on " + path_);
-    os_.close();
-}
-
-JsonlProvenanceWriter::JsonlProvenanceWriter(const std::string &path,
-                                             const std::string &cell)
-    : os_(path, std::ios::trunc), path_(path)
-{
-    if (!os_)
-        fatal("JsonlProvenanceWriter: cannot open " + path);
-    os_ << "{\"schema\":\"pcap-provenance-v1\",\"cell\":\""
-        << jsonEscape(cell) << "\",\"path_tail\":"
-        << kProvenancePathTail << "}\n";
-    if (!os_)
-        fatal("JsonlProvenanceWriter: write failed on " + path);
-}
-
-void
-JsonlProvenanceWriter::write(const ProvenanceRecord &record)
-{
-    os_ << "{\"start_us\":" << record.startUs
-        << ",\"end_us\":" << record.endUs
-        << ",\"length_us\":" << record.lengthUs()
-        << ",\"outcome\":\"" << provenanceOutcomeName(record.outcome)
-        << "\",\"pid\":" << record.pid
-        << ",\"execution\":" << record.execution
-        << ",\"energy_delta_j\":" << record.energyDeltaJ;
-    if (record.shutdownUs >= 0) {
-        os_ << ",\"shutdown_us\":" << record.shutdownUs
-            << ",\"source\":\""
-            << provenanceSourceName(record.source) << '"';
-    }
-    if (record.hasDecision()) {
-        os_ << ",\"signature\":" << record.signature
-            << ",\"path_hash\":" << record.pathHash
-            << ",\"path_length\":" << record.pathLength
-            << ",\"decision_time_us\":" << record.decisionTimeUs
-            << ",\"decision_earliest_us\":"
-            << record.decisionEarliestUs
-            << ",\"predicted\":"
-            << ((record.flags & kProvPredicted) ? "true" : "false")
-            << ",\"path_tail\":[";
-        for (std::uint8_t i = 0; i < record.pathTailLength; ++i) {
-            if (i)
-                os_ << ',';
-            os_ << record.pathTail[i];
-        }
-        os_ << ']';
-        if (record.flags & kProvEntryPresent) {
-            os_ << ",\"entry\":{\"hits_before\":"
-                << record.entryHitsBefore
-                << ",\"trainings_before\":"
-                << record.entryTrainingsBefore
-                << ",\"hits_after\":" << record.entryHitsAfter
-                << ",\"trainings_after\":"
-                << record.entryTrainingsAfter << '}';
-        }
-    }
-    os_ << "}\n";
-    if (!os_)
-        fatal("JsonlProvenanceWriter: write failed on " + path_);
-    ++records_;
-}
-
-void
-JsonlProvenanceWriter::close()
-{
-    if (!os_.is_open())
-        return;
-    os_.flush();
-    if (!os_)
-        fatal("JsonlProvenanceWriter: flush failed on " + path_);
     os_.close();
 }
 

@@ -1,16 +1,15 @@
 /**
  * @file
- * Prediction provenance flight recorder.
+ * Prediction provenance.
  *
  * The metrics subsystem (metrics.hpp) answers "how often did PCAP
  * miss"; this layer answers "which signature, formed by which PC
  * path, over which table entry, missed — and what did it cost". One
  * ProvenanceRecord captures the full causal chain behind one
- * classified idle period. Records are buffered in a bounded ring
- * (flight-recorder semantics: without sinks the oldest records are
- * overwritten; with sinks the ring drains into them so nothing is
- * lost) and serialized to a compact fixed-size binary format plus a
- * JSONL mirror (schema pcap-provenance-v1).
+ * classified idle period. Records go straight to one
+ * ProvenanceSink: a compact fixed-size binary file
+ * (BinaryProvenanceWriter, read back by readProvenanceFile) or an
+ * in-memory aggregation (ForensicsSink).
  *
  * This layer is deliberately self-contained: records use plain
  * scalar types only, so obs stays below core/sim in the dependency
@@ -102,69 +101,20 @@ struct ProvenanceRecord
 /** Serialized size of one binary record (fixed; see the writer). */
 constexpr std::size_t kProvenanceRecordBytes = 124;
 
-/** Receiver of drained records; implementations are not owned by
- * the recorder and must outlive it. */
+/** Receiver of provenance records; the producer does not own it
+ * and writes each record once, in period order. */
 class ProvenanceSink
 {
   public:
     virtual ~ProvenanceSink() = default;
 
     virtual void write(const ProvenanceRecord &record) = 0;
-
-    /** Final flush; write failures should surface here at the
-     * latest. Called at most once by ProvenanceRecorder::close. */
-    virtual void close() {}
 };
 
 /**
- * Bounded ring buffer of provenance records.
- *
- * With sinks attached the ring is a batching stage: it drains to
- * every sink when full and on close(), so sinks observe every
- * appended record exactly once, in order. Without sinks it is a true
- * flight recorder: the newest @c capacity records survive and
- * overwritten() counts the rest.
- */
-class ProvenanceRecorder
-{
-  public:
-    explicit ProvenanceRecorder(std::size_t capacity = 4096);
-
-    /** Attach @p sink (not owned); must precede the first append. */
-    void addSink(ProvenanceSink *sink);
-
-    void append(const ProvenanceRecord &record);
-
-    /** Drain buffered records to the sinks (no-op without sinks). */
-    void flush();
-
-    /** Drain, then close every sink. Idempotent. */
-    void close();
-
-    std::size_t capacity() const { return capacity_; }
-    std::uint64_t appended() const { return appended_; }
-    std::uint64_t flushed() const { return flushed_; }
-    std::uint64_t overwritten() const { return overwritten_; }
-
-    /** The records currently buffered, oldest first. */
-    std::vector<ProvenanceRecord> snapshot() const;
-
-  private:
-    std::size_t capacity_;
-    std::vector<ProvenanceRecord> ring_;
-    std::size_t start_ = 0; ///< index of the oldest buffered record
-    std::size_t count_ = 0;
-    std::vector<ProvenanceSink *> sinks_;
-    std::uint64_t appended_ = 0;
-    std::uint64_t flushed_ = 0;
-    std::uint64_t overwritten_ = 0;
-    bool closed_ = false;
-};
-
-/**
- * Compact binary sink: an 16-byte header (magic "PCAPPROV",
+ * Compact binary sink: a 16-byte header (magic "PCAPPROV",
  * version, record size) followed by fixed-size little-endian
- * records. ~124 bytes/record vs ~400 for the JSONL mirror.
+ * records (layout in EXPERIMENTS.md).
  */
 class BinaryProvenanceWriter final : public ProvenanceSink
 {
@@ -173,30 +123,10 @@ class BinaryProvenanceWriter final : public ProvenanceSink
     explicit BinaryProvenanceWriter(const std::string &path);
 
     void write(const ProvenanceRecord &record) override;
-    void close() override;
 
-    std::uint64_t recordCount() const { return records_; }
-
-  private:
-    std::ofstream os_;
-    std::string path_;
-    std::uint64_t records_ = 0;
-};
-
-/**
- * JSONL sink, schema pcap-provenance-v1: a header line
- * {"schema":"pcap-provenance-v1","cell":...} followed by one record
- * object per line (see EXPERIMENTS.md for the field reference).
- */
-class JsonlProvenanceWriter final : public ProvenanceSink
-{
-  public:
-    /** @p cell names the producing simulation cell in the header. */
-    JsonlProvenanceWriter(const std::string &path,
-                          const std::string &cell);
-
-    void write(const ProvenanceRecord &record) override;
-    void close() override;
+    /** Flush and close the file; fatal() on a write failure.
+     * Idempotent. */
+    void close();
 
     std::uint64_t recordCount() const { return records_; }
 

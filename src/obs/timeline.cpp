@@ -259,45 +259,4 @@ writeTimelineJson(const Timeline &timeline,
         fatal("write failed for timeline output " + path);
 }
 
-void
-writeTimelineCsv(const Timeline &timeline,
-                 const TimelineMeta &meta,
-                 const std::string &path)
-{
-    std::ofstream os(path, std::ios::trunc);
-    if (!os)
-        fatal("cannot open timeline output " + path);
-
-    os << "bucket,start_us,width_us";
-    for (std::size_t s = 0; s < kTimelineStates; ++s)
-        os << ',' << rowName(meta.stateNames, s) << "_us";
-    for (std::size_t o = 0; o < kTimelineOutcomes; ++o)
-        os << ",outcome_" << rowName(meta.outcomeNames, o);
-    for (std::size_t e = 0; e < kTimelineEnergies; ++e)
-        os << ",energy_" << rowName(meta.energyNames, e) << "_j";
-    os << ",shutdowns,spin_ups,table_entries\n";
-
-    const TimeUs width = timeline.bucketWidthUs();
-    for (std::size_t i = 0; i < timeline.usedBuckets(); ++i) {
-        const TimelineBucket &b = timeline.bucket(i);
-        os << i << ',' << static_cast<TimeUs>(i) * width << ','
-           << width;
-        for (std::size_t s = 0; s < kTimelineStates; ++s)
-            os << ',' << b.stateUs[s];
-        for (std::size_t o = 0; o < kTimelineOutcomes; ++o)
-            os << ',' << b.outcomes[o];
-        for (std::size_t e = 0; e < kTimelineEnergies; ++e)
-            os << ',' << b.energyJ[e];
-        os << ',' << b.shutdowns << ',' << b.spinUps << ',';
-        if (b.tableSampled)
-            os << b.tableEntries;
-        else
-            os << -1;
-        os << '\n';
-    }
-    os.flush();
-    if (!os)
-        fatal("write failed for timeline output " + path);
-}
-
 } // namespace pcap::obs

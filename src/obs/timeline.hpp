@@ -156,11 +156,6 @@ void writeTimelineJson(const Timeline &timeline,
                        const TimelineMeta &meta,
                        const std::string &path);
 
-/** Write @p timeline as CSV, one row per used bucket. */
-void writeTimelineCsv(const Timeline &timeline,
-                      const TimelineMeta &meta,
-                      const std::string &path);
-
 } // namespace pcap::obs
 
 #endif // PCAP_OBS_TIMELINE_HPP

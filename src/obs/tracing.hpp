@@ -8,8 +8,7 @@
  * fleet shards, thread-pool tasks. RAII Spans record into per-thread
  * bounded buffers (single-writer, no locks on the hot path, storage
  * allocated lazily in fixed chunks, overflow drops the newest spans
- * and counts them — the same flight-recorder discipline as the
- * provenance ring) and the whole recorder serializes to Chrome
+ * and counts them) and the whole recorder serializes to Chrome
  * trace-event JSON, loadable in Perfetto or chrome://tracing.
  *
  * Tracing is opt-in and process-global: bench_all installs a

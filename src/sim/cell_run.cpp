@@ -48,17 +48,11 @@ CellRun::CellRun(const SimParams &sim, CellMode mode,
         children.push_back(metrics_.get());
     }
     if (session_ && !artifacts.provenanceDir.empty()) {
-        const std::string base =
-            artifacts.provenanceDir + "/" + artifacts.meta.cell;
-        provRecorder_ = std::make_unique<obs::ProvenanceRecorder>();
-        provBinary_ = std::make_unique<obs::BinaryProvenanceWriter>(
-            base + ".prov.bin");
-        provJsonl_ = std::make_unique<obs::JsonlProvenanceWriter>(
-            base + ".prov.jsonl", artifacts.meta.cell);
-        provRecorder_->addSink(provBinary_.get());
-        provRecorder_->addSink(provJsonl_.get());
+        provFile_ = std::make_unique<obs::BinaryProvenanceWriter>(
+            artifacts.provenanceDir + "/" + artifacts.meta.cell +
+            ".prov.bin");
         provenance_ =
-            std::make_unique<ProvenanceObserver>(*provRecorder_, sim.disk);
+            std::make_unique<ProvenanceObserver>(*provFile_, sim.disk);
         session_->setProvenanceTap(provenance_.get());
         if (global) {
             provenance_->bindDecisionPid(
@@ -88,15 +82,13 @@ CellRun::CellRun(const SimParams &sim, CellMode mode,
 std::size_t
 CellRun::finish()
 {
-    if (provRecorder_)
-        provRecorder_->close();
+    if (provFile_)
+        provFile_->close();
     if (timeline_) {
-        const std::string base =
-            artifacts_.timelineDir + "/" + artifacts_.meta.cell;
-        obs::writeTimelineJson(timeline_->timeline(), artifacts_.meta,
-                               base + ".timeline.json");
-        obs::writeTimelineCsv(timeline_->timeline(), artifacts_.meta,
-                              base + ".timeline.csv");
+        obs::writeTimelineJson(
+            timeline_->timeline(), artifacts_.meta,
+            artifacts_.timelineDir + "/" + artifacts_.meta.cell +
+                ".timeline.json");
     }
     if (!session_)
         return 0;

@@ -31,19 +31,17 @@ enum class CellMode {
     Ideal,      ///< oracle
 };
 
-/** Where one cell writes its artifacts, each pair named
- * <dir>/<meta.cell>.<ext>; an empty directory writes no pair. */
+/** Where one cell writes its artifacts, each file named
+ * <dir>/<meta.cell>.<ext>; an empty directory writes no file. */
 struct CellArtifacts
 {
-    /** Directory of the .prov.bin/.prov.jsonl pair (policy cells
-     * only). */
+    /** Directory of the .prov.bin file (policy cells only). */
     std::string provenanceDir;
 
-    /** Directory of the .timeline.json/.csv pair. */
+    /** Directory of the .timeline.json file. */
     std::string timelineDir;
 
-    /** The timeline's meta block; its cell name, the file stem, also
-     * heads the JSONL mirror. */
+    /** The timeline's meta block; its cell name is the file stem. */
     obs::TimelineMeta meta;
 };
 
@@ -51,12 +49,12 @@ struct CellArtifacts
  * One cell's replay state. Local, Global and MultiState cells own a
  * PolicySession built from the policy; Base and Ideal cells have
  * none. The observer stack holds a MetricsObserver (when the scope
- * is enabled), the provenance recorder (policy cells with a
- * provenance directory) and a TimelineObserver (with a timeline
- * directory), behind a tee when more than one is active, or the
- * shared NullObserver when none is. Global and MultiState cells
- * attribute provenance to the pid holding the global decision;
- * Local cells replay without disk tracking.
+ * is enabled), a ProvenanceObserver writing the .prov.bin file
+ * (policy cells with a provenance directory) and a TimelineObserver
+ * (with a timeline directory), behind a tee when more than one is
+ * active, or the shared NullObserver when none is. Global and
+ * MultiState cells attribute provenance to the pid holding the
+ * global decision; Local cells replay without disk tracking.
  *
  * replay() may be called for any number of executions; learned
  * state carries across them. finish() once after the last.
@@ -81,8 +79,8 @@ class CellRun
     }
 
     /**
-     * Close the provenance sinks, write the timeline JSON and CSV,
-     * and record the session's table metrics into the scope.
+     * Close the provenance file, write the timeline JSON, and
+     * record the session's table metrics into the scope.
      * Returns the learned-state size (0 without a session).
      */
     std::size_t finish();
@@ -92,9 +90,7 @@ class CellRun
     std::optional<PolicySession> session_;
     std::unique_ptr<PolicyDriver> driver_;
     std::unique_ptr<MetricsObserver> metrics_;
-    std::unique_ptr<obs::ProvenanceRecorder> provRecorder_;
-    std::unique_ptr<obs::BinaryProvenanceWriter> provBinary_;
-    std::unique_ptr<obs::JsonlProvenanceWriter> provJsonl_;
+    std::unique_ptr<obs::BinaryProvenanceWriter> provFile_;
     std::unique_ptr<ProvenanceObserver> provenance_;
     std::unique_ptr<TimelineObserver> timeline_;
     CellArtifacts artifacts_;

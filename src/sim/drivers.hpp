@@ -51,7 +51,7 @@ class GlobalDriver final : public PolicyDriver
     bool parkLowPower() const override { return park_; }
 
     /** Pid holding the current global decision — the provenance
-     * recorder's attribution query (see bindDecisionPid). */
+     * observer's attribution query (see bindDecisionPid). */
     Pid decisionPid() const
     {
         return gsp_ ? gsp_->globalDecisionDetailed().pid : -1;

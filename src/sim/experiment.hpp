@@ -137,12 +137,11 @@ struct ParallelOptions
     unsigned jobs = 1;
 
     /**
-     * When non-empty, every policy cell runs with the provenance
-     * flight recorder attached and serializes its records into this
-     * directory (created if needed): a compact binary file plus a
-     * pcap-provenance-v1 JSONL mirror per (mode, app, policy) cell,
-     * named <mode>-<app>-<label>-<hash>.prov.{bin,jsonl}. Empty
-     * disables provenance entirely (the default path is untouched).
+     * When non-empty, every policy cell writes one provenance record
+     * per classified idle period into this directory (created if
+     * needed): one binary file per (mode, app, policy) cell, named
+     * <mode>-<app>-<label>-<hash>.prov.bin. Empty disables
+     * provenance entirely (the default path is untouched).
      */
     std::string provenanceDir;
 

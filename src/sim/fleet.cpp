@@ -347,7 +347,7 @@ FleetDriver::runHost(HostExecutionSource &source,
     // The cell owns all learned state: one CellRun per policy,
     // living across the host's whole execution stream, plus the Base
     // run. deque: a CellRun holds references into itself, so it must
-    // not move. A drill writes each policy's provenance pair and
+    // not move. A drill writes each policy's provenance file and
     // timeline into drillDir; the Base run stays uninstrumented.
     std::deque<CellRun> runs;
     for (const PolicyConfig &policy : policies) {

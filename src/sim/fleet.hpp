@@ -191,9 +191,9 @@ struct DrilldownPolicy
 /**
  * The pass-2 re-simulation of one flagged host, fully instrumented:
  * the same host replay as pass 1 (so @c cell equals pass 1's result
- * field for field), plus per policy one provenance pair
- * (.prov.bin/.prov.jsonl) and one timeline (.timeline.json/.csv),
- * all named <stem>.<ext> inside the drill-down directory.
+ * field for field), plus per policy one provenance file (.prov.bin)
+ * and one timeline (.timeline.json), both named <stem>.<ext> inside
+ * the drill-down directory.
  */
 struct HostDrilldown
 {
@@ -293,7 +293,7 @@ class FleetDriver
 
     /**
      * Re-simulate one host with full instrumentation, writing one
-     * provenance pair and timeline per policy into @p dir (stems
+     * provenance file and timeline per policy into @p dir (stems
      * "host<id>-<policy>-<hash16>"). The replay is runHost's own
      * loop and observers are passive, so the drill's cell equals
      * runHost's and its artifacts answer "why was pass 1's number

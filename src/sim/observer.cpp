@@ -109,8 +109,8 @@ static_assert(obs::kProvenancePathTail == core::kProvenancePathDepth,
               "tail depth");
 
 ProvenanceObserver::ProvenanceObserver(
-    obs::ProvenanceRecorder &recorder, const power::DiskParams &disk)
-    : recorder_(recorder), disk_(disk)
+    obs::ProvenanceSink &sink, const power::DiskParams &disk)
+    : sink_(sink), disk_(disk)
 {
 }
 
@@ -227,7 +227,7 @@ ProvenanceObserver::onIdlePeriod(const IdlePeriodRecord &record)
             cost += disk_.spinUpEnergyJ;
         out.energyDeltaJ = disk_.idlePowerW * off_sec - cost;
     }
-    recorder_.append(out);
+    sink_.write(out);
 }
 
 // ---------------------------------------------------------------

@@ -8,7 +8,7 @@
  * boundaries, classified idle periods, and shutdown orders
  * issued/ignored. Observers never influence the simulation — the
  * kernel produces bit-identical results whether a NullObserver, a
- * provenance recorder or a histogram collector is attached.
+ * provenance observer or a histogram collector is attached.
  */
 
 #ifndef PCAP_SIM_OBSERVER_HPP
@@ -129,7 +129,7 @@ SimObserver &nullObserver();
 
 /**
  * Fans every callback out to a list of observers, in order — e.g. a
- * provenance recorder plus a metrics collector on the same run. Null
+ * provenance observer plus a metrics collector on the same run. Null
  * entries are rejected; the observers must outlive the tee.
  */
 class TeeObserver final : public SimObserver
@@ -154,10 +154,10 @@ class TeeObserver final : public SimObserver
 };
 
 /**
- * The provenance flight recorder's join point: correlates the PCAP
- * predictor's decision events (via core::ProvenanceTap) with the
- * kernel's classified idle periods (via SimObserver) and appends one
- * obs::ProvenanceRecord per period to the recorder.
+ * Provenance's join point: correlates the PCAP predictor's decision
+ * events (via core::ProvenanceTap) with the kernel's classified idle
+ * periods (via SimObserver) and writes one obs::ProvenanceRecord per
+ * period to the sink, in period order.
  *
  * Attribution: per-process records (LocalDriver) join on the
  * record's own pid — classification precedes the predictor update
@@ -176,7 +176,7 @@ class ProvenanceObserver final : public SimObserver,
                                  public core::ProvenanceTap
 {
   public:
-    ProvenanceObserver(obs::ProvenanceRecorder &recorder,
+    ProvenanceObserver(obs::ProvenanceSink &sink,
                        const power::DiskParams &disk);
 
     /** Bind the query for the pid holding the current global
@@ -199,7 +199,7 @@ class ProvenanceObserver final : public SimObserver,
     static void fillDecision(obs::ProvenanceRecord &out,
                              const core::PcapDecisionEvent &event);
 
-    obs::ProvenanceRecorder &recorder_;
+    obs::ProvenanceSink &sink_;
     power::DiskParams disk_;
     std::function<Pid()> decisionPid_;
 

@@ -559,8 +559,8 @@ drillFleetConfig()
     return fleet;
 }
 
-constexpr const char *kDrillExtensions[] = {
-    ".prov.bin", ".prov.jsonl", ".timeline.json", ".timeline.csv"};
+constexpr const char *kDrillExtensions[] = {".prov.bin",
+                                           ".timeline.json"};
 
 TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
 {
@@ -667,10 +667,6 @@ TEST(FleetDrilldown, SingleAppDrillMatchesEngineProvenance)
         FleetDriver({}, config.sim, config.cache)
             .drillHost(profile, policies, drillDir.path);
 
-    // The JSONL header names the cell; the records follow it.
-    auto records = [](const std::string &jsonl) {
-        return jsonl.substr(jsonl.find('\n') + 1);
-    };
     // The engine's stem carries the capped config's hash:
     // global-<app>-c<config hash>-<label>-<policy hash>.
     auto engineBaseOf = [&](const PolicyConfig &policy) {
@@ -696,13 +692,8 @@ TEST(FleetDrilldown, SingleAppDrillMatchesEngineProvenance)
         const std::string drillBase =
             drillDir.path + "/" + drill.policies[p].stem;
         const std::string bin = readFileBytes(drillBase + ".prov.bin");
+        EXPECT_GT(bin.size(), 16u) << policies[p].label; // + records
         EXPECT_EQ(bin, readFileBytes(engineBase + ".prov.bin"))
-            << policies[p].label;
-        const std::string jsonl =
-            records(readFileBytes(drillBase + ".prov.jsonl"));
-        EXPECT_FALSE(jsonl.empty()) << policies[p].label;
-        EXPECT_EQ(jsonl,
-                  records(readFileBytes(engineBase + ".prov.jsonl")))
             << policies[p].label;
     }
 }

@@ -415,14 +415,11 @@ TEST(ParallelEvaluation, EachCellKindKeepsItsArtifactsAndSeries)
         const std::string stem =
             std::string(mode) + "-nedit" + config + policy;
         timelines.insert(stem + ".timeline.json");
-        timelines.insert(stem + ".timeline.csv");
         provenance.insert(stem + ".prov.bin");
-        provenance.insert(stem + ".prov.jsonl");
     }
     for (const char *mode : {"base", "ideal"}) {
         const std::string stem = std::string(mode) + "-nedit" + config;
         timelines.insert(stem + ".timeline.json");
-        timelines.insert(stem + ".timeline.csv");
     }
     EXPECT_EQ(fileNames(options.timelineDir), timelines);
     EXPECT_EQ(fileNames(options.provenanceDir), provenance);

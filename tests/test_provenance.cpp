@@ -1,6 +1,6 @@
 /**
  * @file
- * Provenance flight-recorder tests: ring-buffer semantics, binary
+ * Provenance tests: the observer's record stream, binary
  * round-trip, name-table lockstep with sim/pred, forensics
  * aggregation, and the end-to-end reconciliation guarantee — the
  * per-signature outcome counts summed over a cell's provenance log
@@ -63,10 +63,7 @@ class CollectSink final : public obs::ProvenanceSink
         records.push_back(record);
     }
 
-    void close() override { ++closes; }
-
     std::vector<obs::ProvenanceRecord> records;
-    int closes = 0;
 };
 
 struct TempDir
@@ -88,48 +85,29 @@ struct TempDir
     std::string path;
 };
 
-TEST(ProvenanceRecorder, SinklessRingKeepsNewestWindow)
+TEST(ProvenanceObserver, SinkSeesEveryPeriodExactlyOnceInOrder)
 {
-    obs::ProvenanceRecorder recorder(4);
-    for (int i = 0; i < 10; ++i)
-        recorder.append(sampleRecord(i));
-
-    EXPECT_EQ(recorder.appended(), 10u);
-    EXPECT_EQ(recorder.overwritten(), 6u);
-    EXPECT_EQ(recorder.flushed(), 0u);
-
-    const auto kept = recorder.snapshot();
-    ASSERT_EQ(kept.size(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(kept[i], sampleRecord(6 + i)) << "slot " << i;
-}
-
-TEST(ProvenanceRecorder, SinksSeeEveryRecordExactlyOnceInOrder)
-{
-    obs::ProvenanceRecorder recorder(2); // forces mid-run drains
     CollectSink sink;
-    recorder.addSink(&sink);
-    for (int i = 0; i < 5; ++i)
-        recorder.append(sampleRecord(i));
-    recorder.close();
+    sim::ProvenanceObserver observer(sink, sim::SimParams{}.disk);
+    sim::ExecutionInput input;
+    input.endTime = 10000;
+    observer.onExecutionBegin(input);
+    for (int i = 0; i < 5; ++i) {
+        sim::IdlePeriodRecord period;
+        period.pid = 100 + i;
+        period.start = 1000 * i;
+        period.end = 1000 * i + 500;
+        period.outcome = static_cast<sim::IdleOutcome>(i);
+        observer.onIdlePeriod(period);
+    }
 
-    EXPECT_EQ(recorder.overwritten(), 0u);
-    EXPECT_EQ(recorder.flushed(), 5u);
     ASSERT_EQ(sink.records.size(), 5u);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(sink.records[i], sampleRecord(i)) << "record " << i;
-    EXPECT_EQ(sink.closes, 1);
-
-    recorder.close(); // idempotent
-    EXPECT_EQ(sink.closes, 1);
-}
-
-TEST(ProvenanceRecorderDeath, AddSinkAfterAppendPanics)
-{
-    obs::ProvenanceRecorder recorder(4);
-    CollectSink sink;
-    recorder.append(sampleRecord(0));
-    EXPECT_DEATH(recorder.addSink(&sink), "addSink");
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(sink.records[i].startUs, 1000 * i) << "record " << i;
+        EXPECT_EQ(sink.records[i].endUs, 1000 * i + 500);
+        EXPECT_EQ(sink.records[i].pid, 100 + i);
+        EXPECT_EQ(sink.records[i].outcome, i);
+    }
 }
 
 TEST(ProvenanceBinary, RoundTripPreservesEveryField)
@@ -289,10 +267,6 @@ TEST(ProvenanceReconciliation, LogMatchesAccuracyStatsExactly)
                                         ? global.run.accuracy
                                         : local);
         ++found;
-        // The JSONL mirror exists alongside the binary log.
-        const std::string jsonl =
-            path.substr(0, path.size() - 4) + ".jsonl";
-        EXPECT_TRUE(std::filesystem::exists(jsonl)) << jsonl;
     }
     EXPECT_EQ(found, 2u); // one global cell, one local cell
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * pcap_explain — forensics over provenance flight-recorder logs.
+ * pcap_explain — forensics over provenance logs.
  *
  * Reads the binary .prov.bin files written by bench_all
  * --provenance-dir (see obs/provenance.hpp for the format) and
