@@ -9,8 +9,10 @@
  * a single report (names from `--list`); `--jobs 1` runs every cell
  * on the calling thread.
  *
- * Output: the report text, plus per-phase wall-clock timings and a
- * machine-readable BENCH_RESULTS.json for tools/compare_bench.py.
+ * Output: the report text, plus per-phase wall-clock timings, a
+ * machine-readable BENCH_RESULTS.json for tools/compare_bench.py and
+ * the metric registry in Prometheus text (<json>.prom), the form
+ * tools/metrics_diff.py reads.
  */
 
 #include <chrono>
@@ -111,9 +113,9 @@ usage(std::ostream &os)
           "                    unavailable; PCAP_PERF_BACKEND="
           "software\n"
           "                    forces the fallback\n"
-          "      --metrics-out P  Prometheus text metrics file "
-          "(default:\n"
-          "                    <json>.prom; '-' disables)\n"
+          "      --metrics-out P  the metric series, in Prometheus "
+          "text\n"
+          "                    (default: <json>.prom; '-' disables)\n"
           "      --manifest P  run manifest file (default: "
           "<json>.manifest.json;\n"
           "                    '-' disables)\n"
@@ -399,9 +401,14 @@ main(int argc, char **argv)
         if (wanted)
             selected.push_back(&report);
     }
-    if (selected.empty()) {
-        error("no matching reports (see --list)");
-        return 2;
+    for (const std::string &name : only) {
+        bool known = false;
+        for (const bench::Report *report : selected)
+            known = known || name == report->name;
+        if (!known) {
+            error("no report named '" + name + "' (see --list)");
+            return 2;
+        }
     }
     bool fleet_selected = false;
     for (const bench::Report *report : selected)
@@ -468,7 +475,6 @@ main(int argc, char **argv)
         std::cout << text.str();
         Json &entry = report_json[report->name];
         entry = Json::object();
-        entry["ms"] = ms;
         entry["lines"] = linesJson(text.str());
         timing_json[report->name] = ms;
     }
@@ -544,8 +550,6 @@ main(int argc, char **argv)
             root["alerts"] = alert_engine->toJson();
         if (perf_profiler)
             root["perf"] = obs::perfToJson(*perf_profiler);
-        if (use_metrics)
-            root["metrics"] = obs::metricsToJson(registry);
 
         std::ofstream os(json_path);
         if (!os) {

@@ -1,8 +1,8 @@
 # Runs the default suite under the default alert rules twice: with the
 # per-application metric series rolled up (the default) and with
 # --metrics-detail. Fails unless the rolled-up results file and its
-# Prometheus mirror together stay within 1 MiB, and the two runs'
-# alerts blocks are identical: same verdicts, same values.
+# .prom (the run's metric series) together stay within 1 MiB, and the
+# two runs' alerts blocks are identical: same verdicts, same values.
 #
 # usage: cmake -DBENCH_ALL=<bench_all> -DRULES=<rules.json>
 #              -DWORK_DIR=<dir> -P metrics_rollup.cmake

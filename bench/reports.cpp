@@ -1030,7 +1030,7 @@ reportSignatureAttribution(ReportContext &ctx, std::ostream &os)
     header(os,
            "Extension: per-signature accuracy and energy "
            "attribution (global PCAP)",
-           "The provenance flight recorder joins every classified "
+           "Prediction provenance joins every classified "
            "idle period with the PCAP decision behind it. Below: "
            "the top mispredicting signatures per application and "
            "every signature collision (distinct PC paths summing to "

@@ -1,9 +1,10 @@
 /**
  * @file
- * Metric exporters: structured JSON (merged into BENCH_RESULTS.json
- * under the "metrics" key, consumed by tools/metrics_diff.py) and
- * Prometheus text exposition format (bench_all --metrics-out, ready
- * for a node_exporter textfile collector or a pushgateway).
+ * Metric exporters: structured JSON (embedded in perfbench's output
+ * and read by the tests) and Prometheus text exposition format
+ * (bench_all's <json>.prom or --metrics-out: the file
+ * tools/metrics_diff.py reads, ready for a node_exporter textfile
+ * collector or a pushgateway).
  *
  * Both exports render a deterministic snapshot — series sorted by
  * (name, labels) — so two runs of the same deterministic simulation

@@ -148,10 +148,10 @@ struct ParallelOptions
     /**
      * When non-empty, every simulation cell folds its replay into a
      * simulated-time sim::TimelineObserver and writes the result
-     * into this directory (created if needed): a pcap-timeline-v1
-     * JSON document plus a CSV mirror per (mode, app, policy) cell,
-     * named <stem>.timeline.{json,csv}. Empty disables timelines
-     * (the default path is untouched).
+     * into this directory (created if needed): one pcap-timeline-v1
+     * JSON document per (mode, app, policy) cell, named
+     * <stem>.timeline.json. Empty disables timelines (the default
+     * path is untouched).
      */
     std::string timelineDir;
 

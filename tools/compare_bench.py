@@ -9,11 +9,12 @@ Passing --tolerance switches to token-by-token comparison where
 numeric tokens may differ within the given relative tolerance
 (for cross-platform floating-point noise).
 
-Timings, job counts, cache-effectiveness counters and the metrics
-block are machine- and run-dependent, so they are ignored here (use
-tools/metrics_diff.py to compare metrics); however, the candidate is
-required to *carry* a metrics block unless --allow-missing-metrics
-is given, so an instrumentation regression cannot slip through.
+Timings, job counts and cache-effectiveness counters are machine-
+and run-dependent, so they are ignored here. The metric series live
+in the .prom bench_all writes beside the results file (<stem>.prom
+for <stem>.json), and tools/metrics_diff.py compares those; the
+candidate's .prom must exist and hold pcap_ samples, so an
+instrumentation regression cannot slip through.
 
 --max-report-seconds NAME=SECONDS (repeatable) additionally budgets
 the candidate's wall time for one report (timings_ms.reports.NAME).
@@ -40,7 +41,7 @@ the full counter field set, hardware backends showing real cycle and
 instruction counts, software backends showing all-zero hardware
 counters (the honest-fallback contract). Derived statistics -- IPC,
 cache/branch miss rates, and cycles per simulated idle period when
-the metrics block carries pcap_sim_idle_periods_total -- are printed,
+the .prom carries pcap_sim_idle_periods_total -- are printed,
 and bounded only by warn-level budgets (--perf-min-ipc,
 --perf-max-miss-rate): counter values are machine-dependent, so they
 advise rather than gate.
@@ -53,8 +54,9 @@ import os
 import re
 import sys
 
-IGNORED_TOP_KEYS = {"jobs", "timings_ms", "workload_cache", "metrics",
-                    "perf"}
+from metrics_diff import family, load_prom
+
+IGNORED_TOP_KEYS = {"jobs", "timings_ms", "workload_cache", "perf"}
 NUMBER = re.compile(r"^[+-]?\d+(\.\d+)?([eE][+-]?\d+)?%?$")
 
 
@@ -89,19 +91,22 @@ def compare_lines(name, index, ref, got, tolerance, errors):
         return
 
 
-def check_metrics(got, errors):
-    metrics = got.get("metrics")
-    if not isinstance(metrics, dict):
-        errors.append("candidate has no 'metrics' block "
-                      "(run without --no-metrics, or pass "
-                      "--allow-missing-metrics)")
-        return
-    if metrics.get("schema") != "pcap-metrics-v1":
-        errors.append(f"candidate metrics schema "
-                      f"{metrics.get('schema')!r} != 'pcap-metrics-v1'")
-        return
-    if not metrics.get("series"):
-        errors.append("candidate metrics block has no series")
+def load_metrics(results_path, errors):
+    """Samples of the .prom beside the candidate results file (an
+    error when it holds no pcap_ sample), or None and an error when
+    that file is missing."""
+    stem = results_path
+    if stem.endswith(".json") and len(stem) > len(".json"):
+        stem = stem[:-len(".json")]
+    path = stem + ".prom"
+    if not os.path.isfile(path):
+        errors.append(f"candidate has no metrics file {path} "
+                      f"(run without --no-metrics)")
+        return None
+    samples, _ = load_prom(path)
+    if not any(key.startswith("pcap_") for key in samples):
+        errors.append(f"{path} holds no pcap_ sample")
+    return samples
 
 
 def check_fleet(got, errors):
@@ -219,20 +224,15 @@ PERF_COUNT_FIELDS = ("cycles", "instructions", "cache_references",
 PERF_DERIVED_FIELDS = ("ipc", "cache_miss_rate", "branch_miss_rate")
 
 
-def total_idle_periods(got):
-    """Sum of pcap_sim_idle_periods_total across the metrics block,
-    or None when the series (or the block) is absent."""
-    metrics = got.get("metrics")
-    if not isinstance(metrics, dict):
-        return None
-    total = None
-    for series in metrics.get("series", []):
-        if series.get("name") == "pcap_sim_idle_periods_total":
-            total = (total or 0) + series.get("value", 0)
-    return total
+def total_idle_periods(metrics):
+    """Sum of pcap_sim_idle_periods_total across the candidate's
+    .prom samples, or None when the family (or the file) is absent."""
+    values = [value for key, value in (metrics or {}).items()
+              if family(key) == "pcap_sim_idle_periods_total"]
+    return sum(values) if values else None
 
 
-def check_perf(got, min_ipc, max_miss_rate, errors):
+def check_perf(got, metrics, min_ipc, max_miss_rate, errors):
     """Schema of the candidate's pcap-perf-v1 block (--check-perf).
 
     Counter *presence and shape* gate hard; counter *values* are
@@ -291,7 +291,7 @@ def check_perf(got, min_ipc, max_miss_rate, errors):
 
     # Derived statistics: printed always, budget-checked (warn-only)
     # on hardware backends where the counters are real.
-    idle_periods = total_idle_periods(got)
+    idle_periods = total_idle_periods(metrics)
     for region in regions:
         name = region["region"]
         line = (f"perf region {name}: ipc {region['ipc']:.3f}, "
@@ -445,9 +445,6 @@ def main():
     parser.add_argument("--tolerance", type=float, default=None,
                         help="relative tolerance for numeric tokens "
                              "(default: byte-identical lines)")
-    parser.add_argument("--allow-missing-metrics", action="store_true",
-                        help="don't require the candidate to carry a "
-                             "metrics block")
     parser.add_argument("--max-report-seconds", type=parse_budget,
                         action="append", default=[],
                         metavar="NAME=SECONDS",
@@ -496,13 +493,12 @@ def main():
         if got.get(key) != ref[key]:
             errors.append(f"{key}: {got.get(key)!r} != {ref[key]!r}")
 
-    if not args.allow_missing_metrics:
-        check_metrics(got, errors)
+    metrics = load_metrics(args.candidate, errors)
     check_fleet(got, errors)
     if args.check_alerts:
         check_alerts(got, errors)
     if args.check_perf:
-        check_perf(got, args.perf_min_ipc,
+        check_perf(got, metrics, args.perf_min_ipc,
                    args.perf_max_miss_rate, errors)
     if args.timeline_dir:
         check_timeline(args.timeline_dir, errors)

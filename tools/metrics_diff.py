@@ -3,11 +3,11 @@
 
 Usage: metrics_diff.py BASE CANDIDATE [options]
 
-Inputs may be full BENCH_RESULTS.json files (the metrics live under
-the top-level "metrics" key) or bare pcap-metrics-v1 documents.
-Every series is flattened to scalar samples -- counters and gauges to
-their value, histograms to count/sum plus one sample per bucket,
-timers to seconds/laps -- and compared pairwise.
+Inputs are Prometheus text files, the .prom that bench_all writes
+beside its results file (--metrics-out). Each sample line is one
+scalar, keyed by its name and sorted labels (a histogram's buckets,
+_sum and _count are separate samples), and the two files are compared
+sample by sample.
 
 A sample regresses when its relative change exceeds the allowed
 delta (default 0%: the simulation is deterministic, so any change in
@@ -15,30 +15,29 @@ a deterministic metric is a finding). Wall-clock and cache-
 effectiveness families are machine- and run-dependent and ignored by
 default; see --ignore.
 
---fold LABEL first sums, in file order, the series of each input that
-differ only in LABEL, the way bench_all rolls `app` up unless run with
---metrics-detail. Integer samples (counter values, histogram counts
-and buckets, timer laps) must then still match exactly; floating-point
-ones (gauge values, histogram sums, timer seconds) may differ by
-1e-9 relative, since the JSON writer prints 12 significant digits and
-a sum of printed parts can round differently from the printed sum.
+--fold LABEL first sums, in file order, the samples of each input
+that differ only in LABEL, the way bench_all rolls `app` up unless run
+with --metrics-detail. Integer samples (counters, histogram buckets
+and counts, timer laps) must then still match exactly; non-integer
+ones (gauges, histogram sums, timer seconds) may differ by 1e-9
+relative, since the writer prints 12 significant digits and a sum of
+printed parts can round differently from the printed sum.
 
 Exit status:
   0  no regressions
   1  regressions found (changed samples, or metric families present
      in the baseline but missing from the candidate)
-  2  bad input (unreadable file, not a metrics document, wrong
-     schema, or a malformed series missing required fields)
+  2  bad input (unreadable file, a malformed or repeated sample
+     line, or no samples), naming the file and line
 
 Examples:
-  metrics_diff.py run1.json run2.json
-  metrics_diff.py old.json new.json --max-delta-pct 5
-  metrics_diff.py old.json new.json --rule 'pcap_energy_joules=0.5'
-  metrics_diff.py detail.json rolled-up.json --fold app
+  metrics_diff.py run1.prom run2.prom
+  metrics_diff.py old.prom new.prom --max-delta-pct 5
+  metrics_diff.py old.prom new.prom --rule 'pcap_energy_joules=0.5'
+  metrics_diff.py detail.prom rolled-up.prom --fold app
 """
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -58,8 +57,8 @@ DEFAULT_IGNORE = (
     r"|pcap_perf"
 )
 
-# Relative tolerance of floating-point samples under --fold: the
-# JSON writer keeps 12 significant digits.
+# Relative tolerance of non-integer samples under --fold: the writer
+# keeps 12 significant digits.
 FOLD_REL_TOLERANCE = 1e-9
 
 
@@ -74,79 +73,65 @@ def family(key):
     return key.partition("{")[0]
 
 
-def load_series(path):
-    """Return the series list of a metrics document or bench file."""
+SAMPLE = re.compile(r"([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)")
+LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"(?:,|$)')
+ESCAPE = re.compile(r"\\(.)")
+
+
+def parse_sample(line):
+    """(name, [(label, value), ...], value) of a sample line, or None
+    when the line is malformed."""
+    match = SAMPLE.fullmatch(line)
+    if not match:
+        return None
+    labels, body, pos = [], match[2] or "", 0
+    while pos < len(body):
+        label = LABEL.match(body, pos)
+        if not label:
+            return None
+        labels.append((label[1], ESCAPE.sub(
+            lambda m: "\n" if m[1] == "n" else m[1], label[2])))
+        pos = label.end()
+    try:
+        return match[1], labels, float(match[3])
+    except ValueError:
+        return None
+
+
+def load_prom(path, fold=None):
+    """Map each sample of a Prometheus text file to its value.
+
+    The key is 'name{label=value,...}' with the labels sorted. With
+    @fold, samples that differ only in that label are summed, in file
+    order. Returns (samples, floating) where floating is the set of
+    keys with a non-integer value in some sample. An unreadable file,
+    a malformed or (without @fold) repeated sample line, or a file
+    without samples exits 2.
+    """
     try:
         with open(path) as f:
-            doc = json.load(f)
-    except OSError as err:
-        die(f"{path}: {err.strerror or err}")
-    except json.JSONDecodeError as err:
-        die(f"{path}: not valid JSON ({err})")
-    if not isinstance(doc, dict):
-        die(f"{path}: top level is {type(doc).__name__}, "
-            f"expected an object")
-    if "metrics" in doc:  # full BENCH_RESULTS.json
-        doc = doc["metrics"]
-    if "series" not in doc:
-        die(f"{path}: no 'series' key (and no 'metrics' block) "
-            f"-- not a metrics document")
-    schema = doc.get("schema")
-    if schema != "pcap-metrics-v1":
-        die(f"{path}: unexpected metrics schema {schema!r}")
-    return doc["series"]
-
-
-def flatten(series_list, path, fold=None):
-    """Map 'name{label=value,...}[/part]' -> scalar sample.
-
-    With @fold, series that differ only in that label are summed into
-    one sample set, in file order. Returns (samples, floating) where
-    floating is the set of keys whose samples are floating-point
-    (gauge values, histogram sums, timer seconds).
-
-    Malformed series (missing name/labels/type or the fields their
-    type requires) are an input error: exit 2 naming the series and
-    the missing field rather than tracing back with a KeyError.
-    """
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
+        die(f"{path}: {err}")
     samples = {}
     floating = set()
-
-    def add(key, value, is_float=False):
-        value = float(value)
-        if fold is not None:
-            value += samples.get(key, 0.0)
-        samples[key] = value
-        if is_float:
+    for number, line in enumerate(lines, 1):
+        if not line or line.startswith("#"):
+            continue
+        sample = parse_sample(line)
+        if sample is None:
+            die(f"{path}:{number}: malformed sample line {line!r}")
+        name, labels, value = sample
+        kept = ",".join(f"{k}={v}" for k, v in sorted(labels)
+                        if k != fold)
+        key = f"{name}{{{kept}}}"
+        if fold is None and key in samples:
+            die(f"{path}:{number}: duplicate sample {key}")
+        samples[key] = samples.get(key, 0.0) + value
+        if not value.is_integer():
             floating.add(key)
-
-    for i, s in enumerate(series_list):
-        name = s.get("name", f"series #{i}")
-        try:
-            labels = ",".join(f"{k}={v}"
-                              for k, v in sorted(s["labels"].items())
-                              if k != fold)
-            key = f"{s['name']}{{{labels}}}"
-            kind = s["type"]
-            if kind == "counter":
-                add(key, s["value"])
-            elif kind == "gauge":
-                add(key, s["value"], is_float=True)
-            elif kind == "histogram":
-                add(f"{key}/count", s["count"])
-                add(f"{key}/sum", s["sum"], is_float=True)
-                for bucket in s["buckets"]:
-                    add(f"{key}/le={bucket['le']}", bucket["count"])
-            elif kind == "timer":
-                add(f"{key}/seconds", s["seconds"], is_float=True)
-                add(f"{key}/laps", s["laps"])
-            else:
-                die(f"{path}: {name}: unknown series type {kind!r}")
-        except KeyError as err:
-            die(f"{path}: {name}: malformed series, missing field "
-                f"{err.args[0]!r}")
-        except (TypeError, ValueError) as err:
-            die(f"{path}: {name}: malformed series ({err})")
+    if not samples:
+        die(f"{path}: no samples, not a Prometheus text file")
     return samples, floating
 
 
@@ -174,8 +159,8 @@ def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("base", help="baseline metrics/bench file")
-    parser.add_argument("candidate", help="candidate metrics/bench file")
+    parser.add_argument("base", help="baseline .prom file")
+    parser.add_argument("candidate", help="candidate .prom file")
     parser.add_argument("--max-delta-pct", type=float, default=0.0,
                         help="allowed relative change in percent "
                              "(default: 0, exact)")
@@ -191,16 +176,14 @@ def main():
                         help="don't fail when a baseline sample is "
                              "missing from the candidate")
     parser.add_argument("--fold", metavar="LABEL",
-                        help="sum each input's series over LABEL "
-                             "before comparing; floating-point "
+                        help="sum each input's samples over LABEL "
+                             "before comparing; non-integer "
                              "samples then allow "
                              f"{FOLD_REL_TOLERANCE:g} relative")
     args = parser.parse_args()
 
-    base, floating = flatten(load_series(args.base), args.base,
-                             args.fold)
-    cand, cand_floating = flatten(load_series(args.candidate),
-                                  args.candidate, args.fold)
+    base, floating = load_prom(args.base, args.fold)
+    cand, cand_floating = load_prom(args.candidate, args.fold)
     floating |= cand_floating
     ignore = re.compile(args.ignore) if args.ignore else None
 

@@ -5,10 +5,11 @@
 # Gates, in order:
 #   1. every report byte-identical to bench/reference (compare_bench),
 #      at the requested job count and at --jobs 1
-#   2. runs 1 and 2 produce identical deterministic metrics
-#      (metrics_diff, zero regressions allowed); --metrics-detail
-#      runs at one and four jobs agree exactly, and summed over app
-#      (metrics_diff --fold app) they equal run 1's rolled-up export
+#   2. runs 1 and 2 produce identical deterministic metrics in their
+#      .prom files (metrics_diff, zero regressions allowed);
+#      --metrics-detail runs at one and four jobs agree exactly, and
+#      summed over app (metrics_diff --fold app) they equal run 1's
+#      rolled-up export
 #   3. every report is checked against an enforced wall-time budget
 #      (generous — the gate catches order-of-magnitude regressions,
 #      not scheduler noise)
@@ -83,7 +84,7 @@ python3 "$root/tools/compare_bench.py" \
 echo
 echo "== metrics determinism (run 1 vs run 2) =="
 python3 "$root/tools/metrics_diff.py" \
-    "$scratch/run1.json" "$scratch/run2.json"
+    "$scratch/run1.prom" "$scratch/run2.prom"
 
 echo
 echo "== detail metrics (--metrics-detail at 1 and 4 jobs, app rollup) =="
@@ -92,7 +93,7 @@ echo "== detail metrics (--metrics-detail at 1 and 4 jobs, app rollup) =="
 "$build/bench/bench_all" --jobs 4 --metrics-detail \
     --json "$scratch/detail-j4.json" > /dev/null
 python3 "$root/tools/metrics_diff.py" \
-    "$scratch/detail-j1.json" "$scratch/detail-j4.json"
+    "$scratch/detail-j1.prom" "$scratch/detail-j4.prom"
 # The single-thread run is the serial path: its reports must match
 # the reference too, not only agree with the four-job run's metrics.
 python3 "$root/tools/compare_bench.py" \
@@ -101,7 +102,7 @@ python3 "$root/tools/compare_bench.py" \
     --max-report-seconds ablation_cache=20 \
     --max-any-report-seconds 60
 python3 "$root/tools/metrics_diff.py" --fold app \
-    "$scratch/detail-j4.json" "$scratch/run1.json"
+    "$scratch/detail-j4.prom" "$scratch/run1.prom"
 
 echo
 echo "== timeline schema + HTML render (instrumented run 2) =="
