@@ -58,9 +58,12 @@ usage(std::ostream &os)
           "  -j, --jobs N      worker threads (default: hardware "
           "cores)\n"
           "      --json PATH   results file (default: "
-          "BENCH_RESULTS.json; '-' disables\n"
-          "                    it and the derived .prom and "
-          "manifest files)\n"
+          "BENCH_RESULTS.json); the metric\n"
+          "                    series go beside it to <stem>.prom "
+          "and the run\n"
+          "                    manifest to <stem>.manifest.json; "
+          "'-' disables\n"
+          "                    all three\n"
           "      --only NAMES  comma-separated report names to "
           "run\n"
           "                    (opt-in reports, e.g. idle_histogram, "
@@ -113,20 +116,12 @@ usage(std::ostream &os)
           "                    unavailable; PCAP_PERF_BACKEND="
           "software\n"
           "                    forces the fallback\n"
-          "      --metrics-out P  the metric series, in Prometheus "
-          "text\n"
-          "                    (default: <json>.prom; '-' disables)\n"
-          "      --manifest P  run manifest file (default: "
-          "<json>.manifest.json;\n"
-          "                    '-' disables)\n"
           "      --metrics-detail  export every per-application "
           "series\n"
           "                    (default: cell families summed over "
           "the app\n"
           "                    label; alerts see every series "
           "either way)\n"
-          "      --no-metrics  disable metric collection "
-          "entirely\n"
           "      --log-level L debug|info|warn|error|silent "
           "(default: info)\n"
           "      --list        list report names and exit\n"
@@ -225,14 +220,11 @@ int
 main(int argc, char **argv)
 {
     unsigned jobs = hardwareJobs();
-    bool use_metrics = true;
     bool metrics_detail = false;
     std::string json_path = "BENCH_RESULTS.json";
     std::string provenance_dir;
     std::string timeline_dir;
     std::string trace_profile_path;
-    std::string metrics_path;
-    std::string manifest_path;
     std::vector<std::string> only;
     std::uint64_t fleet_hosts = 128;
     bool fleet_hosts_given = false;
@@ -272,14 +264,8 @@ main(int argc, char **argv)
             timeline_dir = value("--timeline-dir");
         } else if (arg == "--trace-profile") {
             trace_profile_path = value("--trace-profile");
-        } else if (arg == "--metrics-out") {
-            metrics_path = value("--metrics-out");
-        } else if (arg == "--manifest") {
-            manifest_path = value("--manifest");
         } else if (arg == "--metrics-detail") {
             metrics_detail = true;
-        } else if (arg == "--no-metrics") {
-            use_metrics = false;
         } else if (arg == "--log-level") {
             const std::string name = value("--log-level");
             const auto level = logLevelFromName(name);
@@ -320,19 +306,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-
-    // Derive the companion outputs from the results path; '-'
-    // disables each individually, and with `--json -` neither is
-    // written unless named explicitly.
-    if (metrics_path.empty())
-        metrics_path =
-            json_path == "-" ? "-" : derivedPath(json_path, ".prom");
-    if (manifest_path.empty())
-        manifest_path = json_path == "-"
-                            ? "-"
-                            : derivedPath(json_path, ".manifest.json");
-    if (!use_metrics)
-        metrics_path = "-";
 
     obs::MetricsRegistry registry;
 
@@ -378,7 +351,7 @@ main(int argc, char **argv)
     options.jobs = jobs;
     options.provenanceDir = provenance_dir;
     options.timelineDir = timeline_dir;
-    options.metrics = use_metrics ? &registry : nullptr;
+    options.metrics = &registry;
     options.metricsDetail = metrics_detail;
 
     sim::ParallelEvaluation eval(bench::standardConfig(), options);
@@ -489,19 +462,16 @@ main(int argc, char **argv)
               << "total:            " << fixedString(total_ms, 1)
               << " ms\n";
 
-    if (use_metrics) {
-        recordBenchMetrics(registry, inputs_ms, cells_ms, total_ms);
-        if (perf_profiler)
-            obs::recordPerfMetrics(*perf_profiler, registry);
-        if (trace_recorder) {
-            registry.counter("pcap_trace_profile_events_total")
-                .inc(trace_recorder->totalEvents());
-            registry.counter("pcap_trace_profile_dropped_total")
-                .inc(trace_recorder->totalDropped());
-            registry.gauge("pcap_trace_profile_threads")
-                .set(static_cast<double>(
-                    trace_recorder->threadCount()));
-        }
+    recordBenchMetrics(registry, inputs_ms, cells_ms, total_ms);
+    if (perf_profiler)
+        obs::recordPerfMetrics(*perf_profiler, registry);
+    if (trace_recorder) {
+        registry.counter("pcap_trace_profile_events_total")
+            .inc(trace_recorder->totalEvents());
+        registry.counter("pcap_trace_profile_dropped_total")
+            .inc(trace_recorder->totalDropped());
+        registry.gauge("pcap_trace_profile_threads")
+            .set(static_cast<double>(trace_recorder->threadCount()));
     }
 
     // Alerts settle after every metric above has landed in the
@@ -509,8 +479,7 @@ main(int argc, char **argv)
     // the .prom export writes.
     if (alert_engine) {
         alert_engine->finalize(registry);
-        if (use_metrics)
-            alert_engine->recordMetrics(registry);
+        alert_engine->recordMetrics(registry);
         alert_engine->printSummary(std::cout);
     }
 
@@ -532,25 +501,32 @@ main(int argc, char **argv)
                   << " regions\n";
     }
 
-    if (json_path != "-") {
-        Json root = Json::object();
-        root["schema"] = "pcap-bench-results-v1";
-        root["seed"] = bench::kBenchSeed;
-        root["jobs"] = options.jobs;
-        Json &timings = root["timings_ms"];
-        timings = Json::object();
-        timings["inputs"] = inputs_ms;
-        timings["simulation"] = cells_ms;
-        timings["total"] = total_ms;
-        timings["reports"] = std::move(timing_json);
-        root["reports"] = std::move(report_json);
-        if (fleet_selected)
-            root["fleet"] = std::move(fleet_json);
-        if (alert_engine)
-            root["alerts"] = alert_engine->toJson();
-        if (perf_profiler)
-            root["perf"] = obs::perfToJson(*perf_profiler);
+    // Fired alerts drive the exit code (0 clean, 3 warn, 4
+    // critical) so CI can gate on run health directly.
+    const int exit_code = alert_engine ? alert_engine->exitCode() : 0;
+    if (json_path == "-")
+        return exit_code;
 
+    // The results file, then its companions beside it:
+    // <stem>.prom and <stem>.manifest.json.
+    Json root = Json::object();
+    root["schema"] = "pcap-bench-results-v1";
+    root["seed"] = bench::kBenchSeed;
+    root["jobs"] = options.jobs;
+    Json &timings = root["timings_ms"];
+    timings = Json::object();
+    timings["inputs"] = inputs_ms;
+    timings["simulation"] = cells_ms;
+    timings["total"] = total_ms;
+    timings["reports"] = std::move(timing_json);
+    root["reports"] = std::move(report_json);
+    if (fleet_selected)
+        root["fleet"] = std::move(fleet_json);
+    if (alert_engine)
+        root["alerts"] = alert_engine->toJson();
+    if (perf_profiler)
+        root["perf"] = obs::perfToJson(*perf_profiler);
+    {
         std::ofstream os(json_path);
         if (!os) {
             error("cannot write " + json_path);
@@ -561,7 +537,8 @@ main(int argc, char **argv)
         std::cout << "results: " << json_path << "\n";
     }
 
-    if (metrics_path != "-") {
+    const std::string metrics_path = derivedPath(json_path, ".prom");
+    {
         std::ofstream os(metrics_path);
         if (!os) {
             error("cannot write " + metrics_path);
@@ -575,59 +552,54 @@ main(int argc, char **argv)
         std::cout << "metrics: " << metrics_path << "\n";
     }
 
-    if (manifest_path != "-") {
-        obs::RunManifest manifest;
-        manifest.createdAtUtc = obs::isoTimestampUtc();
-        manifest.gitDescribe = obs::collectGitDescribe(".");
-        for (int i = 0; i < argc; ++i) {
-            if (i)
-                manifest.command += ' ';
-            manifest.command += argv[i];
-        }
-        manifest.seed = bench::kBenchSeed;
-        manifest.jobs = options.jobs;
-        manifest.maxExecutions = eval.config().maxExecutions;
-        if (fleet_selected)
-            manifest.fleetHosts = fleet_hosts;
-        for (const std::string &app : eval.appNames()) {
-            manifest.inputKeys.emplace_back(
-                app, eval.config().workloadKey(app).fileName());
-        }
-        manifest.phaseMs.emplace_back("inputs", inputs_ms);
-        manifest.phaseMs.emplace_back("simulation", cells_ms);
-        manifest.phaseMs.emplace_back("total", total_ms);
-        for (const bench::Report *report : selected)
-            manifest.reports.push_back(report->name);
-        manifest.resultsPath = json_path == "-" ? "" : json_path;
-        manifest.prometheusPath =
-            metrics_path == "-" ? "" : metrics_path;
-        manifest.build = obs::collectBuildInfo();
-        manifest.perfRequested = use_perf;
-        if (perf_profiler) {
-            manifest.perfBackend =
-                obs::perfBackendName(perf_profiler->backend());
-            manifest.perfDetail = perf_profiler->backendDetail();
-        } else {
-            // Record the capability even when --perf is off: the
-            // probe is one open+close, and knowing whether counters
-            // *would* have been available attributes a missing perf
-            // block to choice rather than environment.
-            const obs::PerfCapability cap =
-                obs::PerfCounterGroup::probe();
-            manifest.perfBackend = cap.hardware ? "hardware"
-                                                : "software";
-            manifest.perfDetail = cap.detail;
-        }
-
-        const std::string problem =
-            obs::writeManifest(manifest, manifest_path);
-        if (!problem.empty()) {
-            error("manifest: " + problem);
-            return 1;
-        }
-        std::cout << "manifest: " << manifest_path << "\n";
+    obs::RunManifest manifest;
+    manifest.createdAtUtc = obs::isoTimestampUtc();
+    manifest.gitDescribe = obs::collectGitDescribe(".");
+    for (int i = 0; i < argc; ++i) {
+        if (i)
+            manifest.command += ' ';
+        manifest.command += argv[i];
     }
-    // Fired alerts drive the exit code (0 clean, 3 warn, 4
-    // critical) so CI can gate on run health directly.
-    return alert_engine ? alert_engine->exitCode() : 0;
+    manifest.seed = bench::kBenchSeed;
+    manifest.jobs = options.jobs;
+    manifest.maxExecutions = eval.config().maxExecutions;
+    if (fleet_selected)
+        manifest.fleetHosts = fleet_hosts;
+    for (const std::string &app : eval.appNames()) {
+        manifest.inputKeys.emplace_back(
+            app, eval.config().workloadKey(app).fileName());
+    }
+    manifest.phaseMs.emplace_back("inputs", inputs_ms);
+    manifest.phaseMs.emplace_back("simulation", cells_ms);
+    manifest.phaseMs.emplace_back("total", total_ms);
+    for (const bench::Report *report : selected)
+        manifest.reports.push_back(report->name);
+    manifest.resultsPath = json_path;
+    manifest.prometheusPath = metrics_path;
+    manifest.build = obs::collectBuildInfo();
+    manifest.perfRequested = use_perf;
+    if (perf_profiler) {
+        manifest.perfBackend =
+            obs::perfBackendName(perf_profiler->backend());
+        manifest.perfDetail = perf_profiler->backendDetail();
+    } else {
+        // Record the capability even when --perf is off: the probe
+        // is one open+close, and knowing whether counters *would*
+        // have been available attributes a missing perf block to
+        // choice rather than environment.
+        const obs::PerfCapability cap = obs::PerfCounterGroup::probe();
+        manifest.perfBackend = cap.hardware ? "hardware" : "software";
+        manifest.perfDetail = cap.detail;
+    }
+
+    const std::string manifest_path =
+        derivedPath(json_path, ".manifest.json");
+    const std::string problem =
+        obs::writeManifest(manifest, manifest_path);
+    if (!problem.empty()) {
+        error("manifest: " + problem);
+        return 1;
+    }
+    std::cout << "manifest: " << manifest_path << "\n";
+    return exit_code;
 }

@@ -491,11 +491,15 @@ cellsFig10()
 
 // -- Ablation: timeout sensitivity -----------------------------
 
+/** The backup timers of the sweep, in seconds. */
+constexpr double kTimeoutSweepS[] = {2.0, 5.43, 10.0, 20.0, 30.0};
+
+/** TP then PCAP for each timer of kTimeoutSweepS. */
 std::vector<sim::PolicyConfig>
 timeoutSweepPolicies()
 {
     std::vector<sim::PolicyConfig> policies;
-    for (double timer : {2.0, 5.43, 10.0, 20.0, 30.0}) {
+    for (double timer : kTimeoutSweepS) {
         policies.push_back(
             sim::PolicyConfig::timeoutPolicy(secondsUs(timer)));
         sim::PolicyConfig pcap = sim::policyByName("PCAP");
@@ -538,19 +542,16 @@ reportAblationTimeout(ReportContext &ctx, std::ostream &os)
            "/ 12% miss; LT and PCAP are insensitive to the backup "
            "timer.");
 
-    const double timers_s[] = {2.0, 5.43, 10.0, 20.0, 30.0};
-
     TextTable table;
     table.setHeader({"timer", "TP saved", "TP miss", "PCAP saved",
                      "PCAP miss"});
 
-    for (double timer : timers_s) {
-        sim::PolicyConfig tp =
-            sim::PolicyConfig::timeoutPolicy(secondsUs(timer));
-        sim::PolicyConfig pcap = sim::policyByName("PCAP");
-        pcap.timeout = secondsUs(timer);
-
-        table.addRow({fixedString(timer, 2) + " s",
+    const std::vector<sim::PolicyConfig> policies =
+        timeoutSweepPolicies();
+    for (std::size_t i = 0; i < std::size(kTimeoutSweepS); ++i) {
+        const sim::PolicyConfig &tp = policies[2 * i];
+        const sim::PolicyConfig &pcap = policies[2 * i + 1];
+        table.addRow({fixedString(kTimeoutSweepS[i], 2) + " s",
                       percentString(averageSavings(ctx.eval, tp)),
                       percentString(averageMiss(ctx.eval, tp)),
                       percentString(averageSavings(ctx.eval, pcap)),
@@ -567,11 +568,15 @@ cellsAblationTimeout()
 
 // -- Ablation: history length ----------------------------------
 
+/** The PCAPh history lengths and LT tree depths of the sweep. */
+constexpr int kHistorySweep[] = {1, 2, 4, 6, 8, 10, 12};
+
+/** PCAPh then LT for each length of kHistorySweep. */
 std::vector<sim::PolicyConfig>
 historySweepPolicies()
 {
     std::vector<sim::PolicyConfig> policies;
-    for (int length : {1, 2, 4, 6, 8, 10, 12}) {
+    for (int length : kHistorySweep) {
         sim::PolicyConfig pcaph = sim::policyByName("PCAPh");
         pcaph.pcap.historyLength = length;
         policies.push_back(pcaph);
@@ -611,17 +616,16 @@ reportAblationHistory(ReportContext &ctx, std::ostream &os)
     table.setHeader({"length", "PCAPh hit", "PCAPh miss", "LT hit",
                      "LT miss"});
 
-    for (int length : {1, 2, 4, 6, 8, 10, 12}) {
-        sim::PolicyConfig pcaph = sim::policyByName("PCAPh");
-        pcaph.pcap.historyLength = length;
-        sim::PolicyConfig lt = sim::policyByName("LT");
-        lt.lt.historyLength = length;
-
+    const std::vector<sim::PolicyConfig> policies =
+        historySweepPolicies();
+    for (std::size_t i = 0; i < std::size(kHistorySweep); ++i) {
         double pcap_hit = 0, pcap_miss = 0, lt_hit = 0, lt_miss = 0;
-        hitMissAverages(ctx.eval, pcaph, pcap_hit, pcap_miss);
-        hitMissAverages(ctx.eval, lt, lt_hit, lt_miss);
+        hitMissAverages(ctx.eval, policies[2 * i], pcap_hit,
+                        pcap_miss);
+        hitMissAverages(ctx.eval, policies[2 * i + 1], lt_hit,
+                        lt_miss);
 
-        table.addRow({std::to_string(length),
+        table.addRow({std::to_string(kHistorySweep[i]),
                       percentString(pcap_hit),
                       percentString(pcap_miss),
                       percentString(lt_hit),
@@ -638,11 +642,16 @@ cellsAblationHistory()
 
 // -- Ablation: wait-window -------------------------------------
 
+/** The wait-windows of the sweep, in seconds; 1 s is the paper's. */
+constexpr double kWaitWindowSweepS[] = {0.05, 0.25, 0.5,
+                                        1.0,  2.0,  4.0};
+
+/** PCAP with each wait-window of kWaitWindowSweepS. */
 std::vector<sim::PolicyConfig>
 waitWindowSweepPolicies()
 {
     std::vector<sim::PolicyConfig> policies;
-    for (double window_s : {0.05, 0.25, 0.5, 1.0, 2.0, 4.0}) {
+    for (double window_s : kWaitWindowSweepS) {
         sim::PolicyConfig pcap = sim::policyByName("PCAP");
         pcap.pcap.waitWindow = secondsUs(window_s);
         policies.push_back(pcap);
@@ -663,10 +672,10 @@ reportAblationWaitWindow(ReportContext &ctx, std::ostream &os)
     table.setHeader({"window", "hit", "miss", "not-predicted",
                      "saved"});
 
-    for (double window_s : {0.05, 0.25, 0.5, 1.0, 2.0, 4.0}) {
-        sim::PolicyConfig pcap = sim::policyByName("PCAP");
-        pcap.pcap.waitWindow = secondsUs(window_s);
-
+    const std::vector<sim::PolicyConfig> policies =
+        waitWindowSweepPolicies();
+    for (std::size_t i = 0; i < std::size(kWaitWindowSweepS); ++i) {
+        const sim::PolicyConfig &pcap = policies[i];
         std::vector<double> hit, miss, notp, saved;
         for (const std::string &app : ctx.eval.appNames()) {
             const auto outcome = ctx.eval.globalRun(app, pcap);
@@ -678,7 +687,7 @@ reportAblationWaitWindow(ReportContext &ctx, std::ostream &os)
                             outcome.run.energy.normalizedTo(
                                 ctx.eval.baseRun(app).energy));
         }
-        table.addRow({fixedString(window_s, 2) + " s",
+        table.addRow({fixedString(kWaitWindowSweepS[i], 2) + " s",
                       percentString(averageOf(hit)),
                       percentString(averageOf(miss)),
                       percentString(averageOf(notp)),

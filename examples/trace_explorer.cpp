@@ -5,8 +5,7 @@
  * actually see — event mix, per-process streams, the idle-period
  * length distribution (as an ASCII histogram around the wait-window
  * / breakeven / timeout thresholds), and cache statistics. Also
- * demonstrates saving the trace to disk in both text and binary
- * formats.
+ * demonstrates saving the trace to disk as text.
  *
  *   ./trace_explorer [app] [execution] [--save DIR]
  */
@@ -139,19 +138,13 @@ main(int argc, char **argv)
 
     // --- Optional: persist the trace.
     if (!save_dir.empty()) {
-        const std::string text_path =
-            save_dir + "/" + app + ".trace";
-        const std::string binary_path =
-            save_dir + "/" + app + ".tracebin";
-        std::string error = trace::saveTraceFile(trace, text_path);
-        if (error.empty())
-            error = trace::saveTraceFile(trace, binary_path);
+        const std::string path = save_dir + "/" + app + ".trace";
+        const std::string error = trace::saveTraceFile(trace, path);
         if (!error.empty()) {
             pcap::error("save failed: " + error);
             return 1;
         }
-        std::cout << "\nsaved " << text_path << " and "
-                  << binary_path << "\n";
+        std::cout << "\nsaved " << path << "\n";
     }
     return 0;
 }

@@ -129,7 +129,7 @@ PcapPredictor::notePathPc(Address pc, bool reset)
 }
 
 void
-PcapPredictor::observeGap(TimeUs gap, TimeUs now)
+PcapPredictor::observeGap(TimeUs gap)
 {
     // Idle periods shorter than the wait-window are filtered at run
     // time (Section 4.1.1): no training, no history, the path
@@ -142,18 +142,8 @@ PcapPredictor::observeGap(TimeUs gap, TimeUs now)
     if (long_idle) {
         // The key that was current when the disk went idle preceded
         // a long idle period: learn it (Section 3.2).
-        if (pendingValid_) {
-            const bool inserted = table_->train(pendingKey_);
-            if (inserted)
-                ++trainingInserts_;
-            if (tap_) {
-                PcapTrainEvent event;
-                event.time = now;
-                event.key = pendingKey_;
-                event.inserted = inserted;
-                tap_->onPcapTraining(pid_, event);
-            }
-        }
+        if (pendingValid_ && table_->train(pendingKey_))
+            ++trainingInserts_;
         // The signature is overwritten by the PC of the first I/O of
         // the next path (Figure 4).
         resetPathOnNextIo_ = true;
@@ -173,7 +163,7 @@ pred::ShutdownDecision
 PcapPredictor::onIo(const pred::IoContext &ctx)
 {
     if (ctx.sincePrev >= 0)
-        observeGap(ctx.sincePrev, ctx.time);
+        observeGap(ctx.sincePrev);
 
     const bool fresh_path = resetPathOnNextIo_;
     if (resetPathOnNextIo_) {
@@ -221,7 +211,6 @@ PcapPredictor::onIo(const pred::IoContext &ctx)
         event.pathLength = pathLength_;
         event.pathTail = pathTail_;
         event.pathTailLength = pathTailLen_;
-        event.key = key;
         event.predicted = predicted;
         event.entryPresent = present;
         event.entryHitsBefore = hits_before;

@@ -110,9 +110,9 @@ class PcapPredictor : public pred::ShutdownPredictor
     const PredictionTable &table() const { return *table_; }
 
     /**
-     * Attach a provenance tap: every lookup and training is reported
-     * to @p tap, attributed to @p pid, together with the PC-path
-     * context behind it (see obs/provenance.hpp).
+     * Attach a provenance tap: every lookup is reported to @p tap,
+     * attributed to @p pid, together with the PC-path context
+     * behind it (see obs/provenance.hpp).
      * The tap must outlive the predictor; null detaches. Path-tail
      * tracking only happens while a tap is attached, so the default
      * path is untouched.
@@ -120,9 +120,8 @@ class PcapPredictor : public pred::ShutdownPredictor
     void attachProvenance(ProvenanceTap *tap, Pid pid);
 
   private:
-    /** Fold the just-completed idle period into training/history.
-     * @p now is the arrival of the I/O that closed the period. */
-    void observeGap(TimeUs gap, TimeUs now);
+    /** Fold the just-completed idle period into training/history. */
+    void observeGap(TimeUs gap);
 
     /** Fold @p pc into the tap-only path context (tail, hash,
      * length); @p reset starts a fresh path. */

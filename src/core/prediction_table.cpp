@@ -88,11 +88,8 @@ PredictionTable::evictLru()
         if (it->second.lastUsed < victim->second.lastUsed)
             victim = it;
     }
-    const TableKey victim_key = victim->first;
     entries_.erase(victim);
     ++evictions_;
-    if (evictionHook_)
-        evictionHook_(victim_key);
 }
 
 void

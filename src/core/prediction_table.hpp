@@ -10,7 +10,6 @@
 #define PCAP_CORE_PREDICTION_TABLE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <unordered_map>
@@ -103,17 +102,6 @@ class PredictionTable
     /** Entries evicted by LRU replacement so far. */
     std::uint64_t evictions() const { return evictions_; }
 
-    /**
-     * Callback fired with the victim key on every LRU eviction — the
-     * provenance layer's churn hook. Empty disables (the
-     * default); the hook must not reenter the table.
-     */
-    using EvictionHook = std::function<void(const TableKey &)>;
-    void setEvictionHook(EvictionHook hook)
-    {
-        evictionHook_ = std::move(hook);
-    }
-
     /** Discard all entries (PCAPa: no reuse between executions). */
     void clear();
 
@@ -150,7 +138,6 @@ class PredictionTable
     std::size_t capacity_;
     std::uint64_t tick_ = 0;
     std::uint64_t evictions_ = 0;
-    EvictionHook evictionHook_;
     std::unordered_map<TableKey, Entry, TableKeyHash> entries_;
 };
 

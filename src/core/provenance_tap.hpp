@@ -1,13 +1,12 @@
 /**
  * @file
- * Provenance tap: the hook interface through which the core
- * prediction machinery (PcapPredictor, PredictionTable) reports the
- * causal state behind every shutdown decision.
+ * Provenance tap: the hook interface through which PcapPredictor
+ * reports the causal state behind every shutdown decision.
  *
  * The tap is the core-side half of the provenance layer
- * (obs/provenance.hpp): core emits raw decision/training/eviction
- * events here, and a sim-layer observer joins them with idle-period
- * outcomes. Everything is gated behind a null check, so the default
+ * (obs/provenance.hpp): core emits one raw decision event per lookup
+ * here, and a sim-layer observer joins it with the idle period it
+ * governed. Everything is gated behind a null check, so the default
  * (no-tap) hot path pays nothing beyond one pointer test.
  */
 
@@ -17,7 +16,6 @@
 #include <array>
 #include <cstdint>
 
-#include "core/prediction_table.hpp"
 #include "pred/predictor.hpp"
 #include "util/types.hpp"
 
@@ -43,7 +41,6 @@ struct PcapDecisionEvent
     std::array<Address, kProvenancePathDepth> pathTail{};
     std::uint8_t pathTailLength = 0;
 
-    TableKey key;                ///< the key looked up
     bool predicted = false;      ///< lookup matched (primary consent)
     bool entryPresent = false;   ///< key was in the table
 
@@ -57,17 +54,9 @@ struct PcapDecisionEvent
     pred::ShutdownDecision decision;
 };
 
-/** One training event: a long idle period confirmed a key. */
-struct PcapTrainEvent
-{
-    TimeUs time = 0;       ///< the I/O that closed the idle period
-    TableKey key;          ///< the key trained
-    bool inserted = false; ///< newly inserted vs. training bump
-};
-
 /**
- * Receiver of core provenance events. All callbacks default to
- * no-ops; they fire synchronously on the simulating thread.
+ * Receiver of core provenance events; the callback fires
+ * synchronously on the simulating thread.
  */
 class ProvenanceTap
 {
@@ -76,21 +65,7 @@ class ProvenanceTap
 
     /** @p pid's predictor formed a new standing decision. */
     virtual void onPcapDecision(Pid pid,
-                                const PcapDecisionEvent &event)
-    {
-        (void)pid;
-        (void)event;
-    }
-
-    /** @p pid's predictor trained the shared table. */
-    virtual void onPcapTraining(Pid pid, const PcapTrainEvent &event)
-    {
-        (void)pid;
-        (void)event;
-    }
-
-    /** The shared table evicted @p key by LRU replacement. */
-    virtual void onTableEviction(const TableKey &key) { (void)key; }
+                                const PcapDecisionEvent &event) = 0;
 };
 
 } // namespace pcap::core

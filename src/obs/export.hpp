@@ -2,7 +2,7 @@
  * @file
  * Metric exporters: structured JSON (embedded in perfbench's output
  * and read by the tests) and Prometheus text exposition format
- * (bench_all's <json>.prom or --metrics-out: the file
+ * (bench_all's <stem>.prom beside its results file: the file
  * tools/metrics_diff.py reads, ready for a node_exporter textfile
  * collector or a pushgateway).
  *

@@ -68,7 +68,7 @@ struct RunManifest
     std::vector<std::string> reports;
 
     std::string resultsPath;    ///< BENCH_RESULTS.json ("" if none)
-    std::string prometheusPath; ///< --metrics-out ("" if none)
+    std::string prometheusPath; ///< the <stem>.prom beside it
 
     /** Compiler / build-type / sanitizer record, see BuildInfo. */
     BuildInfo build;

@@ -248,21 +248,6 @@ PolicySession::tableEvictions() const
 }
 
 void
-PolicySession::setProvenanceTap(core::ProvenanceTap *tap)
-{
-    tap_ = tap;
-    if (!table_)
-        return;
-    if (tap) {
-        table_->setEvictionHook([tap](const core::TableKey &key) {
-            tap->onTableEviction(key);
-        });
-    } else {
-        table_->setEvictionHook({});
-    }
-}
-
-void
 recordSessionMetrics(const PolicySession &session,
                      const obs::ScopedMetrics &scope)
 {

@@ -147,12 +147,11 @@ class PolicySession
 
     /**
      * Attach the provenance tap: PCAP local predictors created by
-     * makeLocal from now on report their decisions and trainings to
-     * @p tap, and the shared table reports LRU evictions. Null
+     * makeLocal from now on report their decisions to @p tap. Null
      * detaches. The tap must outlive every predictor made while it
      * is attached.
      */
-    void setProvenanceTap(core::ProvenanceTap *tap);
+    void setProvenanceTap(core::ProvenanceTap *tap) { tap_ = tap; }
 
     /** The PCAP table (null unless kind == Pcap); for persistence
      * demos and tests. */

@@ -12,46 +12,6 @@ namespace pcap::trace {
 namespace {
 
 constexpr char kTextMagic[] = "# pcap-trace v1";
-constexpr char kBinaryMagic[4] = {'P', 'C', 'T', 'B'};
-constexpr std::uint32_t kBinaryVersion = 1;
-
-bool
-endsWith(const std::string &text, const std::string &suffix)
-{
-    return text.size() >= suffix.size() &&
-           text.compare(text.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-/**
- * Little-endian fixed-width scalar I/O: byte order is explicit so
- * binary traces are portable across hosts.
- */
-template <typename T>
-void
-putLe(std::ostream &os, T value)
-{
-    unsigned char bytes[sizeof(T)];
-    auto u = static_cast<std::uint64_t>(value);
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        bytes[i] = static_cast<unsigned char>((u >> (8 * i)) & 0xff);
-    os.write(reinterpret_cast<const char *>(bytes), sizeof(T));
-}
-
-/** @return false when the stream ran out of bytes. */
-template <typename T>
-bool
-getLe(std::istream &is, T &value)
-{
-    unsigned char bytes[sizeof(T)];
-    if (!is.read(reinterpret_cast<char *>(bytes), sizeof(T)))
-        return false;
-    std::uint64_t u = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        u |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-    value = static_cast<T>(u);
-    return true;
-}
 
 } // namespace
 
@@ -119,94 +79,23 @@ readText(std::istream &is, Trace &out)
     return {};
 }
 
-void
-writeBinary(const Trace &trace, std::ostream &os)
-{
-    os.write(kBinaryMagic, sizeof(kBinaryMagic));
-    putLe<std::uint32_t>(os, kBinaryVersion);
-    putLe<std::uint32_t>(os,
-                         static_cast<std::uint32_t>(trace.app().size()));
-    os.write(trace.app().data(),
-             static_cast<std::streamsize>(trace.app().size()));
-    putLe<std::uint32_t>(os,
-                         static_cast<std::uint32_t>(trace.execution()));
-    putLe<std::uint64_t>(os, trace.size());
-    for (const auto &event : trace.events()) {
-        putLe<std::int64_t>(os, event.time);
-        putLe<std::int32_t>(os, event.pid);
-        putLe<std::uint8_t>(os, static_cast<std::uint8_t>(event.type));
-        putLe<std::uint32_t>(os, event.pc);
-        putLe<std::int32_t>(os, event.fd);
-        putLe<std::uint32_t>(os, event.file);
-        putLe<std::uint64_t>(os, event.offset);
-        putLe<std::uint32_t>(os, event.size);
-    }
-}
-
-std::string
-readBinary(std::istream &is, Trace &out)
-{
-    char magic[4];
-    if (!is.read(magic, sizeof(magic)) ||
-        std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-        return "bad magic";
-    }
-    std::uint32_t version = 0;
-    if (!getLe(is, version) || version != kBinaryVersion)
-        return "unsupported version";
-
-    std::uint32_t name_length = 0;
-    if (!getLe(is, name_length) || name_length > 4096)
-        return "bad app-name length";
-    std::string app(name_length, '\0');
-    if (!is.read(app.data(), name_length))
-        return "truncated app name";
-
-    std::uint32_t execution = 0;
-    std::uint64_t count = 0;
-    if (!getLe(is, execution) || !getLe(is, count))
-        return "truncated header";
-
-    out = Trace(app, static_cast<int>(execution));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceEvent event;
-        std::uint8_t type = 0;
-        if (!getLe(is, event.time) || !getLe(is, event.pid) ||
-            !getLe(is, type) || !getLe(is, event.pc) ||
-            !getLe(is, event.fd) || !getLe(is, event.file) ||
-            !getLe(is, event.offset) || !getLe(is, event.size)) {
-            return "truncated at event " + std::to_string(i);
-        }
-        if (type > static_cast<std::uint8_t>(EventType::Exit))
-            return "bad event type at event " + std::to_string(i);
-        event.type = static_cast<EventType>(type);
-        out.append(event);
-    }
-    return {};
-}
-
 std::string
 saveTraceFile(const Trace &trace, const std::string &path)
 {
-    const bool binary = endsWith(path, ".tracebin");
-    std::ofstream os(path, binary ? std::ios::binary : std::ios::out);
+    std::ofstream os(path);
     if (!os)
         return "cannot open " + path + " for writing";
-    if (binary)
-        writeBinary(trace, os);
-    else
-        writeText(trace, os);
+    writeText(trace, os);
     return os ? std::string{} : "write error on " + path;
 }
 
 std::string
 loadTraceFile(const std::string &path, Trace &out)
 {
-    const bool binary = endsWith(path, ".tracebin");
-    std::ifstream is(path, binary ? std::ios::binary : std::ios::in);
+    std::ifstream is(path);
     if (!is)
         return "cannot open " + path;
-    return binary ? readBinary(is, out) : readText(is, out);
+    return readText(is, out);
 }
 
 } // namespace pcap::trace

@@ -1,8 +1,7 @@
 /**
  * @file
- * Trace serialization: a human-readable text format (one event per
- * line, like the modified strace output the paper worked from) and a
- * compact binary format for large traces.
+ * Trace serialization: one human-readable text format, one event per
+ * line, like the modified strace output the paper worked from.
  */
 
 #ifndef PCAP_TRACE_IO_HPP
@@ -33,21 +32,7 @@ void writeText(const Trace &trace, std::ostream &os);
  */
 std::string readText(std::istream &is, Trace &out);
 
-/**
- * Write @p trace in the binary format: magic "PCTB", version u32,
- * app-name length + bytes, execution u32, event count u64, then a
- * fixed-width little-endian record per event.
- */
-void writeBinary(const Trace &trace, std::ostream &os);
-
-/**
- * Parse a binary trace produced by writeBinary().
- * @return empty string on success, else an error description.
- */
-std::string readBinary(std::istream &is, Trace &out);
-
-/** Save a trace to a file; picks text/binary from the extension
- * (".trace" text, ".tracebin" binary). Returns error or empty. */
+/** Save a trace to a file as text. Returns error or empty. */
 std::string saveTraceFile(const Trace &trace, const std::string &path);
 
 /** Load a trace from a file written by saveTraceFile(). */

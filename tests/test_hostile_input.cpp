@@ -1,7 +1,7 @@
 /**
  * @file
  * Seeded mutation harness for every reader of external bytes: the
- * text and binary trace formats, JSON documents, saved prediction
+ * text trace format, JSON documents, saved prediction
  * tables, binary provenance files and alert rules. Each reader gets
  * a few hundred mutants of one valid input (bit flips, truncations,
  * splices and oversized length fields) and must return a result or
@@ -169,17 +169,6 @@ TEST(HostileInput, TextTraceReader)
         std::istringstream is(bytes);
         trace::Trace out;
         return trace::readText(is, out).empty();
-    });
-}
-
-TEST(HostileInput, BinaryTraceReader)
-{
-    std::ostringstream os;
-    trace::writeBinary(sampleTrace(), os);
-    survivesMutants(os.str(), true, 2, [](const std::string &bytes) {
-        std::istringstream is(bytes);
-        trace::Trace out;
-        return trace::readBinary(is, out).empty();
     });
 }
 

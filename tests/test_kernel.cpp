@@ -5,6 +5,8 @@
  *  - Reference parity: every report of the byte-compared suite,
  *    rendered through the kernel/driver path, must match
  *    bench/reference/BENCH_RESULTS.ref.json line for line.
+ *  - Report cells: rendering a report after prefetching its declared
+ *    cells replays nothing new.
  *  - Observer ordering: a scripted execution with hand-computable
  *    shutdowns must fire the callbacks in replay order.
  *  - Instrumented parity: the null-observer instantiation of the
@@ -226,6 +228,34 @@ TEST(KernelParity, EveryReportMatchesReference)
         EXPECT_EQ(splitLines(text.str()), reference.at(report.name))
             << "report " << report.name
             << " diverged from the reference";
+    }
+}
+
+// A cell first computed during a render records fresh labelled
+// series, so an unchanged series count proves the render read only
+// cells its cells() list declared (and bench_all prefetched).
+TEST(ReportCells, RenderReplaysNoUndeclaredCell)
+{
+    for (const bench::Report &report : bench::allReports()) {
+        if (report.optIn)
+            continue;
+        obs::MetricsRegistry registry;
+        ParallelOptions options;
+        options.jobs = 2;
+        options.metrics = &registry;
+        ExperimentConfig config = bench::standardConfig();
+        config.maxExecutions = 2;
+        ParallelEvaluation eval(config, options);
+        bench::ReportContext ctx{.eval = eval};
+
+        eval.prefetchInputs();
+        eval.prefetch(report.cells());
+        const std::size_t declared = registry.seriesCount();
+        std::ostringstream text;
+        report.run(ctx, text);
+        EXPECT_EQ(registry.seriesCount(), declared)
+            << "report " << report.name
+            << " replayed a cell its cells() list does not declare";
     }
 }
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <vector>
 
 #include "core/prediction_table.hpp"
 
@@ -103,24 +102,23 @@ TEST(PredictionTable, CapacityEnforcedWithLru)
     EXPECT_EQ(table.evictions(), 1u);
 }
 
-TEST(PredictionTable, EvictionHookSeesVictimKey)
+TEST(PredictionTable, EachEvictionRemovesTheLruKey)
 {
     PredictionTable table(2);
-    std::vector<TableKey> victims;
-    table.setEvictionHook(
-        [&victims](const TableKey &k) { victims.push_back(k); });
     table.train(key(1));
     table.train(key(2));
-    EXPECT_TRUE(victims.empty()); // capacity not yet exceeded
-    table.lookup(key(1));         // key 2 becomes LRU
-    table.train(key(3));          // evicts key 2
-    ASSERT_EQ(victims.size(), 1u);
-    EXPECT_EQ(victims[0], key(2));
+    EXPECT_EQ(table.evictions(), 0u); // capacity not yet exceeded
+    table.lookup(key(1));             // key 2 becomes LRU
+    table.train(key(3));              // evicts key 2
+    EXPECT_FALSE(table.contains(key(2)));
+    EXPECT_TRUE(table.contains(key(1)));
+    EXPECT_TRUE(table.contains(key(3)));
     EXPECT_EQ(table.evictions(), 1u);
 
-    table.setEvictionHook(nullptr); // detaching is safe
-    table.train(key(4));            // evicts without a hook
-    EXPECT_EQ(victims.size(), 1u);
+    table.train(key(4)); // key 1 is now LRU
+    EXPECT_FALSE(table.contains(key(1)));
+    EXPECT_TRUE(table.contains(key(3)));
+    EXPECT_TRUE(table.contains(key(4)));
     EXPECT_EQ(table.evictions(), 2u);
 }
 
@@ -233,12 +231,13 @@ TEST(PredictionTable, ReloadKeepsRecencyOrder)
     EXPECT_TRUE(small.contains(key(5)));
     EXPECT_TRUE(small.contains(key(1)));
 
-    std::vector<TableKey> evicted;
-    small.setEvictionHook(
-        [&](const TableKey &victim) { evicted.push_back(victim); });
-    small.train(key(9));
-    ASSERT_EQ(evicted.size(), 1u);
-    EXPECT_EQ(evicted.front(), key(8));
+    const std::uint64_t evictions = small.evictions();
+    small.train(key(9)); // key 8 is the LRU of the three
+    EXPECT_EQ(small.evictions(), evictions + 1);
+    EXPECT_FALSE(small.contains(key(8)));
+    EXPECT_TRUE(small.contains(key(5)));
+    EXPECT_TRUE(small.contains(key(1)));
+    EXPECT_TRUE(small.contains(key(9)));
 }
 
 TEST(PredictionTable, LoadReplacesExistingContents)

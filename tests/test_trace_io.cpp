@@ -1,7 +1,7 @@
 /**
  * @file
- * Serialization tests: text and binary trace formats, error
- * handling, and the extension-dispatching file helpers.
+ * Serialization tests: the text trace format, error handling, and
+ * the file helpers.
  */
 
 #include <gtest/gtest.h>
@@ -105,48 +105,13 @@ TEST(TraceTextIo, SkipsCommentsAndBlankLines)
     EXPECT_EQ(loaded.execution(), 2);
 }
 
-TEST(TraceBinaryIo, RoundTripPreservesEverything)
-{
-    const Trace original = sampleTrace();
-    std::stringstream buffer;
-    writeBinary(original, buffer);
-
-    Trace loaded;
-    ASSERT_EQ(readBinary(buffer, loaded), "");
-    EXPECT_EQ(loaded.app(), original.app());
-    EXPECT_EQ(loaded.execution(), original.execution());
-    ASSERT_EQ(loaded.size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i)
-        EXPECT_EQ(loaded.events()[i], original.events()[i]);
-}
-
-TEST(TraceBinaryIo, RejectsBadMagic)
-{
-    std::stringstream buffer("XXXXgarbage");
-    Trace loaded;
-    EXPECT_EQ(readBinary(buffer, loaded), "bad magic");
-}
-
-TEST(TraceBinaryIo, RejectsTruncatedStream)
-{
-    const Trace original = sampleTrace();
-    std::stringstream buffer;
-    writeBinary(original, buffer);
-    const std::string whole = buffer.str();
-    std::stringstream truncated(
-        whole.substr(0, whole.size() - 10));
-    Trace loaded;
-    EXPECT_NE(readBinary(truncated, loaded).find("truncated"),
-              std::string::npos);
-}
-
-TEST(TraceBinaryIo, HandlesEmptyTrace)
+TEST(TraceTextIo, HandlesEmptyTrace)
 {
     const Trace original("empty", 0);
     std::stringstream buffer;
-    writeBinary(original, buffer);
+    writeText(original, buffer);
     Trace loaded;
-    ASSERT_EQ(readBinary(buffer, loaded), "");
+    ASSERT_EQ(readText(buffer, loaded), "");
     EXPECT_TRUE(loaded.empty());
     EXPECT_EQ(loaded.app(), "empty");
 }
@@ -171,16 +136,6 @@ TEST_F(TraceFileIo, TextExtensionRoundTrip)
 {
     const Trace original = sampleTrace();
     const std::string path = (dir_ / "t.trace").string();
-    ASSERT_EQ(saveTraceFile(original, path), "");
-    Trace loaded;
-    ASSERT_EQ(loadTraceFile(path, loaded), "");
-    EXPECT_EQ(loaded.size(), original.size());
-}
-
-TEST_F(TraceFileIo, BinaryExtensionRoundTrip)
-{
-    const Trace original = sampleTrace();
-    const std::string path = (dir_ / "t.tracebin").string();
     ASSERT_EQ(saveTraceFile(original, path), "");
     Trace loaded;
     ASSERT_EQ(loadTraceFile(path, loaded), "");

@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
 """Compare two BENCH_RESULTS.json files for scientific equality.
 
-Usage: compare_bench.py REFERENCE CANDIDATE [--tolerance REL]
+Usage: compare_bench.py REFERENCE CANDIDATE [options]
 
-By default report lines must match byte for byte -- the engine is
+Report lines must match byte for byte -- the engine is
 deterministic, so every figure number is expected to be identical.
-Passing --tolerance switches to token-by-token comparison where
-numeric tokens may differ within the given relative tolerance
-(for cross-platform floating-point noise).
 
-Timings, job counts and cache-effectiveness counters are machine-
-and run-dependent, so they are ignored here. The metric series live
+Timings, job counts and perf counters are machine- and
+run-dependent, so they are ignored here. The metric series live
 in the .prom bench_all writes beside the results file (<stem>.prom
 for <stem>.json), and tools/metrics_diff.py compares those; the
 candidate's .prom must exist and hold pcap_ samples, so an
@@ -19,9 +16,7 @@ instrumentation regression cannot slip through.
 --max-report-seconds NAME=SECONDS (repeatable) additionally budgets
 the candidate's wall time for one report (timings_ms.reports.NAME).
 --max-any-report-seconds SECONDS applies one (generous) budget to
-every report in the candidate. A blown budget is an error by
-default; with --timing-warn-only it only warns -- use that on
-shared/noisy runners where wall time is advisory.
+every report in the candidate. A blown budget is an error.
 
 When both files carry a top-level "fleet" block (bench_all --report
 fleet) the generic key comparison requires it to be identical, and
@@ -42,8 +37,8 @@ instruction counts, software backends showing all-zero hardware
 counters (the honest-fallback contract). Derived statistics -- IPC,
 cache/branch miss rates, and cycles per simulated idle period when
 the .prom carries pcap_sim_idle_periods_total -- are printed,
-and bounded only by warn-level budgets (--perf-min-ipc,
---perf-max-miss-rate): counter values are machine-dependent, so they
+and bounded only by warn-level budgets (PERF_MIN_IPC,
+PERF_MAX_MISS_RATE): counter values are machine-dependent, so they
 advise rather than gate.
 """
 
@@ -51,44 +46,15 @@ import argparse
 import glob
 import json
 import os
-import re
 import sys
 
 from metrics_diff import family, load_prom
 
-IGNORED_TOP_KEYS = {"jobs", "timings_ms", "workload_cache", "perf"}
-NUMBER = re.compile(r"^[+-]?\d+(\.\d+)?([eE][+-]?\d+)?%?$")
+IGNORED_TOP_KEYS = {"jobs", "timings_ms", "perf"}
 
-
-def tokens(line):
-    return line.split()
-
-
-def compare_lines(name, index, ref, got, tolerance, errors):
-    if tolerance is None:
-        if ref != got:
-            errors.append(f"{name} line {index + 1} differs\n"
-                          f"  ref: {ref}\n  got: {got}")
-        return
-    ref_tokens = tokens(ref)
-    got_tokens = tokens(got)
-    if len(ref_tokens) != len(got_tokens):
-        errors.append(f"{name} line {index + 1}: token count "
-                      f"{len(got_tokens)} != {len(ref_tokens)}\n"
-                      f"  ref: {ref}\n  got: {got}")
-        return
-    for a, b in zip(ref_tokens, got_tokens):
-        if a == b:
-            continue
-        if NUMBER.match(a) and NUMBER.match(b):
-            x = float(a.rstrip("%"))
-            y = float(b.rstrip("%"))
-            scale = max(abs(x), abs(y), 1.0)
-            if abs(x - y) <= tolerance * scale:
-                continue
-        errors.append(f"{name} line {index + 1}: '{b}' != '{a}'\n"
-                      f"  ref: {ref}\n  got: {got}")
-        return
+# Advisory bounds for hardware perf regions (warn only).
+PERF_MIN_IPC = 0.05
+PERF_MAX_MISS_RATE = 0.95
 
 
 def load_metrics(results_path, errors):
@@ -100,8 +66,7 @@ def load_metrics(results_path, errors):
         stem = stem[:-len(".json")]
     path = stem + ".prom"
     if not os.path.isfile(path):
-        errors.append(f"candidate has no metrics file {path} "
-                      f"(run without --no-metrics)")
+        errors.append(f"candidate has no metrics file {path}")
         return None
     samples, _ = load_prom(path)
     if not any(key.startswith("pcap_") for key in samples):
@@ -232,7 +197,7 @@ def total_idle_periods(metrics):
     return sum(values) if values else None
 
 
-def check_perf(got, metrics, min_ipc, max_miss_rate, errors):
+def check_perf(got, metrics, errors):
     """Schema of the candidate's pcap-perf-v1 block (--check-perf).
 
     Counter *presence and shape* gate hard; counter *values* are
@@ -307,14 +272,14 @@ def check_perf(got, metrics, min_ipc, max_miss_rate, errors):
             continue
         if region["cycles"] == 0:
             continue
-        if region["ipc"] < min_ipc:
+        if region["ipc"] < PERF_MIN_IPC:
             print(f"WARNING: perf region {name}: ipc "
                   f"{region['ipc']:.3f} below advisory floor "
-                  f"{min_ipc:g}")
-        if region["cache_miss_rate"] > max_miss_rate:
+                  f"{PERF_MIN_IPC:g}")
+        if region["cache_miss_rate"] > PERF_MAX_MISS_RATE:
             print(f"WARNING: perf region {name}: cache miss rate "
                   f"{region['cache_miss_rate']:.3f} above advisory "
-                  f"ceiling {max_miss_rate:g}")
+                  f"ceiling {PERF_MAX_MISS_RATE:g}")
     print(f"perf ok: {backend} backend, {len(regions)} regions")
 
 
@@ -412,7 +377,7 @@ def parse_budget(text):
     return name, value
 
 
-def check_budgets(got, budgets, any_budget, warn_only, errors):
+def check_budgets(got, budgets, any_budget, errors):
     """Candidate report wall times against their budgets."""
     timings = got.get("timings_ms", {}).get("reports", {})
     if any_budget is not None:
@@ -430,21 +395,14 @@ def check_budgets(got, budgets, any_budget, warn_only, errors):
             print(f"timing ok: {name} {spent:.3f}s "
                   f"<= budget {seconds:g}s")
             continue
-        message = (f"timing budget blown: {name} took {spent:.3f}s "
-                   f"> budget {seconds:g}s")
-        if warn_only:
-            print(f"WARNING: {message}")
-        else:
-            errors.append(message)
+        errors.append(f"timing budget blown: {name} took "
+                      f"{spent:.3f}s > budget {seconds:g}s")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("reference")
     parser.add_argument("candidate")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="relative tolerance for numeric tokens "
-                             "(default: byte-identical lines)")
     parser.add_argument("--max-report-seconds", type=parse_budget,
                         action="append", default=[],
                         metavar="NAME=SECONDS",
@@ -455,9 +413,6 @@ def main():
                         help="wall-time budget applied to every "
                              "candidate report not covered by a "
                              "named budget")
-    parser.add_argument("--timing-warn-only", action="store_true",
-                        help="blown timing budgets warn instead of "
-                             "failing (shared/noisy runners)")
     parser.add_argument("--timeline-dir", metavar="DIR",
                         help="schema-check the candidate run's "
                              "*.timeline.json dumps in DIR")
@@ -467,15 +422,6 @@ def main():
     parser.add_argument("--check-perf", action="store_true",
                         help="require and schema-check the "
                              "candidate's pcap-perf-v1 block")
-    parser.add_argument("--perf-min-ipc", type=float, default=0.05,
-                        metavar="IPC",
-                        help="advisory IPC floor for hardware perf "
-                             "regions (warn only; default: 0.05)")
-    parser.add_argument("--perf-max-miss-rate", type=float,
-                        default=0.95, metavar="RATE",
-                        help="advisory cache-miss-rate ceiling for "
-                             "hardware perf regions (warn only; "
-                             "default: 0.95)")
     args = parser.parse_args()
     if (args.max_any_report_seconds is not None
             and args.max_any_report_seconds <= 0):
@@ -498,13 +444,11 @@ def main():
     if args.check_alerts:
         check_alerts(got, errors)
     if args.check_perf:
-        check_perf(got, metrics, args.perf_min_ipc,
-                   args.perf_max_miss_rate, errors)
+        check_perf(got, metrics, errors)
     if args.timeline_dir:
         check_timeline(args.timeline_dir, errors)
     check_budgets(got, args.max_report_seconds,
-                  args.max_any_report_seconds,
-                  args.timing_warn_only, errors)
+                  args.max_any_report_seconds, errors)
 
     ref_reports = ref.get("reports", {})
     got_reports = got.get("reports", {})
@@ -522,7 +466,9 @@ def main():
                           f"{len(ref_lines)}")
             continue
         for i, (a, b) in enumerate(zip(ref_lines, got_lines)):
-            compare_lines(name, i, a, b, args.tolerance, errors)
+            if a != b:
+                errors.append(f"{name} line {i + 1} differs\n"
+                              f"  ref: {a}\n  got: {b}")
 
     if errors:
         print(f"MISMATCH: {len(errors)} difference(s)")
@@ -531,9 +477,7 @@ def main():
         if len(errors) > 20:
             print(f"... and {len(errors) - 20} more")
         return 1
-    mode = ("byte-identical" if args.tolerance is None
-            else f"tolerance {args.tolerance:g}")
-    print(f"OK: {len(ref_reports)} reports match ({mode})")
+    print(f"OK: {len(ref_reports)} reports match (byte-identical)")
     return 0
 
 

@@ -4,7 +4,7 @@
 Usage: metrics_diff.py BASE CANDIDATE [options]
 
 Inputs are Prometheus text files, the .prom that bench_all writes
-beside its results file (--metrics-out). Each sample line is one
+beside its results file (<stem>.prom for <stem>.json). Each sample line is one
 scalar, keyed by its name and sorted labels (a histogram's buckets,
 _sum and _count are separate samples), and the two files are compared
 sample by sample.
