@@ -15,12 +15,6 @@ namespace {
 
 std::atomic<TraceRecorder *> gRecorder{nullptr};
 
-/** Source of TraceRecorder::generation_ ids. Never reused, so a
- * thread slot left behind by a destroyed recorder can never match a
- * new one — even when the stack hands the new recorder the old
- * recorder's address. */
-std::atomic<std::uint64_t> gRecorderGeneration{0};
-
 std::int64_t
 steadyNowNs()
 {
@@ -29,34 +23,12 @@ steadyNowNs()
         .count();
 }
 
-/** Per-thread buffer cache, keyed by the owning recorder's
- * generation id so a fresh recorder never sees a stale pointer. */
-struct ThreadSlot
-{
-    std::uint64_t owner = 0; ///< recorder generation, 0 = none
-    void *buffer = nullptr;
-};
-
-thread_local ThreadSlot tSlot;
-
 void
-copyDetail(std::array<char, kSpanDetailBytes> &dst,
-           std::string_view src)
-{
-    // copy_n, not memcpy: an empty detail may carry a null data()
-    // pointer, which memcpy must not be given even for zero bytes.
-    const std::size_t n =
-        std::min(src.size(), kSpanDetailBytes - 1);
-    std::copy_n(src.data(), n, dst.data());
-    dst[n] = '\0';
-}
-
-void
-writeEscaped(std::ostream &os, const char *text)
+writeEscaped(std::ostream &os, std::string_view text)
 {
     os << '"';
-    for (const char *p = text; *p; ++p) {
-        const unsigned char c = static_cast<unsigned char>(*p);
+    for (const char ch : text) {
+        const unsigned char c = static_cast<unsigned char>(ch);
         switch (c) {
           case '"': os << "\\\""; break;
           case '\\': os << "\\\\"; break;
@@ -68,7 +40,7 @@ writeEscaped(std::ostream &os, const char *text)
                 std::snprintf(buf, sizeof buf, "\\u%04x", c);
                 os << buf;
             } else {
-                os << *p;
+                os << ch;
             }
         }
     }
@@ -89,11 +61,7 @@ writeMicros(std::ostream &os, std::uint64_t ns)
 } // namespace
 
 TraceRecorder::TraceRecorder(std::size_t capacity)
-    : generation_(
-          gRecorderGeneration.fetch_add(1,
-                                        std::memory_order_relaxed) +
-          1),
-      capacity_(capacity), epochNs_(steadyNowNs())
+    : capacity_(capacity), epochNs_(steadyNowNs())
 {
     if (capacity == 0)
         panic("TraceRecorder capacity must be positive");
@@ -105,127 +73,85 @@ TraceRecorder::nowNs() const
     return static_cast<std::uint64_t>(steadyNowNs() - epochNs_);
 }
 
-TraceRecorder::ThreadBuffer &
-TraceRecorder::threadBuffer()
-{
-    if (tSlot.owner != generation_) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Perf side arrays exist only when counter attribution is
-        // armed at registration time; bench_all installs both
-        // sinks before any span runs.
-        auto buffer = std::make_unique<ThreadBuffer>(capacity_,
-                                                     perfEnabled());
-        buffer->name = buffers_.empty()
-                           ? "main"
-                           : "worker-" +
-                                 std::to_string(buffers_.size());
-        tSlot.owner = generation_;
-        tSlot.buffer = buffer.get();
-        buffers_.push_back(std::move(buffer));
-    }
-    return *static_cast<ThreadBuffer *>(tSlot.buffer);
-}
-
 void
 TraceRecorder::append(const char *name, std::string_view detail,
                       std::uint64_t startNs, std::uint64_t durNs,
                       const PerfCounts *perf)
 {
-    ThreadBuffer &buffer = threadBuffer();
-    const std::uint64_t used =
-        buffer.size.load(std::memory_order_relaxed);
-    if (used >= capacity_) {
-        buffer.dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    std::unique_ptr<Chunk> &chunk =
-        buffer.chunks[used / kTraceChunkEvents];
-    if (!chunk) {
-        chunk = std::make_unique<Chunk>();
-        if (buffer.withPerf)
-            chunk->perf =
-                std::make_unique<PerfCounts[]>(kTraceChunkEvents);
-    }
-    const std::size_t offset = used % kTraceChunkEvents;
-    TraceEvent &event = chunk->events[offset];
+    TraceEvent event;
     event.startNs = startNs;
     event.durNs = durNs;
     event.name = name;
-    copyDetail(event.detail, detail);
-    if (perf && chunk->perf) {
-        chunk->perf[offset] = *perf;
-        event.hasPerf = true;
+    event.detail = detail;
+    if (perf)
+        event.perf = *perf;
+
+    const std::thread::id self = std::this_thread::get_id();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (events_.size() >= capacity_) {
+        ++dropped_;
+        return;
     }
-    // Publish after the payload so a post-join reader never sees a
-    // half-written event.
-    buffer.size.store(used + 1, std::memory_order_release);
+    event.tid = static_cast<std::size_t>(
+        std::find(threads_.begin(), threads_.end(), self) -
+        threads_.begin());
+    if (event.tid == threads_.size())
+        threads_.push_back(self);
+    events_.push_back(std::move(event));
 }
 
 std::uint64_t
 TraceRecorder::totalEvents() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto &buffer : buffers_)
-        total += buffer->size.load(std::memory_order_acquire);
-    return total;
+    return events_.size();
 }
 
 std::uint64_t
 TraceRecorder::totalDropped() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto &buffer : buffers_)
-        total += buffer->dropped.load(std::memory_order_relaxed);
-    return total;
+    return dropped_;
 }
 
 std::size_t
 TraceRecorder::threadCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return buffers_.size();
+    return threads_.size();
 }
 
 void
 TraceRecorder::writeChromeTrace(const std::string &path) const
 {
-    // A full buffer silently truncates the profile's tail; surface
-    // that once, at write time, so a "why is this phase missing"
-    // hunt starts from the drop count instead of the rendered file.
-    const std::uint64_t dropped = totalDropped();
-    if (dropped > 0 &&
-        !dropWarned_.exchange(true, std::memory_order_relaxed)) {
-        warn("trace profile dropped " + std::to_string(dropped) +
-             " spans (per-thread buffer capacity " +
-             std::to_string(capacity_) +
-             "); raise TraceRecorder capacity or trace less");
-    }
-
     std::ofstream os(path, std::ios::trunc);
     if (!os)
         fatal("cannot open trace profile " + path);
 
     std::lock_guard<std::mutex> lock(mutex_);
+    // A full list silently truncates the profile's tail; surface
+    // that once, at write time, so a "why is this phase missing"
+    // hunt starts from the drop count instead of the rendered file.
+    if (dropped_ > 0 && !dropWarned_) {
+        dropWarned_ = true;
+        warn("trace profile dropped " + std::to_string(dropped_) +
+             " spans (capacity " + std::to_string(capacity_) +
+             "); raise TraceRecorder capacity or trace less");
+    }
+
     os << "{\n  \"displayTimeUnit\": \"ms\",\n"
        << "  \"traceEvents\": [";
-    bool first = true;
-    for (std::size_t tid = 0; tid < buffers_.size(); ++tid) {
-        const ThreadBuffer &buffer = *buffers_[tid];
-        os << (first ? "\n" : ",\n");
-        first = false;
+    for (std::size_t tid = 0; tid < threads_.size(); ++tid) {
+        os << (tid == 0 ? "\n" : ",\n");
         os << "    {\"name\": \"thread_name\", \"ph\": \"M\", "
               "\"pid\": 1, \"tid\": "
            << tid << ", \"args\": {\"name\": ";
-        writeEscaped(os, buffer.name.c_str());
+        writeEscaped(os, tid == 0 ? std::string("main")
+                                  : "worker-" + std::to_string(tid));
         os << "}}";
-        const std::uint64_t count =
-            buffer.size.load(std::memory_order_acquire);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const Chunk &chunk = *buffer.chunks[i / kTraceChunkEvents];
-            const TraceEvent &event =
-                chunk.events[i % kTraceChunkEvents];
+        for (const TraceEvent &event : events_) {
+            if (event.tid != tid)
+                continue;
             os << ",\n    {\"name\": ";
             writeEscaped(os, event.name);
             os << ", \"cat\": \"pcap\", \"ph\": \"X\", \"ts\": ";
@@ -233,17 +159,16 @@ TraceRecorder::writeChromeTrace(const std::string &path) const
             os << ", \"dur\": ";
             writeMicros(os, event.durNs);
             os << ", \"pid\": 1, \"tid\": " << tid;
-            if (event.detail[0] != '\0' || event.hasPerf) {
+            if (!event.detail.empty() || event.perf) {
                 os << ", \"args\": {";
                 bool firstArg = true;
-                if (event.detail[0] != '\0') {
+                if (!event.detail.empty()) {
                     os << "\"detail\": ";
-                    writeEscaped(os, event.detail.data());
+                    writeEscaped(os, event.detail);
                     firstArg = false;
                 }
-                if (event.hasPerf) {
-                    const PerfCounts &perf =
-                        chunk.perf[i % kTraceChunkEvents];
+                if (event.perf) {
+                    const PerfCounts &perf = *event.perf;
                     char num[64];
                     const auto arg =
                         [&](const char *key,
@@ -299,7 +224,7 @@ Span::Span(const char *name, std::string_view detail)
 {
     if (!recorder_)
         return;
-    copyDetail(detail_, detail);
+    detail_ = detail;
     // Counter attribution rides the same opt-in: spans pick up
     // hardware deltas only when both --trace-profile and --perf
     // installed their process-global sinks.
@@ -323,7 +248,7 @@ Span::~Span()
             hasDelta = true;
         }
     }
-    recorder_->append(name_, detail_.data(), startNs_,
+    recorder_->append(name_, detail_, startNs_,
                       end - startNs_,
                       hasDelta ? &delta : nullptr);
 }

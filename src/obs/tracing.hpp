@@ -5,9 +5,8 @@
  * Timelines (timeline.hpp) resolve *simulated* time; this layer
  * resolves *wall* time: where does a bench run actually spend its
  * seconds — workload generation, per-cell replay, report rendering,
- * fleet shards, thread-pool tasks. RAII Spans record into per-thread
- * bounded buffers (single-writer, no locks on the hot path, storage
- * allocated lazily in fixed chunks, overflow drops the newest spans
+ * fleet shards, thread-pool tasks. RAII Spans append to one bounded
+ * list under the recorder's mutex (overflow drops the newest spans
  * and counts them) and the whole recorder serializes to Chrome
  * trace-event JSON, loadable in Perfetto or chrome://tracing.
  *
@@ -19,24 +18,17 @@
 #ifndef PCAP_OBS_TRACING_HPP
 #define PCAP_OBS_TRACING_HPP
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "obs/perf.hpp"
 
 namespace pcap::obs {
-
-/** Inline payload bytes per span (truncating, NUL-terminated). */
-constexpr std::size_t kSpanDetailBytes = 48;
-
-/** Spans per storage chunk of a thread's trace buffer. */
-constexpr std::size_t kTraceChunkEvents = 1024;
 
 /** One completed span: a Chrome "X" (complete) event. */
 struct TraceEvent
@@ -44,34 +36,27 @@ struct TraceEvent
     std::uint64_t startNs = 0; ///< since recorder construction
     std::uint64_t durNs = 0;
     const char *name = nullptr; ///< string literal (category label)
-    std::array<char, kSpanDetailBytes> detail{}; ///< arg, may be ""
+    std::string detail;         ///< arg, may be ""
+    std::size_t tid = 0;        ///< recording thread, see TraceRecorder
 
-    /** True when a counter delta was recorded over the span (a
-     * PerfProfiler installed alongside the recorder:
-     * --trace-profile --perf). The delta itself lives at this
-     * event's index in its chunk's perf side array — embedding
-     * the ~80-byte PerfCounts here would double every trace chunk
-     * even with --perf off. Rendered as ipc/cycles/miss args on the
-     * trace event. */
-    bool hasPerf = false;
+    /** Counter delta over the span, when a PerfProfiler was
+     * installed alongside the recorder (--trace-profile --perf);
+     * rendered as ipc/cycles/miss args on the trace event. */
+    std::optional<PerfCounts> perf;
 };
 
 /**
- * Collects spans from any number of threads.
+ * Collects spans from any number of threads into one list.
  *
- * Each thread gets its own buffer of up to `capacity` spans on first
- * use (registration takes a mutex once per thread; appends are plain
- * single-writer stores with a release size publish). A buffer is a
- * chunk-pointer table sized at registration; the writer allocates
- * each kTraceChunkEvents-span chunk when it first reaches it, so a
- * thread that records a handful of spans costs one chunk, not the
- * whole capacity. Chunks never move, so readers may walk them after
- * the writers go idle.
+ * Spans are per cell, shard, phase or pool lane — a few hundred per
+ * run — so every append simply takes the mutex. Each thread that
+ * records gets a tid in first-append order (tid 0 is "main", the
+ * others "worker-N").
  */
 class TraceRecorder
 {
   public:
-    /** @p capacity spans per thread; overflow counts as dropped. */
+    /** @p capacity spans in total; overflow counts as dropped. */
     explicit TraceRecorder(std::size_t capacity = 1 << 16);
 
     /** Record one completed span from the calling thread;
@@ -92,48 +77,16 @@ class TraceRecorder
     void writeChromeTrace(const std::string &path) const;
 
   private:
-    struct Chunk
-    {
-        std::array<TraceEvent, kTraceChunkEvents> events;
-        /** Counter deltas parallel to events, allocated with the
-         * chunk only when a PerfProfiler was installed at
-         * registration; null — and deltas dropped — otherwise. */
-        std::unique_ptr<PerfCounts[]> perf;
-    };
-
-    struct ThreadBuffer
-    {
-        ThreadBuffer(std::size_t capacity, bool withPerf)
-            : chunks((capacity + kTraceChunkEvents - 1) /
-                     kTraceChunkEvents),
-              withPerf(withPerf)
-        {
-        }
-
-        /** Span i lives in chunks[i / kTraceChunkEvents]; written by
-         * the owning thread before the size publish that covers i. */
-        std::vector<std::unique_ptr<Chunk>> chunks;
-        const bool withPerf;
-        std::atomic<std::uint64_t> size{0}; ///< published count
-        std::atomic<std::uint64_t> dropped{0};
-        std::string name;
-    };
-
-    ThreadBuffer &threadBuffer();
-
-    /** Process-unique id keying per-thread buffer slots. Slots must
-     * not key on the recorder's address: successive stack-local
-     * recorders reuse it, and a stale slot would hand the new
-     * recorder a freed buffer. */
-    const std::uint64_t generation_;
     std::size_t capacity_;
     std::int64_t epochNs_;
-    mutable std::mutex mutex_; ///< guards buffers_ registration
-    std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+    mutable std::mutex mutex_; ///< guards every member below
+    std::vector<TraceEvent> events_;
+    std::vector<std::thread::id> threads_; ///< indexed by tid
+    std::uint64_t dropped_ = 0;
 
     /** One overflow warning per recorder, however many times the
      * profile is written. */
-    mutable std::atomic<bool> dropWarned_{false};
+    mutable bool dropWarned_ = false;
 };
 
 /** Install @p recorder as the process-wide span sink (nullptr
@@ -152,7 +105,7 @@ bool traceEnabled();
  * timestamp at construction, appends one complete event at
  * destruction. @p name must be a string literal (it is stored by
  * pointer); per-instance data goes in @p detail, which is copied
- * (and truncated) into the event.
+ * whole into the event.
  */
 class Span
 {
@@ -169,7 +122,7 @@ class Span
     TraceRecorder *recorder_;
     std::uint64_t startNs_ = 0;
     const char *name_;
-    std::array<char, kSpanDetailBytes> detail_{};
+    std::string detail_; ///< copied only while a recorder is installed
     /** Counter snapshot at construction; only taken when a
      * PerfProfiler is installed alongside the recorder. */
     PerfCounts perfStart_;

@@ -8,9 +8,10 @@
  *  - LogSketch: quantiles within the configured relative accuracy,
  *    merge equivalent to bulk insertion (the fleet determinism
  *    contract), and a sane median-absolute-deviation.
- *  - TraceRecorder/Span: events recorded per thread, overflow
- *    counted as drops (never reallocation), span order kept across
- *    storage chunks, and the exported Chrome trace JSON well-formed.
+ *  - TraceRecorder/Span: spans from several threads recorded in one
+ *    list, each thread's in its append order under its own tid,
+ *    overflow past the total capacity counted as drops, details
+ *    kept whole, and the exported Chrome trace JSON well-formed.
  *  - TimelineObserver: an observer-driven cell reconciles residency
  *    with simulated time and energy with the disk's power draws,
  *    across executions.
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/perf.hpp"
@@ -200,6 +202,20 @@ TEST(LogSketch, MedianAbsDeviationOfSpreadData)
     EXPECT_NEAR(constant.medianAbsDeviation(), 0.0, 1e-9);
 }
 
+/** Write @p recorder's Chrome trace under @p name; return its text. */
+std::string
+writtenProfile(const obs::TraceRecorder &recorder,
+               const std::string &name)
+{
+    const std::string path = testing::TempDir() + "/" + name;
+    recorder.writeChromeTrace(path);
+    std::ifstream is(path);
+    EXPECT_TRUE(is) << path;
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    return buffer.str();
+}
+
 TEST(TraceRecorder, SpansRecordAndExportWellFormedJson)
 {
     obs::TraceRecorder recorder(16);
@@ -214,15 +230,8 @@ TEST(TraceRecorder, SpansRecordAndExportWellFormedJson)
     EXPECT_EQ(recorder.totalDropped(), 0u);
     EXPECT_EQ(recorder.threadCount(), 1u);
 
-    const std::string path =
-        testing::TempDir() + "/pcap-trace-test.json";
-    recorder.writeChromeTrace(path);
-    std::ifstream is(path);
-    ASSERT_TRUE(is);
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    const std::string text = buffer.str();
-
+    const std::string text =
+        writtenProfile(recorder, "pcap-trace-test.json");
     auto countOf = [&](const std::string &needle) {
         std::size_t count = 0;
         for (std::size_t at = text.find(needle);
@@ -249,29 +258,21 @@ TEST(TraceRecorder, SpansRecordAndExportWellFormedJson)
 
 TEST(TraceRecorder, SpansCarryPerfArgsWhenProfilerInstalled)
 {
-    // Counter deltas live in a per-thread side array allocated only
-    // when a profiler is armed at buffer registration — so install
-    // the profiler first, like bench_all does, and force the
-    // software backend so the test needs no PMU access.
+    // Force the software backend so the test needs no PMU access.
+    // The recorder goes in first: install order does not matter.
     setenv("PCAP_PERF_BACKEND", "software", 1);
-    obs::PerfProfiler profiler;
-    obs::setPerfProfiler(&profiler);
     obs::TraceRecorder recorder(16);
     obs::setTraceRecorder(&recorder);
+    obs::PerfProfiler profiler;
+    obs::setPerfProfiler(&profiler);
     { obs::Span span("profiled", "with-counters"); }
     obs::setTraceRecorder(nullptr);
     obs::setPerfProfiler(nullptr);
     unsetenv("PCAP_PERF_BACKEND");
     EXPECT_EQ(recorder.totalEvents(), 1u);
 
-    const std::string path =
-        testing::TempDir() + "/pcap-trace-perf-test.json";
-    recorder.writeChromeTrace(path);
-    std::ifstream is(path);
-    ASSERT_TRUE(is);
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    const std::string text = buffer.str();
+    const std::string text =
+        writtenProfile(recorder, "pcap-trace-perf-test.json");
     EXPECT_NE(text.find("\"cycles\": "), std::string::npos);
     EXPECT_NE(text.find("\"ipc\": "), std::string::npos);
     EXPECT_NE(text.find("\"task_clock_us\": "), std::string::npos);
@@ -288,13 +289,9 @@ TEST(TraceRecorder, RingOverflowDropsInsteadOfGrowing)
     EXPECT_EQ(recorder.totalDropped(), 6u);
 }
 
-TEST(TraceRecorder, ChunkedBufferKeepsOrderAndDropsPastCapacity)
+TEST(TraceRecorder, KeepsAppendOrderAndDropsPastCapacity)
 {
-    // A capacity that is not a multiple of the chunk size: the last
-    // chunk is only partly usable and the overflow check must still
-    // stop at the capacity.
     constexpr std::size_t kCapacity = 1500;
-    static_assert(kCapacity % obs::kTraceChunkEvents != 0);
     obs::TraceRecorder recorder(kCapacity);
     obs::setTraceRecorder(&recorder);
     for (int i = 0; i < 1600; ++i)
@@ -303,16 +300,9 @@ TEST(TraceRecorder, ChunkedBufferKeepsOrderAndDropsPastCapacity)
     EXPECT_EQ(recorder.totalEvents(), kCapacity);
     EXPECT_EQ(recorder.totalDropped(), 100u);
 
-    const std::string path =
-        testing::TempDir() + "/pcap-trace-chunk-test.json";
-    recorder.writeChromeTrace(path);
-    std::ifstream is(path);
-    ASSERT_TRUE(is);
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    const std::string text = buffer.str();
-
-    // Spans come out in append order, across the chunk boundary.
+    const std::string text =
+        writtenProfile(recorder, "pcap-trace-order-test.json");
+    // Spans come out in append order.
     std::size_t at = 0;
     for (std::size_t i = 0; i < kCapacity; ++i) {
         const std::string needle =
@@ -322,6 +312,79 @@ TEST(TraceRecorder, ChunkedBufferKeepsOrderAndDropsPastCapacity)
         at = found + needle.size();
     }
     EXPECT_EQ(text.find("\"span-1500\""), std::string::npos);
+}
+
+TEST(TraceRecorder, LongDetailReachesTheProfileWhole)
+{
+    // Cell stems such as the ablation_cache sweep's run past 47
+    // bytes; the span must carry the stem its artifacts are named by.
+    const std::string detail(60, 'd');
+    obs::TraceRecorder recorder(4);
+    obs::setTraceRecorder(&recorder);
+    { obs::Span span("cell-replay", detail); }
+    obs::setTraceRecorder(nullptr);
+
+    const std::string text =
+        writtenProfile(recorder, "pcap-trace-detail-test.json");
+    EXPECT_NE(text.find("\"detail\": \"" + detail + "\""),
+              std::string::npos);
+}
+
+TEST(TraceRecorder, SeveralThreadsEachKeepTheirAppendOrder)
+{
+    constexpr int kThreads = 4;
+    constexpr int kSpans = 200;
+    obs::TraceRecorder recorder;
+    obs::setTraceRecorder(&recorder);
+    // Joined only after all have started, so no two share an id.
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([t] {
+            const std::string prefix = 't' + std::to_string(t) + '-';
+            for (int i = 0; i < kSpans; ++i)
+                obs::Span span("seq", prefix + std::to_string(i));
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    obs::setTraceRecorder(nullptr);
+    EXPECT_EQ(recorder.totalEvents(),
+              static_cast<std::uint64_t>(kThreads * kSpans));
+    EXPECT_EQ(recorder.totalDropped(), 0u);
+    EXPECT_EQ(recorder.threadCount(), static_cast<std::size_t>(kThreads));
+
+    // One event per line: read back each "X" event's tid and detail.
+    std::istringstream lines(
+        writtenProfile(recorder, "pcap-trace-threads-test.json"));
+    std::vector<int> tidOf(kThreads, -1);
+    std::vector<int> next(kThreads, 0);
+    int threadNames = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("\"thread_name\"") != std::string::npos)
+            ++threadNames;
+        if (line.find("\"ph\": \"X\"") == std::string::npos)
+            continue;
+        const std::size_t tidAt = line.find("\"tid\": ");
+        const std::size_t detailAt = line.find("\"detail\": \"t");
+        ASSERT_NE(tidAt, std::string::npos) << line;
+        ASSERT_NE(detailAt, std::string::npos) << line;
+        const int tid = std::atoi(line.c_str() + tidAt + 7);
+        const char *detail = line.c_str() + detailAt + 12;
+        char *dash = nullptr;
+        const long t = std::strtol(detail, &dash, 10);
+        ASSERT_TRUE(t >= 0 && t < kThreads && *dash == '-') << line;
+        // Every span of a thread sits under one tid, in order.
+        if (tidOf[t] < 0)
+            tidOf[t] = tid;
+        EXPECT_EQ(tid, tidOf[t]) << line;
+        EXPECT_EQ(std::atoi(dash + 1), next[t]) << line;
+        ++next[t];
+    }
+    EXPECT_EQ(threadNames, kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(next[t], kSpans) << "thread " << t;
+        for (int u = 0; u < t; ++u)
+            EXPECT_NE(tidOf[t], tidOf[u]);
+    }
 }
 
 TEST(Span, IsANoOpWithoutARecorder)

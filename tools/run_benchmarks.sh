@@ -15,7 +15,9 @@
 #      not scheduler noise)
 #   4. run 2 records per-cell timelines and a span
 #      profile; the timeline dumps are schema-gated and rendered to
-#      HTML, proving the instrumentation does not perturb reports
+#      HTML, the profile must load as JSON with well-formed
+#      cell-replay spans, proving the instrumentation does not
+#      perturb reports
 #   5. a further run evaluates bench/alerts/default_rules.json; a
 #      fired warn rule is tolerated (exit 3), critical (4) fails
 #   6. the fleet smoke drills its outlier hosts at two thread counts
@@ -105,7 +107,7 @@ python3 "$root/tools/metrics_diff.py" --fold app \
     "$scratch/detail-j4.prom" "$scratch/run1.prom"
 
 echo
-echo "== timeline schema + HTML render (instrumented run 2) =="
+echo "== timeline schema, HTML render, span profile (instrumented run 2) =="
 python3 "$root/tools/compare_bench.py" \
     "$root/bench/reference/BENCH_RESULTS.ref.json" \
     "$scratch/run2.json" \
@@ -114,6 +116,18 @@ python3 "$root/tools/compare_bench.py" \
     --max-any-report-seconds 60
 python3 "$root/tools/pcap_timeline.py" "$scratch/timeline" \
     -o "$scratch/timeline/timeline.html"
+python3 - "$scratch/trace-profile.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+assert spans, "no complete spans recorded"
+for event in spans:
+    assert event["ts"] >= 0 and event["dur"] >= 0, event
+names = {e["name"] for e in spans}
+assert "cell-replay" in names, sorted(names)
+print(f"trace profile ok: {len(spans)} spans")
+EOF
 
 echo
 echo "== alert rules (bench/alerts/default_rules.json) =="

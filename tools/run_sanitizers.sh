@@ -4,8 +4,10 @@
 # small fleet: each host streams its executions through buffers it
 # reuses, across multi-app hosts whose executions grow and shrink.
 # Then build again with ThreadSanitizer in build-tsan and run the
-# thread pool's tests, its two engine callers and the default suite
-# at four jobs, which nests parallelFor calls three deep.
+# thread pool's tests, its two engine callers, the span recorder's
+# tests (several threads recording at once) and the default suite
+# at four jobs, which nests parallelFor calls three deep and records
+# a span profile with counters from every thread.
 #
 # usage: tools/run_sanitizers.sh [jobs]
 set -euo pipefail
@@ -29,9 +31,14 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "$JOBS" \
-    --target test_thread_pool test_parallel test_fleet bench_all
+    --target test_thread_pool test_parallel test_fleet test_timeline \
+    bench_all
 export TSAN_OPTIONS="halt_on_error=1"
 build-tsan/tests/test_thread_pool
 build-tsan/tests/test_parallel
 build-tsan/tests/test_fleet
-build-tsan/bench/bench_all --jobs 4 --json -
+build-tsan/tests/test_timeline
+profile=$(mktemp)
+trap 'rm -f "$profile"' EXIT
+build-tsan/bench/bench_all --jobs 4 --json - \
+    --trace-profile "$profile" --perf
