@@ -51,6 +51,15 @@ msSince(Clock::time_point start)
         .count();
 }
 
+/** The process's peak resident set so far, in MiB with one
+ * decimal. */
+std::string
+peakRssMib()
+{
+    return fixedString(
+        static_cast<double>(peakRssBytes()) / (1024.0 * 1024.0), 1);
+}
+
 void
 usage(std::ostream &os)
 {
@@ -440,10 +449,7 @@ main(int argc, char **argv)
         const double ms = msSince(start);
         inform("report " + report->name + ": " +
                fixedString(ms / 1e3, 3) + " s wall, peak rss " +
-               fixedString(static_cast<double>(peakRssBytes()) /
-                               (1024.0 * 1024.0),
-                           1) +
-               " MiB");
+               peakRssMib() + " MiB");
 
         std::cout << text.str();
         Json &entry = report_json[report->name];
@@ -460,7 +466,8 @@ main(int argc, char **argv)
               << "simulation phase: " << fixedString(cells_ms, 1)
               << " ms (" << cells.size() << " cells)\n"
               << "total:            " << fixedString(total_ms, 1)
-              << " ms\n";
+              << " ms\n"
+              << "peak rss:         " << peakRssMib() << " MiB\n";
 
     recordBenchMetrics(registry, inputs_ms, cells_ms, total_ms);
     if (perf_profiler)

@@ -740,8 +740,7 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
         std::uint64_t accesses = 0, periods = 0;
         std::vector<double> hit, miss, saved;
         for (const std::string &app : eval.appNames()) {
-            for (const auto &input : eval.inputs(app, bytes))
-                accesses += input.accesses.size();
+            accesses += eval.diskAccesses(app, bytes);
             // The global replay classifies every idle period of the
             // merged stream: its opportunities are the periods
             // longer than the breakeven time.

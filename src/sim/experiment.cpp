@@ -1,14 +1,17 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <filesystem>
 #include <iomanip>
+#include <set>
 #include <sstream>
 #include <utility>
 
 #include "obs/perf.hpp"
 #include "obs/tracing.hpp"
 #include "util/logging.hpp"
+#include "util/resource.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/app_model.hpp"
 
@@ -293,16 +296,15 @@ ParallelEvaluation::appScope(const std::string &app,
         options_.metrics, {{"config", configHash}, {"app", app}});
 }
 
-template <typename T>
-std::shared_ptr<ParallelEvaluation::Memo<T>>
-ParallelEvaluation::slot(
-    std::map<std::string, std::shared_ptr<Memo<T>>> &map,
-    const std::string &key)
+template <typename Entry>
+std::shared_ptr<Entry>
+ParallelEvaluation::slot(std::map<std::string, std::shared_ptr<Entry>> &map,
+                         const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto &entry = map[key];
     if (!entry)
-        entry = std::make_shared<Memo<T>>();
+        entry = std::make_shared<Entry>();
     return entry;
 }
 
@@ -318,39 +320,84 @@ ParallelEvaluation::traces(const std::string &app)
     return memo->value;
 }
 
+std::shared_ptr<ParallelEvaluation::InputSet>
+ParallelEvaluation::inputSet(const std::string &app, std::size_t capacity)
+{
+    return slot(inputs_, app + '\x1f' + std::to_string(capacity));
+}
+
+std::shared_ptr<const std::vector<ExecutionInput>>
+ParallelEvaluation::acquire(const std::string &app, std::size_t capacity,
+                            bool pin)
+{
+    const std::shared_ptr<InputSet> set = inputSet(app, capacity);
+    std::lock_guard<std::mutex> lock(set->mutex);
+    set->pinned = set->pinned || pin;
+    if (set->executions)
+        return set->executions;
+
+    obs::Span span("workload-gen", app);
+    obs::PerfRegion perf("workload:generate");
+    cache::CacheParams params = config_.cache;
+    params.capacityBytes = capacity;
+    set->executions = std::make_shared<const std::vector<ExecutionInput>>(
+        inputsFromTraces(traces(app), params, options_.jobs));
+    const obs::ScopedMetrics scope = appScope(app, configHashAt(capacity));
+    if (set->built) {
+        // The input series describe the input, not the builds.
+        scope.counter("pcap_sim_input_rebuilds_total").inc();
+        return set->executions;
+    }
+    set->built = true;
+
+    cache::CacheStats stats;
+    std::uint64_t tracedIos = 0, spanUs = 0;
+    for (const ExecutionInput &input : *set->executions) {
+        stats.merge(input.cacheStats);
+        set->diskAccesses += input.accesses.size();
+        tracedIos += input.tracedIos;
+        spanUs += static_cast<std::uint64_t>(input.endTime);
+    }
+    cache::recordCacheMetrics(stats, scope);
+    scope.gauge("pcap_sim_input_executions")
+        .set(static_cast<double>(set->executions->size()));
+    scope.counter("pcap_sim_input_disk_accesses_total")
+        .inc(set->diskAccesses);
+    scope.counter("pcap_sim_input_traced_ios_total").inc(tracedIos);
+    scope.counter("pcap_sim_input_span_us_total").inc(spanUs);
+    return set->executions;
+}
+
+void
+ParallelEvaluation::release(const std::string &app, std::size_t capacity)
+{
+    const std::shared_ptr<InputSet> set = inputSet(app, capacity);
+    std::lock_guard<std::mutex> lock(set->mutex);
+    if (!set->pinned)
+        set->executions.reset();
+}
+
 const std::vector<ExecutionInput> &
 ParallelEvaluation::inputs(const std::string &app,
                            std::size_t cacheBytes)
 {
-    const std::size_t capacity = capacityOf(cacheBytes);
-    auto memo = slot(inputs_, app + '\x1f' + std::to_string(capacity));
-    std::call_once(memo->once, [&] {
-        obs::Span span("workload-gen", app);
-        obs::PerfRegion perf("workload:generate");
-        cache::CacheParams params = config_.cache;
-        params.capacityBytes = capacity;
-        memo->value = inputsFromTraces(traces(app), params, options_.jobs);
-        const obs::ScopedMetrics scope =
-            appScope(app, configHashAt(capacity));
+    // Pinned, so the set outlives the returned reference.
+    return *acquire(app, capacityOf(cacheBytes), /*pin=*/true);
+}
 
-        cache::CacheStats stats;
-        std::uint64_t accesses = 0, tracedIos = 0, spanUs = 0;
-        for (const ExecutionInput &input : memo->value) {
-            stats.merge(input.cacheStats);
-            accesses += input.accesses.size();
-            tracedIos += input.tracedIos;
-            spanUs += static_cast<std::uint64_t>(input.endTime);
-        }
-        cache::recordCacheMetrics(stats, scope);
-        scope.gauge("pcap_sim_input_executions")
-            .set(static_cast<double>(memo->value.size()));
-        scope.counter("pcap_sim_input_disk_accesses_total")
-            .inc(accesses);
-        scope.counter("pcap_sim_input_traced_ios_total")
-            .inc(tracedIos);
-        scope.counter("pcap_sim_input_span_us_total").inc(spanUs);
-    });
-    return memo->value;
+std::uint64_t
+ParallelEvaluation::diskAccesses(const std::string &app,
+                                 std::size_t cacheBytes)
+{
+    const std::size_t capacity = capacityOf(cacheBytes);
+    const std::shared_ptr<InputSet> set = inputSet(app, capacity);
+    std::unique_lock<std::mutex> lock(set->mutex);
+    if (!set->built) {
+        lock.unlock();
+        acquire(app, capacity, /*pin=*/true);
+        lock.lock();
+    }
+    return set->diskAccesses;
 }
 
 sim::Table1Row
@@ -371,18 +418,21 @@ ParallelEvaluation::table1(const std::string &app)
 }
 
 const sim::GlobalOutcome &
-ParallelEvaluation::outcome(const Cell &cell)
+ParallelEvaluation::outcome(const Cell &cell, bool pin)
 {
     const std::size_t capacity = capacityOf(cell.cacheBytes);
     auto memo = slot(cells_, cellKey(cell.mode, cell.app, capacity,
                                      policyOf(cell)));
-    std::call_once(memo->once,
-                   [&] { memo->value = runCell(cell, capacity); });
+    std::call_once(memo->once, [&] {
+        memo->value = runCell(cell, capacity, pin);
+        memo->ready = true;
+    });
     return memo->value;
 }
 
 sim::GlobalOutcome
-ParallelEvaluation::runCell(const Cell &cell, std::size_t capacity)
+ParallelEvaluation::runCell(const Cell &cell, std::size_t capacity,
+                            bool pin)
 {
     const PolicyConfig *policy = policyOf(cell);
     const char *mode = modeName(cell.mode);
@@ -397,7 +447,7 @@ ParallelEvaluation::runCell(const Cell &cell, std::size_t capacity)
                  TimelineObserver::makeMeta(
                      stem, mode, cell.app, policy ? policy->label : "")});
     sim::GlobalOutcome result;
-    for (const ExecutionInput &input : inputs(cell.app, capacity))
+    for (const ExecutionInput &input : *acquire(cell.app, capacity, pin))
         result.run.merge(run.replay(input));
     result.tableEntries = run.finish();
     return result;
@@ -406,24 +456,110 @@ ParallelEvaluation::runCell(const Cell &cell, std::size_t capacity)
 void
 ParallelEvaluation::prefetch(const std::vector<Cell> &cells)
 {
-    // Make inputs resident first: cell workers would otherwise
-    // serialize on the per-input call_once, and generation has its
-    // own inner parallelism to exploit. Distinct (app, capacity)
-    // inputs load concurrently.
-    std::vector<std::pair<std::string, std::size_t>> needed;
+    // One stretch per capacity, the engine's own first, then the
+    // others in the order the cells name them; each lists the apps
+    // whose inputs it needs and its distinct cells still to compute.
+    struct Stretch
+    {
+        std::size_t capacity = 0;
+        std::vector<std::string> apps;
+        std::vector<const Cell *> cells;
+    };
+    std::vector<Stretch> stretches(1);
+    stretches[0].capacity = config_.cache.capacityBytes;
+    std::set<std::string> seen;
     for (const Cell &cell : cells) {
-        const std::pair<std::string, std::size_t> input(
-            cell.app, capacityOf(cell.cacheBytes));
-        if (std::find(needed.begin(), needed.end(), input) ==
-            needed.end())
-            needed.push_back(input);
+        const std::size_t capacity = capacityOf(cell.cacheBytes);
+        const std::string key =
+            cellKey(cell.mode, cell.app, capacity, policyOf(cell));
+        if (!seen.insert(key).second || slot(cells_, key)->ready)
+            continue;
+        auto stretch = std::find_if(
+            stretches.begin(), stretches.end(),
+            [&](const Stretch &s) { return s.capacity == capacity; });
+        if (stretch == stretches.end())
+            stretch = stretches.insert(stretches.end(), {capacity, {}, {}});
+        if (std::find(stretch->apps.begin(), stretch->apps.end(),
+                      cell.app) == stretch->apps.end())
+            stretch->apps.push_back(cell.app);
+        stretch->cells.push_back(&cell);
     }
-    pcap::parallelFor(options_.jobs, needed.size(), [&](std::size_t i) {
-        inputs(needed[i].first, needed[i].second);
-    });
 
-    pcap::parallelFor(options_.jobs, cells.size(),
-                      [&](std::size_t i) { outcome(cells[i]); });
+    // One task per input build or cell, in this order: the engine's
+    // own builds; then per other capacity its builds, a gap of
+    // default cells while they finish (its cells would otherwise
+    // wait on them), its cells, and as many default cells again so
+    // they finish before the next capacity builds; then the default
+    // cells left over.
+    struct Task
+    {
+        std::size_t stretch;
+        const Cell *cell;       ///< null for an input build
+        const std::string *app; ///< the build's app
+    };
+    std::vector<Task> tasks;
+    std::size_t nextDefault = 0;
+    const auto defaultCells = [&](std::size_t count) {
+        const std::vector<const Cell *> &own = stretches[0].cells;
+        for (; count > 0 && nextDefault < own.size(); --count)
+            tasks.push_back({0, own[nextDefault++], nullptr});
+    };
+    constexpr std::size_t kGapCellsPerJob = 3;
+    const std::size_t gap = kGapCellsPerJob * options_.jobs;
+    for (std::size_t s = 0; s < stretches.size(); ++s) {
+        for (const std::string &app : stretches[s].apps)
+            tasks.push_back({s, nullptr, &app});
+        if (s == 0)
+            continue;
+        defaultCells(gap);
+        for (const Cell *cell : stretches[s].cells)
+            tasks.push_back({s, cell, nullptr});
+        defaultCells(gap);
+    }
+    defaultCells(stretches[0].cells.size());
+
+    // At most two other capacities hold inputs at once. A schedule
+    // with more of them releases each one's inputs when its last
+    // task (build or cell) has finished, and a capacity builds only
+    // once the one two stretches back has released (its tasks were
+    // all claimed before this one, so the wait ends). A schedule
+    // that fits the bound keeps what it builds: releasing would only
+    // make the caller's next read rebuild.
+    const bool releasing = stretches.size() > 3;
+    std::vector<std::size_t> left;
+    for (const Stretch &stretch : stretches)
+        left.push_back(stretch.apps.size() + stretch.cells.size());
+    std::mutex leftMutex;
+    std::condition_variable released;
+    pcap::parallelFor(options_.jobs, tasks.size(), [&](std::size_t i) {
+        const Task &task = tasks[i];
+        const Stretch &stretch = stretches[task.stretch];
+        if (task.cell) {
+            outcome(*task.cell, /*pin=*/false);
+        } else {
+            if (task.stretch > 2) {
+                std::unique_lock<std::mutex> lock(leftMutex);
+                released.wait(
+                    lock, [&] { return left[task.stretch - 2] == 0; });
+            }
+            acquire(*task.app, stretch.capacity, /*pin=*/false);
+        }
+        {
+            std::lock_guard<std::mutex> lock(leftMutex);
+            if (left[task.stretch] > 1) {
+                --left[task.stretch];
+                return;
+            }
+        }
+        if (releasing && task.stretch > 0) {
+            for (const std::string &app : stretch.apps)
+                release(app, stretch.capacity);
+            returnFreedMemory();
+        }
+        std::lock_guard<std::mutex> lock(leftMutex);
+        left[task.stretch] = 0;
+        released.notify_all();
+    });
 }
 
 void

@@ -15,6 +15,7 @@
 #ifndef PCAP_SIM_EXPERIMENT_HPP
 #define PCAP_SIM_EXPERIMENT_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -183,6 +184,19 @@ struct ParallelOptions
  * engine's label their metrics and artifacts with the config hash
  * of the config with that capacity substituted.
  *
+ * Memory: raw traces and cell outcomes stay resident for the
+ * engine's lifetime; inputs need not. prefetch() replays the
+ * capacities other than the engine's one after another and holds
+ * at most two of them at once: when a batch names more than two, it
+ * releases each one's inputs as soon as its last cell has replayed
+ * and its builds have returned (a batch within the bound releases
+ * nothing). It releases only what nobody pinned: inputs(),
+ * prefetchInputs() and a cell computed outside prefetch() pin the
+ * inputs they build or read, for the engine's lifetime. A released
+ * input is rebuilt from the resident traces when asked for again;
+ * the rebuild counts in pcap_sim_input_rebuilds_total{config, app}
+ * and records no other input series a second time.
+ *
  * Results do not depend on the thread count or the memo layers:
  * inputs are the same deterministic function of the seed (whether
  * generated or memoized), and each cell runs the serial replay
@@ -207,10 +221,21 @@ class ParallelEvaluation
         return appNames_;
     }
 
-    /** Post-cache inputs of every execution of @p app, filtered at
-     * @p cacheBytes (cached). */
+    /**
+     * Post-cache inputs of every execution of @p app, filtered at
+     * @p cacheBytes. Pins them: the reference stays valid for the
+     * engine's lifetime, and prefetch() never releases them. An
+     * input prefetch() released is rebuilt first.
+     */
     const std::vector<ExecutionInput> &inputs(const std::string &app,
                                               std::size_t cacheBytes = 0);
+
+    /** Disk accesses in every execution of @p app at @p cacheBytes,
+     * recorded when the input was first built; reading it needs no
+     * resident input (it builds and pins one only if none was ever
+     * built). */
+    std::uint64_t diskAccesses(const std::string &app,
+                               std::size_t cacheBytes = 0);
 
     /** Table 1 for @p app, from the generated workload. */
     sim::Table1Row table1(const std::string &app);
@@ -252,7 +277,11 @@ class ParallelEvaluation
 
     /**
      * Compute every cell (and the inputs they need) across the
-     * worker pool, then join. Duplicate cells cost nothing extra.
+     * worker pool, then join. Duplicate and already computed cells
+     * cost nothing extra. Each capacity but the engine's own runs
+     * as one stretch of the schedule (its input builds, a gap of
+     * default-capacity cells, its cells), so only the capacities
+     * being replayed hold inputs; see the class comment.
      */
     void prefetch(const std::vector<Cell> &cells);
 
@@ -265,13 +294,38 @@ class ParallelEvaluation
     {
         std::once_flag once;
         T value{};
+        std::atomic<bool> ready{false}; ///< value computed
     };
 
-    /** Memo slot for @p key in @p map, created under the lock. */
-    template <typename T>
-    std::shared_ptr<Memo<T>>
-    slot(std::map<std::string, std::shared_ptr<Memo<T>>> &map,
+    /** The inputs of one (app, capacity), resident or released. */
+    struct InputSet
+    {
+        std::mutex mutex; ///< guards the fields; held while building
+        /** Null until built and after a release; holders keep a
+         * released set alive until they drop it. */
+        std::shared_ptr<const std::vector<ExecutionInput>> executions;
+        bool pinned = false; ///< never released
+        bool built = false;  ///< first build done and recorded
+        std::uint64_t diskAccesses = 0;
+    };
+
+    /** Slot for @p key in @p map, created under the lock. */
+    template <typename Entry>
+    std::shared_ptr<Entry>
+    slot(std::map<std::string, std::shared_ptr<Entry>> &map,
          const std::string &key);
+
+    /** The InputSet slot of (@p app, resolved @p capacity). */
+    std::shared_ptr<InputSet> inputSet(const std::string &app,
+                                       std::size_t capacity);
+
+    /** The inputs of (@p app, resolved @p capacity), built or
+     * rebuilt if not resident; @p pin keeps them for good. */
+    std::shared_ptr<const std::vector<ExecutionInput>>
+    acquire(const std::string &app, std::size_t capacity, bool pin);
+
+    /** Drop the inputs of (@p app, @p capacity) unless pinned. */
+    void release(const std::string &app, std::size_t capacity);
 
     /** The generated traces of @p app (cached); generation records
      * into the engine's own config label. */
@@ -286,14 +340,17 @@ class ParallelEvaluation
     /** The "config" label value of the config at @p capacity. */
     std::string configHashAt(std::size_t capacity) const;
 
-    /** The memoized outcome of one replay cell. */
-    const sim::GlobalOutcome &outcome(const Cell &cell);
+    /** The memoized outcome of one replay cell; if it must be
+     * computed, @p pin says whether its input is pinned. */
+    const sim::GlobalOutcome &outcome(const Cell &cell,
+                                      bool pin = true);
 
     /**
      * Replay one cell through a CellRun carrying the engine's
      * metrics scope and artifact paths. @p capacity is resolved.
      */
-    sim::GlobalOutcome runCell(const Cell &cell, std::size_t capacity);
+    sim::GlobalOutcome runCell(const Cell &cell, std::size_t capacity,
+                               bool pin);
 
     /**
      * File stem identifying one cell:
@@ -330,9 +387,7 @@ class ParallelEvaluation
              std::shared_ptr<Memo<std::vector<trace::Trace>>>>
         traces_;
     /** Keyed by (app, capacity). */
-    std::map<std::string,
-             std::shared_ptr<Memo<std::vector<ExecutionInput>>>>
-        inputs_;
+    std::map<std::string, std::shared_ptr<InputSet>> inputs_;
     /** Keyed by cellKey(mode, app, capacity, policy). */
     std::map<std::string, std::shared_ptr<Memo<sim::GlobalOutcome>>>
         cells_;

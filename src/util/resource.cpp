@@ -3,6 +3,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace pcap {
 
@@ -22,6 +25,14 @@ peakRssBytes()
 #endif
 #else
     return 0;
+#endif
+}
+
+void
+returnFreedMemory()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
 #endif
 }
 

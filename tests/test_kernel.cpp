@@ -6,7 +6,8 @@
  *    rendered through the kernel/driver path, must match
  *    bench/reference/BENCH_RESULTS.ref.json line for line.
  *  - Report cells: rendering a report after prefetching its declared
- *    cells replays nothing new.
+ *    cells replays nothing new, and the cache-size ablation renders
+ *    the same whether the sweep's inputs were released or pinned.
  *  - Observer ordering: a scripted execution with hand-computable
  *    shutdowns must fire the callbacks in replay order.
  *  - Instrumented parity: the null-observer instantiation of the
@@ -256,6 +257,40 @@ TEST(ReportCells, RenderReplaysNoUndeclaredCell)
         EXPECT_EQ(registry.seriesCount(), declared)
             << "report " << report.name
             << " replayed a cell its cells() list does not declare";
+    }
+}
+
+// The cache-size ablation reads the access count each input recorded
+// when it was first built, so its text does not depend on whether
+// prefetch released the sweep's inputs or the caller pinned them.
+TEST(ReportCells, AblationCacheRendersTheSameReleasedOrPinned)
+{
+    const bench::Report *sweep = nullptr;
+    for (const bench::Report &report : bench::allReports()) {
+        if (report.name == "ablation_cache")
+            sweep = &report;
+    }
+    ASSERT_NE(sweep, nullptr);
+    ExperimentConfig config = bench::standardConfig();
+    config.maxExecutions = 2;
+    for (unsigned jobs : {1u, 4u}) {
+        std::string text[2];
+        for (bool pin : {false, true}) {
+            ParallelOptions options;
+            options.jobs = jobs;
+            ParallelEvaluation eval(config, options);
+            bench::ReportContext ctx{.eval = eval};
+            if (pin) {
+                for (const Cell &cell : sweep->cells())
+                    eval.inputs(cell.app, cell.cacheBytes);
+            }
+            eval.prefetchInputs();
+            eval.prefetch(sweep->cells());
+            std::ostringstream os;
+            sweep->run(ctx, os);
+            text[pin] = os.str();
+        }
+        EXPECT_EQ(text[0], text[1]) << "jobs " << jobs;
     }
 }
 

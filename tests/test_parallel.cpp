@@ -8,7 +8,8 @@
  * (artifact files, metric series), its metrics export must roll the
  * cell series up over `app` unless asked for detail, cells at other
  * file-cache capacities must match engines built at them while
- * sharing one generation per app, and the workload key must cover
+ * sharing one generation per app, inputs released after a sweep must
+ * rebuild once and change no result, and the workload key must cover
  * every field of the recipe.
  */
 
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -24,9 +26,11 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/tracing.hpp"
 #include "sim/drivers.hpp"
 #include "sim/experiment.hpp"
 #include "sim/kernel.hpp"
+#include "util/json.hpp"
 
 namespace pcap::sim {
 namespace {
@@ -495,6 +499,229 @@ TEST(ParallelEvaluation, ExportRollsCellSeriesUpOverAppUnlessDetailed)
     EXPECT_LT(rolled.prometheus.size(), detail.prometheus.size());
     EXPECT_GT(rolled.idlePeriods, 0.0);
     EXPECT_EQ(rolled.idlePeriods, detail.idlePeriods);
+}
+
+/** Global PCAP and Base cells of every app in @p apps at every
+ * capacity in @p sizes. */
+std::vector<Cell>
+sweepCells(const std::vector<std::string> &apps,
+           const std::vector<std::size_t> &sizes)
+{
+    std::vector<Cell> cells;
+    for (std::size_t bytes : sizes) {
+        for (const std::string &app : apps) {
+            cells.push_back(
+                {CellMode::Global, app, PolicyConfig::pcapBase(), bytes});
+            cells.push_back({CellMode::Base, app, {}, bytes});
+        }
+    }
+    return cells;
+}
+
+/** Every series of @p registry named @p name, keyed
+ * "<config>/<app>". */
+std::map<std::string, double>
+seriesNamed(const obs::MetricsRegistry &registry, const std::string &name)
+{
+    std::map<std::string, double> found;
+    for (const auto &series : registry.snapshot()) {
+        if (series.name == name)
+            found[labelOf(series.labels, "config") + "/" +
+                  labelOf(series.labels, "app")] += seriesValue(series);
+    }
+    return found;
+}
+
+/** cellSeries() without the rebuild counter. */
+std::map<std::string, double>
+seriesBesidesRebuilds(const obs::MetricsRegistry &registry)
+{
+    std::map<std::string, double> found = cellSeries(registry);
+    std::erase_if(found, [](const auto &entry) {
+        return entry.first.rfind("pcap_sim_input_rebuilds_total|", 0) ==
+               0;
+    });
+    return found;
+}
+
+// Three capacities besides the engine's own are more than the two a
+// prefetch keeps resident, so it releases each once its cells have
+// replayed; asking for one again rebuilds it from the traces.
+TEST(ParallelEvaluation, ReleasedInputsRebuildOnceFromResidentTraces)
+{
+    const ExperimentConfig config = fastConfig(2);
+    const std::vector<std::string> apps = {"mozilla", "nedit"};
+    const std::vector<std::size_t> sizes = {64 * 1024, 0, 512 * 1024,
+                                            1024 * 1024};
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        obs::MetricsRegistry registry;
+        ParallelOptions options;
+        options.jobs = jobs;
+        options.metrics = &registry;
+        ParallelEvaluation engine(config, options);
+        engine.prefetch(sweepCells(apps, sizes));
+        EXPECT_TRUE(
+            seriesNamed(registry, "pcap_sim_input_rebuilds_total")
+                .empty());
+        const std::map<std::string, double> before =
+            seriesBesidesRebuilds(registry);
+
+        for (int round = 0; round < 2; ++round) {
+            for (std::size_t bytes : sizes) {
+                ExperimentConfig at = config;
+                if (bytes)
+                    at.cache.capacityBytes = bytes;
+                for (const std::string &app : apps) {
+                    const std::vector<ExecutionInput> reference =
+                        referenceInputs(at, app);
+                    EXPECT_EQ(engine.inputs(app, bytes), reference);
+                    std::uint64_t accesses = 0;
+                    for (const ExecutionInput &input : reference)
+                        accesses += input.accesses.size();
+                    EXPECT_EQ(engine.diskAccesses(app, bytes), accesses);
+                }
+            }
+        }
+
+        // The input and cache counters describe each input once.
+        EXPECT_EQ(seriesBesidesRebuilds(registry), before);
+        // One rebuild per released input; the second round found
+        // them pinned. The engine's own capacity was never released.
+        const std::map<std::string, double> generated =
+            seriesNamed(registry, "pcap_workload_generated_traces_total");
+        ASSERT_EQ(generated.size(), apps.size());
+        const std::string ownConfig =
+            generated.begin()->first.substr(0, generated.begin()->first
+                                                   .find('/'));
+        const std::map<std::string, double> rebuilds =
+            seriesNamed(registry, "pcap_sim_input_rebuilds_total");
+        std::set<std::string> rebuiltConfigs;
+        for (const auto &[key, value] : rebuilds) {
+            EXPECT_EQ(value, 1.0) << key;
+            rebuiltConfigs.insert(key.substr(0, key.find('/')));
+        }
+        EXPECT_EQ(rebuilds.size(), 3 * apps.size());
+        EXPECT_EQ(rebuiltConfigs.size(), 3u);
+        EXPECT_EQ(rebuiltConfigs.count(ownConfig), 0u);
+        // Rebuilds refilter; they never generate again.
+        for (const auto &[key, value] : generated)
+            EXPECT_EQ(value, 2.0) << key;
+    }
+}
+
+// The benchmark ledger's pattern: pin the engine's own inputs, then
+// prefetch one cell at a time. Nothing may be released or rebuilt.
+TEST(ParallelEvaluation, OneCellPrefetchesAfterPinningRebuildNothing)
+{
+    const PolicyConfig pcap = PolicyConfig::pcapBase();
+    const PolicyConfig tree = PolicyConfig::learningTree();
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        obs::MetricsRegistry registry;
+        ParallelOptions options;
+        options.jobs = jobs;
+        options.metrics = &registry;
+        ParallelEvaluation engine(fastConfig(2), options);
+        obs::TraceRecorder recorder;
+        obs::setTraceRecorder(&recorder);
+        engine.prefetchInputs();
+        for (const std::string &app : engine.appNames()) {
+            engine.prefetch({{CellMode::Global, app, pcap}});
+            engine.prefetch({{CellMode::Local, app, tree}});
+            engine.prefetch({{CellMode::Base, app, {}}});
+        }
+        obs::setTraceRecorder(nullptr);
+
+        EXPECT_TRUE(
+            seriesNamed(registry, "pcap_sim_input_rebuilds_total")
+                .empty());
+        const std::string path =
+            testing::TempDir() + "/pcap-ledger-pattern-" +
+            std::to_string(::getpid()) + "-" + std::to_string(jobs) +
+            ".json";
+        recorder.writeChromeTrace(path);
+        std::ifstream is(path);
+        std::stringstream text;
+        text << is.rdbuf();
+        Json profile;
+        ASSERT_TRUE(Json::parse(text.str(), profile));
+        std::map<std::string, int> builds;
+        const Json &events = *profile.find("traceEvents");
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            const Json &event = events.at(i);
+            if (event.find("name")->asString() == "workload-gen")
+                ++builds[event.find("args")->find("detail")->asString()];
+        }
+        std::map<std::string, int> once;
+        for (const std::string &app : engine.appNames())
+            once[app] = 1;
+        EXPECT_EQ(builds, once);
+    }
+}
+
+// A sweep whose inputs were released answers exactly as one whose
+// inputs were all pinned before it ran.
+TEST(ParallelEvaluation, ReleasedSweepEqualsPinnedSweep)
+{
+    const ExperimentConfig config = fastConfig(2);
+    const std::vector<std::string> apps = {"mozilla", "nedit"};
+    const std::vector<std::size_t> sizes = {64 * 1024, 0, 512 * 1024,
+                                            1024 * 1024};
+    const std::vector<Cell> cells = sweepCells(apps, sizes);
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        obs::MetricsRegistry releasedRegistry, pinnedRegistry;
+        ParallelOptions options;
+        options.jobs = jobs;
+        options.metrics = &releasedRegistry;
+        ParallelEvaluation released(config, options);
+        options.metrics = &pinnedRegistry;
+        ParallelEvaluation pinned(config, options);
+        for (const Cell &cell : cells)
+            pinned.inputs(cell.app, cell.cacheBytes);
+        released.prefetch(cells);
+        pinned.prefetch(cells);
+
+        for (const std::string &app : apps) {
+            const Table1Row a = released.table1(app);
+            const Table1Row b = pinned.table1(app);
+            EXPECT_EQ(a.executions, b.executions);
+            EXPECT_EQ(a.globalIdlePeriods, b.globalIdlePeriods);
+            EXPECT_EQ(a.localIdlePeriods, b.localIdlePeriods);
+            EXPECT_EQ(a.totalIos, b.totalIos);
+            for (std::size_t bytes : sizes)
+                EXPECT_EQ(released.diskAccesses(app, bytes),
+                          pinned.diskAccesses(app, bytes));
+        }
+        for (const Cell &cell : cells) {
+            SCOPED_TRACE(cell.app + " at " +
+                         std::to_string(cell.cacheBytes) + " bytes");
+            if (cell.mode == CellMode::Base) {
+                expectSameRun(released.baseRun(cell.app, cell.cacheBytes),
+                              pinned.baseRun(cell.app, cell.cacheBytes));
+                continue;
+            }
+            const GlobalOutcome &a =
+                released.globalRun(cell.app, cell.policy, cell.cacheBytes);
+            const GlobalOutcome &b =
+                pinned.globalRun(cell.app, cell.policy, cell.cacheBytes);
+            expectSameRun(a.run, b.run);
+            EXPECT_EQ(a.tableEntries, b.tableEntries);
+        }
+        EXPECT_EQ(cellSeries(releasedRegistry), cellSeries(pinnedRegistry));
+
+        // Only the released engine rebuilds a sweep input on request.
+        released.inputs(apps[0], sizes[0]);
+        pinned.inputs(apps[0], sizes[0]);
+        EXPECT_EQ(
+            seriesNamed(releasedRegistry, "pcap_sim_input_rebuilds_total")
+                .size(),
+            1u);
+        EXPECT_TRUE(
+            seriesNamed(pinnedRegistry, "pcap_sim_input_rebuilds_total")
+                .empty());
+    }
 }
 
 TEST(WorkloadKey, CanonicalCoversEveryRecipeField)

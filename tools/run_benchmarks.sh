@@ -27,7 +27,10 @@
 #      crash; its pcap-perf-v1 block is schema-gated (--check-perf)
 #      and a PCAP_PERF_BACKEND=software run must mark the forced
 #      fallback honestly
-#   8. a timestamped BENCH_<tag>.json (+ .prom + manifest) lands at
+#   8. run 1's timings footer reports a peak RSS of at most
+#      120 MiB (Release builds only, so the check stays out of
+#      ctest, whose suite also runs under the sanitizers)
+#   9. a timestamped BENCH_<tag>.json (+ .prom + manifest) lands at
 #      the repo root as the artifact of record for this revision;
 #      the published run carries the perf block.
 #
@@ -58,7 +61,7 @@ echo "== bench_all (run 1, run 2) =="
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 "$build/bench/bench_all" --jobs "$jobs" \
-    --json "$scratch/run1.json" > /dev/null
+    --json "$scratch/run1.json" > "$scratch/run1.txt"
 "$build/bench/bench_all" --jobs "$jobs" \
     --json "$scratch/run2.json" \
     --timeline-dir "$scratch/timeline" \
@@ -74,6 +77,20 @@ print(f"{sys.argv[2]}: inputs {t['inputs']} ms, "
       f"simulation {t['simulation']} ms, total {t['total']} ms")
 EOF
 done
+
+echo
+echo "== peak RSS (run 1 footer, bound 120 MiB) =="
+python3 - "$scratch/run1.txt" <<'EOF'
+import re, sys
+text = open(sys.argv[1]).read()
+match = re.search(r"^peak rss: +([0-9.]+) MiB$", text, re.M)
+if not match:
+    sys.exit("no 'peak rss' line in the bench_all footer")
+peak = float(match.group(1))
+if peak > 120:
+    sys.exit(f"peak rss {peak} MiB is above the 120 MiB bound")
+print(f"peak rss {peak} MiB: within the 120 MiB bound")
+EOF
 
 echo
 echo "== compare against bench/reference/BENCH_RESULTS.ref.json =="
