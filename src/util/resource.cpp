@@ -3,9 +3,6 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 namespace pcap {
 
@@ -25,14 +22,6 @@ peakRssBytes()
 #endif
 #else
     return 0;
-#endif
-}
-
-void
-returnFreedMemory()
-{
-#if defined(__GLIBC__)
-    malloc_trim(0);
 #endif
 }
 

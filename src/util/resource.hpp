@@ -2,8 +2,7 @@
  * @file
  * Process resource introspection for status reporting: bench_all
  * logs peak RSS next to per-report wall time so memory regressions
- * show up in plain log output, not only in external profilers. Also
- * the one place that asks the allocator to give memory back.
+ * show up in plain log output, not only in external profilers.
  */
 
 #ifndef PCAP_UTIL_RESOURCE_HPP
@@ -19,14 +18,6 @@ namespace pcap {
  * the process lifetime (the kernel high-water mark never resets).
  */
 std::uint64_t peakRssBytes();
-
-/**
- * Hand the allocator's free pages back to the system (glibc's
- * malloc_trim; a no-op elsewhere). glibc keeps memory freed on a
- * worker thread in that thread's arena, so without this a large
- * release lowers nothing and later allocations raise the peak.
- */
-void returnFreedMemory();
 
 } // namespace pcap
 

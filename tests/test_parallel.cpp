@@ -8,9 +8,10 @@
  * (artifact files, metric series), its metrics export must roll the
  * cell series up over `app` unless asked for detail, cells at other
  * file-cache capacities must match engines built at them while
- * sharing one generation per app, inputs released after a sweep must
- * rebuild once and change no result, and the workload key must cover
- * every field of the recipe.
+ * sharing one generation per app, prefetch must keep no input at
+ * another capacity (asking for one filters it once more and changes
+ * no result), and the workload key must cover every field of the
+ * recipe.
  */
 
 #include <gtest/gtest.h>
@@ -532,21 +533,47 @@ seriesNamed(const obs::MetricsRegistry &registry, const std::string &name)
     return found;
 }
 
-/** cellSeries() without the rebuild counter. */
-std::map<std::string, double>
-seriesBesidesRebuilds(const obs::MetricsRegistry &registry)
+/** Run @p body with a span recorder installed; the `workload-gen`
+ * spans it recorded (one per filter pass), counted per app. */
+template <typename Body>
+std::map<std::string, int>
+filterPasses(Body body)
 {
-    std::map<std::string, double> found = cellSeries(registry);
-    std::erase_if(found, [](const auto &entry) {
-        return entry.first.rfind("pcap_sim_input_rebuilds_total|", 0) ==
-               0;
-    });
+    obs::TraceRecorder recorder;
+    obs::setTraceRecorder(&recorder);
+    body();
+    obs::setTraceRecorder(nullptr);
+    const std::string path = testing::TempDir() + "/pcap-filter-passes-" +
+                             std::to_string(::getpid()) + ".json";
+    recorder.writeChromeTrace(path);
+    std::ifstream is(path);
+    std::stringstream text;
+    text << is.rdbuf();
+    std::filesystem::remove(path);
+    Json profile;
+    EXPECT_TRUE(Json::parse(text.str(), profile));
+    std::map<std::string, int> passes;
+    const Json *events = profile.find("traceEvents");
+    for (std::size_t i = 0; events && i < events->size(); ++i) {
+        const Json &event = events->at(i);
+        if (event.find("name")->asString() == "workload-gen")
+            ++passes[event.find("args")->find("detail")->asString()];
+    }
+    return passes;
+}
+
+/** @p count for every app in @p apps. */
+std::map<std::string, int>
+perApp(const std::vector<std::string> &apps, int count)
+{
+    std::map<std::string, int> found;
+    for (const std::string &app : apps)
+        found[app] = count;
     return found;
 }
 
-// Three capacities besides the engine's own are more than the two a
-// prefetch keeps resident, so it releases each once its cells have
-// replayed; asking for one again rebuilds it from the traces.
+// prefetch keeps no input at a capacity besides the engine's own, so
+// asking for one filters it again from the resident traces, once.
 TEST(ParallelEvaluation, ReleasedInputsRebuildOnceFromResidentTraces)
 {
     const ExperimentConfig config = fastConfig(2);
@@ -561,50 +588,44 @@ TEST(ParallelEvaluation, ReleasedInputsRebuildOnceFromResidentTraces)
         options.metrics = &registry;
         ParallelEvaluation engine(config, options);
         engine.prefetch(sweepCells(apps, sizes));
-        EXPECT_TRUE(
-            seriesNamed(registry, "pcap_sim_input_rebuilds_total")
-                .empty());
-        const std::map<std::string, double> before =
-            seriesBesidesRebuilds(registry);
+        const std::map<std::string, double> before = cellSeries(registry);
+        // The engine's own inputs stay resident.
+        EXPECT_TRUE(filterPasses([&] {
+                        for (const std::string &app : apps)
+                            engine.inputs(app);
+                    }).empty());
 
         for (int round = 0; round < 2; ++round) {
-            for (std::size_t bytes : sizes) {
-                ExperimentConfig at = config;
-                if (bytes)
-                    at.cache.capacityBytes = bytes;
-                for (const std::string &app : apps) {
-                    const std::vector<ExecutionInput> reference =
-                        referenceInputs(at, app);
-                    EXPECT_EQ(engine.inputs(app, bytes), reference);
-                    std::uint64_t accesses = 0;
-                    for (const ExecutionInput &input : reference)
-                        accesses += input.accesses.size();
-                    EXPECT_EQ(engine.diskAccesses(app, bytes), accesses);
+            SCOPED_TRACE("round " + std::to_string(round));
+            const std::map<std::string, int> passes = filterPasses([&] {
+                for (std::size_t bytes : sizes) {
+                    ExperimentConfig at = config;
+                    if (bytes)
+                        at.cache.capacityBytes = bytes;
+                    for (const std::string &app : apps) {
+                        const std::vector<ExecutionInput> reference =
+                            referenceInputs(at, app);
+                        EXPECT_EQ(engine.inputs(app, bytes), reference);
+                        std::uint64_t accesses = 0;
+                        for (const ExecutionInput &input : reference)
+                            accesses += input.accesses.size();
+                        EXPECT_EQ(engine.diskAccesses(app, bytes),
+                                  accesses);
+                    }
                 }
-            }
+            });
+            // One filter pass per capacity besides the engine's own;
+            // the second round finds every input in inputs().
+            EXPECT_EQ(passes, (round == 0 ? perApp(apps, 3)
+                                          : std::map<std::string, int>{}));
         }
 
         // The input and cache counters describe each input once.
-        EXPECT_EQ(seriesBesidesRebuilds(registry), before);
-        // One rebuild per released input; the second round found
-        // them pinned. The engine's own capacity was never released.
+        EXPECT_EQ(cellSeries(registry), before);
         const std::map<std::string, double> generated =
             seriesNamed(registry, "pcap_workload_generated_traces_total");
         ASSERT_EQ(generated.size(), apps.size());
-        const std::string ownConfig =
-            generated.begin()->first.substr(0, generated.begin()->first
-                                                   .find('/'));
-        const std::map<std::string, double> rebuilds =
-            seriesNamed(registry, "pcap_sim_input_rebuilds_total");
-        std::set<std::string> rebuiltConfigs;
-        for (const auto &[key, value] : rebuilds) {
-            EXPECT_EQ(value, 1.0) << key;
-            rebuiltConfigs.insert(key.substr(0, key.find('/')));
-        }
-        EXPECT_EQ(rebuilds.size(), 3 * apps.size());
-        EXPECT_EQ(rebuiltConfigs.size(), 3u);
-        EXPECT_EQ(rebuiltConfigs.count(ownConfig), 0u);
-        // Rebuilds refilter; they never generate again.
+        // Filter passes never generate again.
         for (const auto &[key, value] : generated)
             EXPECT_EQ(value, 2.0) << key;
     }
@@ -623,45 +644,20 @@ TEST(ParallelEvaluation, OneCellPrefetchesAfterPinningRebuildNothing)
         options.jobs = jobs;
         options.metrics = &registry;
         ParallelEvaluation engine(fastConfig(2), options);
-        obs::TraceRecorder recorder;
-        obs::setTraceRecorder(&recorder);
-        engine.prefetchInputs();
-        for (const std::string &app : engine.appNames()) {
-            engine.prefetch({{CellMode::Global, app, pcap}});
-            engine.prefetch({{CellMode::Local, app, tree}});
-            engine.prefetch({{CellMode::Base, app, {}}});
-        }
-        obs::setTraceRecorder(nullptr);
-
-        EXPECT_TRUE(
-            seriesNamed(registry, "pcap_sim_input_rebuilds_total")
-                .empty());
-        const std::string path =
-            testing::TempDir() + "/pcap-ledger-pattern-" +
-            std::to_string(::getpid()) + "-" + std::to_string(jobs) +
-            ".json";
-        recorder.writeChromeTrace(path);
-        std::ifstream is(path);
-        std::stringstream text;
-        text << is.rdbuf();
-        Json profile;
-        ASSERT_TRUE(Json::parse(text.str(), profile));
-        std::map<std::string, int> builds;
-        const Json &events = *profile.find("traceEvents");
-        for (std::size_t i = 0; i < events.size(); ++i) {
-            const Json &event = events.at(i);
-            if (event.find("name")->asString() == "workload-gen")
-                ++builds[event.find("args")->find("detail")->asString()];
-        }
-        std::map<std::string, int> once;
-        for (const std::string &app : engine.appNames())
-            once[app] = 1;
-        EXPECT_EQ(builds, once);
+        const std::map<std::string, int> passes = filterPasses([&] {
+            engine.prefetchInputs();
+            for (const std::string &app : engine.appNames()) {
+                engine.prefetch({{CellMode::Global, app, pcap}});
+                engine.prefetch({{CellMode::Local, app, tree}});
+                engine.prefetch({{CellMode::Base, app, {}}});
+            }
+        });
+        EXPECT_EQ(passes, perApp(engine.appNames(), 1));
     }
 }
 
-// A sweep whose inputs were released answers exactly as one whose
-// inputs were all pinned before it ran.
+// A sweep whose inputs prefetch dropped answers exactly as one whose
+// inputs inputs() held before it ran.
 TEST(ParallelEvaluation, ReleasedSweepEqualsPinnedSweep)
 {
     const ExperimentConfig config = fastConfig(2);
@@ -711,16 +707,40 @@ TEST(ParallelEvaluation, ReleasedSweepEqualsPinnedSweep)
         }
         EXPECT_EQ(cellSeries(releasedRegistry), cellSeries(pinnedRegistry));
 
-        // Only the released engine rebuilds a sweep input on request.
-        released.inputs(apps[0], sizes[0]);
-        pinned.inputs(apps[0], sizes[0]);
+        // Only the released engine filters a sweep input again on
+        // request.
         EXPECT_EQ(
-            seriesNamed(releasedRegistry, "pcap_sim_input_rebuilds_total")
-                .size(),
-            1u);
+            filterPasses([&] { released.inputs(apps[0], sizes[0]); }),
+            perApp({apps[0]}, 1));
         EXPECT_TRUE(
-            seriesNamed(pinnedRegistry, "pcap_sim_input_rebuilds_total")
+            filterPasses([&] { pinned.inputs(apps[0], sizes[0]); })
                 .empty());
+    }
+}
+
+// However few capacities a batch names, prefetch keeps none of its
+// inputs besides the engine's own: each later inputs() call filters
+// its app once more and returns the reference inputs.
+TEST(ParallelEvaluation, PrefetchKeepsNoSweepInputAtAnyBatchSize)
+{
+    const ExperimentConfig config = fastConfig(2);
+    const std::vector<std::string> apps = {"mozilla", "nedit"};
+    const std::size_t bytes = 64 * 1024;
+    ExperimentConfig at = config;
+    at.cache.capacityBytes = bytes;
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        ParallelOptions options;
+        options.jobs = jobs;
+        ParallelEvaluation engine(config, options);
+        engine.prefetch(sweepCells(apps, {bytes}));
+        for (const std::string &app : apps) {
+            const std::vector<ExecutionInput> *inputs = nullptr;
+            EXPECT_EQ(
+                filterPasses([&] { inputs = &engine.inputs(app, bytes); }),
+                perApp({app}, 1));
+            EXPECT_EQ(*inputs, referenceInputs(at, app));
+        }
     }
 }
 

@@ -80,17 +80,7 @@ done
 
 echo
 echo "== peak RSS (run 1 footer, bound 120 MiB) =="
-python3 - "$scratch/run1.txt" <<'EOF'
-import re, sys
-text = open(sys.argv[1]).read()
-match = re.search(r"^peak rss: +([0-9.]+) MiB$", text, re.M)
-if not match:
-    sys.exit("no 'peak rss' line in the bench_all footer")
-peak = float(match.group(1))
-if peak > 120:
-    sys.exit(f"peak rss {peak} MiB is above the 120 MiB bound")
-print(f"peak rss {peak} MiB: within the 120 MiB bound")
-EOF
+python3 "$root/tools/check_peak_rss.py" "$scratch/run1.txt"
 
 echo
 echo "== compare against bench/reference/BENCH_RESULTS.ref.json =="
