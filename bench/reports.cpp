@@ -987,7 +987,10 @@ reportIdleHistogram(ReportContext &ctx, std::ostream &os)
     for (const std::string &app : ctx.eval.appNames()) {
         sim::PolicySession session(pcap);
         sim::GlobalDriver driver(session);
-        kernel.run(ctx.eval.inputs(app), driver);
+        ctx.eval.forEachExecution(
+            app, 0, [&](const sim::ExecutionInput &input) {
+                kernel.runExecution(input, driver);
+            });
     }
 
     TextTable table;
@@ -1065,7 +1068,10 @@ reportSignatureAttribution(ReportContext &ctx, std::ostream &os)
         sim::GlobalDriver driver(session);
         observer.bindDecisionPid(
             [&driver] { return driver.decisionPid(); });
-        kernel.run(ctx.eval.inputs(app), driver);
+        ctx.eval.forEachExecution(
+            app, 0, [&](const sim::ExecutionInput &input) {
+                kernel.runExecution(input, driver);
+            });
 
         const obs::ProvenanceForensics &forensics = sink.forensics();
         total_records += forensics.records();

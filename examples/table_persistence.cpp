@@ -46,8 +46,7 @@ runVariant(sim::ParallelEvaluation &eval, const std::string &app,
                      "hit-backup", "not-predicted",
                      "entries after"});
 
-    const auto &inputs = eval.inputs(app);
-    for (const auto &input : inputs) {
+    eval.forEachExecution(app, 0, [&](const sim::ExecutionInput &input) {
         const std::size_t before = session.tableEntries();
         const sim::RunResult result =
             kernel.runExecution(input, driver);
@@ -57,7 +56,7 @@ runVariant(sim::ParallelEvaluation &eval, const std::string &app,
                       std::to_string(result.accuracy.hitBackup),
                       std::to_string(result.accuracy.notPredicted),
                       std::to_string(session.tableEntries())});
-    }
+    });
     table.print(std::cout);
     std::cout << "\n";
 }

@@ -1,6 +1,7 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <iomanip>
 #include <sstream>
@@ -98,11 +99,15 @@ cellKey(CellMode mode, const std::string &app, std::size_t capacity,
     return key;
 }
 
-/** Memo key of one (app, capacity) input. */
-std::string
-inputKey(const std::string &app, std::size_t capacity)
+/** The value under @p key in @p map, or null; locks @p mutex. */
+template <typename Map>
+const typename Map::mapped_type *
+lookUp(std::mutex &mutex, const Map &map,
+       const typename Map::key_type &key)
 {
-    return app + '\x1f' + std::to_string(capacity);
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto it = map.find(key);
+    return it == map.end() ? nullptr : &it->second;
 }
 
 } // namespace
@@ -300,215 +305,200 @@ ParallelEvaluation::appScope(const std::string &app,
         options_.metrics, {{"config", configHash}, {"app", app}});
 }
 
-template <typename T>
-std::shared_ptr<ParallelEvaluation::Memo<T>>
-ParallelEvaluation::slot(
-    std::map<std::string, std::shared_ptr<Memo<T>>> &map,
-    const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &entry = map[key];
-    if (!entry)
-        entry = std::make_shared<Memo<T>>();
-    return entry;
-}
-
 const std::vector<trace::Trace> &
 ParallelEvaluation::traces(const std::string &app)
 {
-    auto memo = slot(traces_, app);
-    std::call_once(memo->once, [&] {
-        memo->value =
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto [it, fresh] = traces_.try_emplace(app);
+    if (fresh)
+        it->second =
             generateTraces(config_.seed, app, config_.maxExecutions,
                            options_.jobs, appScope(app, configHash_));
-    });
-    return memo->value;
+    return it->second;
 }
 
-std::vector<ExecutionInput>
-ParallelEvaluation::filter(const std::string &app, std::size_t capacity)
+void
+ParallelEvaluation::forEachExecution(
+    const std::string &app, std::size_t cacheBytes,
+    const std::function<void(const ExecutionInput &)> &fn)
 {
     obs::Span span("workload-gen", app);
+    cache::CacheParams params = config_.cache;
+    params.capacityBytes = capacityOf(cacheBytes);
+    ExecutionInput input;
+    for (const trace::Trace &trace : traces(app)) {
+        ExecutionInput::fromTrace(trace, params, input);
+        fn(input);
+    }
+}
+
+ParallelEvaluation::InputFacts
+ParallelEvaluation::factsOf(const ExecutionInput &input,
+                            std::size_t capacity) const
+{
+    InputFacts facts;
+    facts.table1.executions = 1;
+    facts.table1.totalIos = input.tracedIos;
+    // Only Table 1, at the engine's capacity, reads the idle periods.
+    if (capacity == config_.cache.capacityBytes) {
+        const TimeUs breakeven = config_.sim.breakeven();
+        facts.table1.globalIdlePeriods =
+            input.countGlobalOpportunities(breakeven);
+        facts.table1.localIdlePeriods =
+            input.countLocalOpportunities(breakeven);
+    }
+    facts.accesses = input.accesses.size();
+    facts.spanUs = static_cast<std::uint64_t>(input.endTime);
+    facts.cache = input.cacheStats;
+    return facts;
+}
+
+void
+ParallelEvaluation::InputFacts::merge(const InputFacts &other)
+{
+    table1.executions += other.table1.executions;
+    table1.globalIdlePeriods += other.table1.globalIdlePeriods;
+    table1.localIdlePeriods += other.table1.localIdlePeriods;
+    table1.totalIos += other.table1.totalIos;
+    accesses += other.accesses;
+    spanUs += other.spanUs;
+    cache.merge(other.cache);
+}
+
+const ParallelEvaluation::InputFacts &
+ParallelEvaluation::facts(const std::string &app, std::size_t capacity)
+{
+    std::lock_guard<std::mutex> streams(streams_);
+    if (const InputFacts *known = lookUp(mutex_, facts_, {app, capacity}))
+        return *known;
+    obs::Span span("workload-gen", app);
     obs::PerfRegion perf("workload:generate");
+    const std::vector<trace::Trace> &all = traces(app);
     cache::CacheParams params = config_.cache;
     params.capacityBytes = capacity;
-    std::vector<ExecutionInput> executions =
-        inputsFromTraces(traces(app), params, options_.jobs);
-
-    // The input series describe the input, not the filter passes.
-    auto memo = slot(diskAccesses_, inputKey(app, capacity));
-    std::call_once(memo->once, [&] {
-        const obs::ScopedMetrics scope =
-            appScope(app, configHashAt(capacity));
-        cache::CacheStats stats;
-        std::uint64_t accesses = 0, tracedIos = 0, spanUs = 0;
-        for (const ExecutionInput &input : executions) {
-            stats.merge(input.cacheStats);
-            accesses += input.accesses.size();
-            tracedIos += input.tracedIos;
-            spanUs += static_cast<std::uint64_t>(input.endTime);
-        }
-        cache::recordCacheMetrics(stats, scope);
-        scope.gauge("pcap_sim_input_executions")
-            .set(static_cast<double>(executions.size()));
-        scope.counter("pcap_sim_input_disk_accesses_total")
-            .inc(accesses);
-        scope.counter("pcap_sim_input_traced_ios_total")
-            .inc(tracedIos);
-        scope.counter("pcap_sim_input_span_us_total").inc(spanUs);
-        memo->value = accesses;
-        memo->ready = true;
+    std::vector<InputFacts> each(all.size());
+    pcap::parallelFor(options_.jobs, all.size(), [&](std::size_t i) {
+        each[i] = factsOf(ExecutionInput::fromTrace(all[i], params),
+                          capacity);
     });
-    return executions;
+    InputFacts facts;
+    for (const InputFacts &one : each)
+        facts.merge(one);
+    return recordFacts(app, capacity, facts);
 }
 
-const std::vector<ExecutionInput> &
-ParallelEvaluation::inputs(const std::string &app,
-                           std::size_t cacheBytes)
+const ParallelEvaluation::InputFacts &
+ParallelEvaluation::recordFacts(const std::string &app,
+                                std::size_t capacity,
+                                const InputFacts &facts)
 {
-    const std::size_t capacity = capacityOf(cacheBytes);
-    auto memo = slot(inputs_, inputKey(app, capacity));
-    std::call_once(memo->once, [&] {
-        memo->value = filter(app, capacity);
-        memo->ready = true;
-    });
-    return memo->value;
-}
-
-std::uint64_t
-ParallelEvaluation::diskAccesses(const std::string &app,
-                                 std::size_t cacheBytes)
-{
-    const std::size_t capacity = capacityOf(cacheBytes);
-    auto memo = slot(diskAccesses_, inputKey(app, capacity));
-    if (!memo->ready)
-        inputs(app, capacity);
-    return memo->value;
-}
-
-sim::Table1Row
-ParallelEvaluation::table1(const std::string &app)
-{
-    // Cheap relative to a run; recomputed from the cached inputs.
-    const auto &execs = inputs(app);
-    sim::Table1Row row;
-    row.executions = static_cast<int>(execs.size());
-    for (const auto &input : execs) {
-        row.globalIdlePeriods +=
-            input.countGlobalOpportunities(config_.sim.breakeven());
-        row.localIdlePeriods +=
-            input.countLocalOpportunities(config_.sim.breakeven());
-        row.totalIos += input.tracedIos;
-    }
-    return row;
+    const obs::ScopedMetrics scope = appScope(app, configHashAt(capacity));
+    cache::recordCacheMetrics(facts.cache, scope);
+    scope.gauge("pcap_sim_input_executions")
+        .set(static_cast<double>(facts.table1.executions));
+    scope.counter("pcap_sim_input_disk_accesses_total")
+        .inc(facts.accesses);
+    scope.counter("pcap_sim_input_traced_ios_total")
+        .inc(facts.table1.totalIos);
+    scope.counter("pcap_sim_input_span_us_total").inc(facts.spanUs);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return facts_.try_emplace({app, capacity}, facts).first->second;
 }
 
 const sim::GlobalOutcome &
-ParallelEvaluation::outcome(const Cell &cell,
-                            const std::vector<ExecutionInput> *executions)
+ParallelEvaluation::outcome(const Cell &cell)
 {
+    prefetch({cell});
     const std::size_t capacity = capacityOf(cell.cacheBytes);
-    auto memo = slot(cells_, cellKey(cell.mode, cell.app, capacity,
-                                     policyOf(cell)));
-    std::call_once(memo->once, [&] {
-        memo->value =
-            runCell(cell, capacity,
-                    executions ? *executions : inputs(cell.app, capacity));
-        memo->ready = true;
-    });
-    return memo->value;
+    return *lookUp(mutex_, cells_,
+                   cellKey(cell.mode, cell.app, capacity, policyOf(cell)));
 }
 
-sim::GlobalOutcome
-ParallelEvaluation::runCell(const Cell &cell, std::size_t capacity,
-                            const std::vector<ExecutionInput> &executions)
+void
+ParallelEvaluation::streamGroup(const std::string &app,
+                                std::size_t capacity, const Group &group)
 {
-    const PolicyConfig *policy = policyOf(cell);
-    const char *mode = modeName(cell.mode);
     const std::string configHash = configHashAt(capacity);
-    const std::string stem =
-        cellFileStem(mode, cell.app, policy, configHash);
-    obs::Span span("cell-replay", stem);
+    obs::Span span("cell-replay",
+                   capacity == config_.cache.capacityBytes
+                       ? app
+                       : app + "-c" + configHash);
     obs::PerfRegion perf("cells:replay");
-    CellRun run(config_.sim, cell.mode, policy,
-                cellScope(mode, cell.app, policy, configHash),
-                {options_.provenanceDir, options_.timelineDir,
-                 TimelineObserver::makeMeta(
-                     stem, mode, cell.app, policy ? policy->label : "")});
-    sim::GlobalOutcome result;
-    for (const ExecutionInput &input : executions)
-        result.run.merge(run.replay(input));
-    result.tableEntries = run.finish();
-    return result;
+    std::deque<CellRun> runs; // a CellRun must not move
+    for (const auto &entry : group) {
+        const Cell &cell = *entry.first;
+        const PolicyConfig *policy = policyOf(cell);
+        const char *mode = modeName(cell.mode);
+        runs.emplace_back(
+            config_.sim, cell.mode, policy,
+            cellScope(mode, app, policy, configHash),
+            CellArtifacts{options_.provenanceDir, options_.timelineDir,
+                          TimelineObserver::makeMeta(
+                              cellFileStem(mode, app, policy, configHash),
+                              mode, app, policy ? policy->label : "")});
+    }
+
+    // The first pass over the input also adds up its facts, as one
+    // more task beside the cells' replays of each execution.
+    const bool counting = !lookUp(mutex_, facts_, {app, capacity});
+    InputFacts facts;
+    cache::CacheParams params = config_.cache;
+    params.capacityBytes = capacity;
+    ExecutionInput input;
+    for (const trace::Trace &trace : traces(app)) {
+        ExecutionInput::fromTrace(trace, params, input);
+        pcap::parallelFor(
+            options_.jobs, group.size() + counting, [&](std::size_t c) {
+                if (c == group.size())
+                    facts.merge(factsOf(input, capacity));
+                else
+                    group[c].second->run.merge(runs[c].replay(input));
+            });
+    }
+    pcap::parallelFor(options_.jobs, group.size(), [&](std::size_t c) {
+        group[c].second->tableEntries = runs[c].finish();
+    });
+    if (counting)
+        recordFacts(app, capacity, facts);
 }
 
 void
 ParallelEvaluation::prefetch(const std::vector<Cell> &cells)
 {
-    // The cells still to compute: those at the engine's own capacity
-    // one by one (and the apps whose input they read), the others
-    // grouped by (app, capacity). A duplicate cell costs nothing:
-    // its memo computes it once.
-    std::vector<std::string> apps;
-    std::vector<const Cell *> own;
-    std::map<std::pair<std::string, std::size_t>,
-             std::vector<const Cell *>>
-        groups;
-    for (const Cell &cell : cells) {
-        const std::size_t capacity = capacityOf(cell.cacheBytes);
-        const std::string key =
-            cellKey(cell.mode, cell.app, capacity, policyOf(cell));
-        if (slot(cells_, key)->ready)
-            continue;
-        if (capacity != config_.cache.capacityBytes) {
-            groups[{cell.app, capacity}].push_back(&cell);
-            continue;
+    std::lock_guard<std::mutex> streams(streams_);
+    // Memo slots for the cells still to compute, grouped by (app,
+    // capacity); a duplicate or computed cell already has its slot.
+    // A reader of a slot first waits here for streams_, so none sees
+    // one unfinished.
+    std::map<std::pair<std::string, std::size_t>, Group> groups;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const Cell &cell : cells) {
+            const std::size_t capacity = capacityOf(cell.cacheBytes);
+            const auto [slot, fresh] = cells_.try_emplace(
+                cellKey(cell.mode, cell.app, capacity, policyOf(cell)));
+            if (fresh)
+                groups[{cell.app, capacity}].emplace_back(&cell,
+                                                          &slot->second);
         }
-        own.push_back(&cell);
-        if (std::find(apps.begin(), apps.end(), cell.app) == apps.end())
-            apps.push_back(cell.app);
     }
 
-    // Build the engine's own inputs first: cell tasks would otherwise
-    // serialize on their call_once, and generation and the filter
-    // have their own inner parallelism.
-    pcap::parallelFor(options_.jobs, apps.size(),
-                      [&](std::size_t i) { inputs(apps[i]); });
+    // Generate the traces first, one app at a time with its own
+    // inner parallelism, so no stream waits on a generation.
+    for (const auto &[key, group] : groups)
+        traces(key.first);
 
-    // One lane takes the groups in turn: it filters a group's input
-    // (unless inputs() holds it), replays the group's cells on it in
-    // a nested fan-out, and drops it. So one sweep input is live at
-    // any job count, and no cell task blocks on a build. The other
-    // lanes replay the own-capacity cells, then join the sweep's
-    // filters and replays as nested work.
-    const std::size_t lanes = groups.empty() ? 0 : 1;
-    pcap::parallelFor(options_.jobs, lanes + own.size(), [&](std::size_t i) {
-        if (i >= lanes) {
-            outcome(*own[i - lanes]);
-            return;
-        }
-        for (const auto &[key, group] : groups) {
-            const auto &[app, capacity] = key;
-            auto memo = slot(inputs_, inputKey(app, capacity));
-            std::vector<ExecutionInput> filtered;
-            const std::vector<ExecutionInput> *executions = &memo->value;
-            if (!memo->ready) {
-                filtered = filter(app, capacity);
-                executions = &filtered;
-            }
-            pcap::parallelFor(options_.jobs, group.size(),
-                              [&](std::size_t c) {
-                                  outcome(*group[c], executions);
-                              });
-        }
+    pcap::parallelFor(options_.jobs, groups.size(), [&](std::size_t g) {
+        const auto &[key, group] = *std::next(groups.begin(), g);
+        streamGroup(key.first, key.second, group);
     });
 }
 
 void
 ParallelEvaluation::prefetchInputs()
 {
-    pcap::parallelFor(options_.jobs, appNames_.size(),
-                      [&](std::size_t i) { inputs(appNames_[i]); });
+    for (const std::string &app : appNames_)
+        facts(app, config_.cache.capacityBytes);
 }
 
 } // namespace pcap::sim

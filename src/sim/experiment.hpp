@@ -5,20 +5,19 @@
  * asks one object for the paper's numbers.
  *
  * ParallelEvaluation generates each application's traces exactly
- * once, filters them into inputs at each file-cache capacity,
- * memoizes every (mode x app x policy x capacity) cell, and can
- * prefetch a batch of cells across a thread pool. Each cell replays
- * on a private PolicySession, so results do not depend on the
- * thread count; at jobs = 1 everything runs on the caller.
+ * once, streams them through the file cache one execution at a
+ * time, memoizes every (mode x app x policy x capacity) cell, and
+ * can prefetch a batch of cells across a thread pool. Each cell
+ * replays on a private PolicySession, so results do not depend on
+ * the thread count; at jobs = 1 everything runs on the caller.
  */
 
 #ifndef PCAP_SIM_EXPERIMENT_HPP
 #define PCAP_SIM_EXPERIMENT_HPP
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -184,18 +183,17 @@ struct ParallelOptions
  * engine's label their metrics and artifacts with the config hash
  * of the config with that capacity substituted.
  *
- * Memory: raw traces, cell outcomes and whatever inputs() built
- * stay resident for the engine's lifetime. prefetch() memoizes no
- * input at another capacity: it filters each such (app, capacity)
- * of a batch in turn, replays its cells on it and drops it, so at
- * most one is live at any job count. The input and cache series
- * and diskAccesses() are recorded the first time an (app,
- * capacity) is filtered, whichever path filters it.
+ * Memory: raw traces, cell outcomes and each input's facts (Table 1
+ * counts, disk accesses) stay resident; no filtered input does. A
+ * cell replays in the stream of its (app, capacity) group, which
+ * filters one execution into a reused input, replays it on every
+ * cell of the group and moves on. The first pass over an input, a
+ * stream or a facts-only pass, records its facts and series.
  *
- * Results do not depend on the thread count or the memo layers:
- * inputs are the same deterministic function of the seed (whether
- * generated or memoized), and each cell runs the serial replay
- * kernel on a private PolicySession.
+ * Results do not depend on the thread count or on how a batch is
+ * split: the input of an execution is the same deterministic
+ * function of the seed in every pass, and each cell runs the serial
+ * replay kernel on a private PolicySession.
  */
 class ParallelEvaluation
 {
@@ -216,20 +214,26 @@ class ParallelEvaluation
         return appNames_;
     }
 
-    /** Post-cache inputs of every execution of @p app, filtered at
-     * @p cacheBytes (cached for the engine's lifetime; a sweep input
-     * prefetch() filtered and dropped is filtered again). */
-    const std::vector<ExecutionInput> &inputs(const std::string &app,
-                                              std::size_t cacheBytes = 0);
+    /** Call @p fn on every execution of @p app in order, filtered at
+     * @p cacheBytes into one reused input: a fresh pass per call. */
+    void forEachExecution(
+        const std::string &app, std::size_t cacheBytes,
+        const std::function<void(const ExecutionInput &)> &fn);
 
     /** Disk accesses in every execution of @p app at @p cacheBytes,
-     * recorded when the input was first filtered; it calls inputs()
-     * only if it never was. */
+     * recorded by the first pass over that input. */
     std::uint64_t diskAccesses(const std::string &app,
-                               std::size_t cacheBytes = 0);
+                               std::size_t cacheBytes = 0)
+    {
+        return facts(app, capacityOf(cacheBytes)).accesses;
+    }
 
-    /** Table 1 for @p app, from the generated workload. */
-    sim::Table1Row table1(const std::string &app);
+    /** Table 1 for @p app, recorded by the first pass over its input
+     * at the engine's capacity. */
+    sim::Table1Row table1(const std::string &app)
+    {
+        return facts(app, config_.cache.capacityBytes).table1;
+    }
 
     /** Figure 6: local accuracy of @p policy on @p app. */
     const AccuracyStats &localAccuracy(const std::string &app,
@@ -267,42 +271,33 @@ class ParallelEvaluation
     }
 
     /**
-     * Compute every cell (and the inputs they need) across the
-     * worker pool, then join. Duplicate and already computed cells
-     * cost nothing extra. The engine's own inputs are built first
-     * through inputs(); then each cell at that capacity is one task,
-     * while one lane takes the other cells one (app, capacity)
-     * group at a time: filter the input (unless inputs() holds it),
-     * replay the group on it in a nested fan-out, drop it.
+     * Compute every cell across the worker pool, then join.
+     * Duplicate and computed cells cost nothing. After generating
+     * the batch's traces, each (app, capacity) group of cells is one
+     * task that streams the app's executions through the filter and
+     * replays each on the group's cells in a nested fan-out. Calls
+     * take turns, so each cell replays in exactly one stream.
      */
     void prefetch(const std::vector<Cell> &cells);
 
-    /** Make every application's inputs at the engine's own capacity
-     * resident, in parallel. */
+    /** Generate every application's traces and record the facts of
+     * its input at the engine's capacity. */
     void prefetchInputs();
 
   private:
-    template <typename T> struct Memo
+    /** What a pass over one (app, capacity) input adds up. */
+    struct InputFacts
     {
-        std::once_flag once;
-        T value{};
-        std::atomic<bool> ready{false}; ///< value computed
+        Table1Row table1;
+        std::uint64_t accesses = 0; ///< post-cache disk accesses
+        std::uint64_t spanUs = 0;   ///< summed execution lengths
+        cache::CacheStats cache;
+
+        void merge(const InputFacts &other);
     };
 
-    /** Memo slot for @p key in @p map, created under the lock. */
-    template <typename T>
-    std::shared_ptr<Memo<T>>
-    slot(std::map<std::string, std::shared_ptr<Memo<T>>> &map,
-         const std::string &key);
-
-    /** Filter the traces of @p app at resolved @p capacity; the
-     * first filter of each (app, capacity) records its input and
-     * cache series and its access count. */
-    std::vector<ExecutionInput> filter(const std::string &app,
-                                       std::size_t capacity);
-
     /** The generated traces of @p app (cached); generation records
-     * into the engine's own config label. */
+     * into the engine's own config label and holds mutex_. */
     const std::vector<trace::Trace> &traces(const std::string &app);
 
     /** @p cacheBytes with 0 resolved to the engine's capacity. */
@@ -314,20 +309,34 @@ class ParallelEvaluation
     /** The "config" label value of the config at @p capacity. */
     std::string configHashAt(std::size_t capacity) const;
 
-    /** The memoized outcome of one replay cell; if it must be
-     * computed, it replays @p executions, or inputs() when null. */
-    const sim::GlobalOutcome &
-    outcome(const Cell &cell,
-            const std::vector<ExecutionInput> *executions = nullptr);
+    /** The memoized outcome of one replay cell, after
+     * prefetch({cell}). */
+    const sim::GlobalOutcome &outcome(const Cell &cell);
 
-    /**
-     * Replay one cell on @p executions through a CellRun carrying
-     * the engine's metrics scope and artifact paths. @p capacity is
-     * resolved.
-     */
-    sim::GlobalOutcome
-    runCell(const Cell &cell, std::size_t capacity,
-            const std::vector<ExecutionInput> &executions);
+    /** The facts of one execution of an input at resolved
+     * @p capacity. */
+    InputFacts factsOf(const ExecutionInput &input,
+                       std::size_t capacity) const;
+
+    /** The facts of (app, resolved capacity), from a parallel
+     * facts-only pass if none recorded them; takes streams_. */
+    const InputFacts &facts(const std::string &app,
+                            std::size_t capacity);
+
+    /** Record the input and cache series of @p facts and store them
+     * for (app, capacity). */
+    const InputFacts &recordFacts(const std::string &app,
+                                  std::size_t capacity,
+                                  const InputFacts &facts);
+
+    /** The cells of one (app, capacity) group, each with the memo
+     * slot its outcome goes to. */
+    using Group = std::vector<std::pair<const Cell *, GlobalOutcome *>>;
+
+    /** Replay @p group at resolved @p capacity in one pass over the
+     * app's traces. The caller holds streams_. */
+    void streamGroup(const std::string &app, std::size_t capacity,
+                     const Group &group);
 
     /**
      * File stem identifying one cell:
@@ -358,22 +367,15 @@ class ParallelEvaluation
      * configHashAt() gives the other capacities'. */
     std::string configHash_;
 
-    std::mutex mutex_; ///< guards the maps below (not the memos)
+    /** Held by every pass that records facts or outcomes. */
+    std::mutex streams_;
+    std::mutex mutex_; ///< guards the maps below
     /** Keyed by app; every capacity refilters the same traces. */
-    std::map<std::string,
-             std::shared_ptr<Memo<std::vector<trace::Trace>>>>
-        traces_;
-    /** Keyed by inputKey(app, capacity). */
-    std::map<std::string,
-             std::shared_ptr<Memo<std::vector<ExecutionInput>>>>
-        inputs_;
-    /** Disk accesses per input, keyed like inputs_; computing it
-     * records the input's series. */
-    std::map<std::string, std::shared_ptr<Memo<std::uint64_t>>>
-        diskAccesses_;
+    std::map<std::string, std::vector<trace::Trace>> traces_;
+    /** Keyed by (app, capacity). */
+    std::map<std::pair<std::string, std::size_t>, InputFacts> facts_;
     /** Keyed by cellKey(mode, app, capacity, policy). */
-    std::map<std::string, std::shared_ptr<Memo<sim::GlobalOutcome>>>
-        cells_;
+    std::map<std::string, sim::GlobalOutcome> cells_;
 };
 
 /**

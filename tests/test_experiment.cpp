@@ -21,15 +21,25 @@ fastConfig(int executions = 4)
     return config;
 }
 
-TEST(Evaluation, InputsAreCachedAndDeterministic)
+/** Every execution of @p app's input, collected in order. */
+std::vector<ExecutionInput>
+inputsOf(ParallelEvaluation &eval, const std::string &app)
+{
+    std::vector<ExecutionInput> inputs;
+    eval.forEachExecution(app, 0, [&](const ExecutionInput &input) {
+        inputs.push_back(input);
+    });
+    return inputs;
+}
+
+TEST(Evaluation, InputsAreDeterministic)
 {
     ParallelEvaluation eval(fastConfig());
-    const auto &first = eval.inputs("nedit");
-    const auto &second = eval.inputs("nedit");
-    EXPECT_EQ(&first, &second); // cached
+    const auto first = inputsOf(eval, "nedit");
+    EXPECT_EQ(inputsOf(eval, "nedit"), first);
 
     ParallelEvaluation other(fastConfig());
-    const auto &fresh = other.inputs("nedit");
+    const auto fresh = inputsOf(other, "nedit");
     ASSERT_EQ(first.size(), fresh.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         ASSERT_EQ(first[i].accesses.size(), fresh[i].accesses.size());
@@ -44,18 +54,18 @@ TEST(Evaluation, SeedChangesTheWorkload)
     ExperimentConfig config = fastConfig();
     config.seed = 43;
     ParallelEvaluation b(config);
+    const ExecutionInput first = inputsOf(a, "mozilla")[0];
+    const ExecutionInput other = inputsOf(b, "mozilla")[0];
     const bool differs =
-        a.inputs("mozilla")[0].accesses.size() !=
-            b.inputs("mozilla")[0].accesses.size() ||
-        a.inputs("mozilla")[0].endTime !=
-            b.inputs("mozilla")[0].endTime;
+        first.accesses.size() != other.accesses.size() ||
+        first.endTime != other.endTime;
     EXPECT_TRUE(differs);
 }
 
 TEST(Evaluation, MaxExecutionsCapsTheRun)
 {
     ParallelEvaluation eval(fastConfig(2));
-    EXPECT_EQ(eval.inputs("mozilla").size(), 2u);
+    EXPECT_EQ(inputsOf(eval, "mozilla").size(), 2u);
     EXPECT_EQ(eval.table1("mozilla").executions, 2);
 }
 
@@ -66,7 +76,7 @@ TEST(Evaluation, Table1CountsAreConsistent)
         const auto row = eval.table1(app);
         std::uint64_t manual_global = 0;
         std::uint64_t manual_ios = 0;
-        for (const auto &input : eval.inputs(app)) {
+        for (const auto &input : inputsOf(eval, app)) {
             manual_global += input.countGlobalOpportunities(
                 eval.config().sim.breakeven());
             manual_ios += input.tracedIos;
@@ -175,7 +185,9 @@ TEST(Evaluation, EnergyBreakdownSumsToTotal)
 TEST(EvaluationDeath, UnknownApplicationIsFatal)
 {
     ParallelEvaluation eval(fastConfig());
-    EXPECT_DEATH(eval.inputs("solitaire"), "unknown application");
+    EXPECT_DEATH(eval.forEachExecution("solitaire", 0,
+                                       [](const ExecutionInput &) {}),
+                 "unknown application");
 }
 
 } // namespace

@@ -311,7 +311,8 @@ TEST(FleetParity, OneHostCellEqualsEvaluationEngine)
         const HostCellResult cell =
             driver.runHost(profile, policies);
         EXPECT_EQ(cell.executions,
-                  reference.inputs(app).size());
+                  static_cast<std::uint64_t>(
+                      reference.table1(app).executions));
 
         expectSameResult(cell.base, reference.baseRun(app));
         ASSERT_EQ(cell.policyRuns.size(), policies.size());

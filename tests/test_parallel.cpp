@@ -8,10 +8,12 @@
  * (artifact files, metric series), its metrics export must roll the
  * cell series up over `app` unless asked for detail, cells at other
  * file-cache capacities must match engines built at them while
- * sharing one generation per app, prefetch must keep no input at
- * another capacity (asking for one filters it once more and changes
- * no result), and the workload key must cover every field of the
- * recipe.
+ * sharing one generation per app, every cell must replay in one
+ * stream per (app, capacity) group whose first pass records the
+ * input's facts once (a prefetched batch and the same cells asked
+ * one at a time answer alike; asking for an input filters it once
+ * more), two threads asking for one cell must share its one stream,
+ * and the workload key must cover every field of the recipe.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <unistd.h>
 
@@ -53,6 +56,20 @@ referenceInputs(const ExperimentConfig &config, const std::string &app)
                                            config.maxExecutions, 1,
                                            {}),
                             config.cache, 1);
+}
+
+/** Every execution of @p app's input at @p cacheBytes, collected in
+ * order. */
+std::vector<ExecutionInput>
+inputsOf(ParallelEvaluation &engine, const std::string &app,
+         std::size_t cacheBytes = 0)
+{
+    std::vector<ExecutionInput> inputs;
+    engine.forEachExecution(app, cacheBytes,
+                            [&](const ExecutionInput &input) {
+                                inputs.push_back(input);
+                            });
+    return inputs;
 }
 
 /** The reference replay of one cell (the policy is ignored by Base
@@ -147,7 +164,7 @@ TEST(ParallelEvaluation, MatchesSerialForAllAppsAndModes)
         for (const std::string &app : engine.appNames()) {
             SCOPED_TRACE(app + " at jobs " + std::to_string(jobs));
             const auto inputs = referenceInputs(config, app);
-            const auto &pi = engine.inputs(app);
+            const auto pi = inputsOf(engine, app);
             ASSERT_EQ(inputs.size(), pi.size());
             for (std::size_t i = 0; i < inputs.size(); ++i)
                 EXPECT_TRUE(inputs[i] == pi[i]);
@@ -318,7 +335,7 @@ TEST(ParallelEvaluation, CacheSizesShareOneGenerationPerApp)
             for (const std::string &app : apps) {
                 SCOPED_TRACE(app + " at " + std::to_string(bytes) +
                              " bytes, jobs " + std::to_string(jobs));
-                EXPECT_EQ(engine.inputs(app, bytes),
+                EXPECT_EQ(inputsOf(engine, app, bytes),
                           referenceInputs(at, app));
                 expectSameRun(engine.globalRun(app, pcap, bytes).run,
                               alone.globalRun(app, pcap).run);
@@ -329,8 +346,8 @@ TEST(ParallelEvaluation, CacheSizesShareOneGenerationPerApp)
         for (const std::string &app : apps) {
             // The cache size reaches the filter: a 16x larger cache
             // absorbs more of the traced I/O.
-            EXPECT_NE(engine.inputs(app, sizes[0]),
-                      engine.inputs(app, sizes[2]));
+            EXPECT_NE(inputsOf(engine, app, sizes[0]),
+                      inputsOf(engine, app, sizes[2]));
         }
         // Every capacity keeps the config label and artifact names
         // an engine built at that config gives it.
@@ -378,7 +395,6 @@ TEST(ParallelEvaluation, CellAtOwnCapacityIsTheDefaultCell)
     EXPECT_EQ(&engine.globalRun("nedit", pcap),
               &engine.globalRun("nedit", pcap, own));
     EXPECT_EQ(&engine.baseRun("nedit"), &engine.baseRun("nedit", own));
-    EXPECT_EQ(&engine.inputs("nedit"), &engine.inputs("nedit", own));
     engine.prefetch({{CellMode::Global, "nedit", pcap},
                      {CellMode::Base, "nedit", {}}});
     EXPECT_EQ(state(), before);
@@ -533,17 +549,22 @@ seriesNamed(const obs::MetricsRegistry &registry, const std::string &name)
     return found;
 }
 
-/** Run @p body with a span recorder installed; the `workload-gen`
- * spans it recorded (one per filter pass), counted per app. */
+/** Span counts per span name, then per app. */
+using Passes = std::map<std::string, std::map<std::string, int>>;
+
+/** Run @p body with a span recorder installed; the passes over an
+ * app's traces it made: `workload-gen` spans (facts-only passes and
+ * forEachExecution) and `cell-replay` spans (group streams), counted
+ * per app. */
 template <typename Body>
-std::map<std::string, int>
-filterPasses(Body body)
+Passes
+passes(Body body)
 {
     obs::TraceRecorder recorder;
     obs::setTraceRecorder(&recorder);
     body();
     obs::setTraceRecorder(nullptr);
-    const std::string path = testing::TempDir() + "/pcap-filter-passes-" +
+    const std::string path = testing::TempDir() + "/pcap-passes-" +
                              std::to_string(::getpid()) + ".json";
     recorder.writeChromeTrace(path);
     std::ifstream is(path);
@@ -552,14 +573,19 @@ filterPasses(Body body)
     std::filesystem::remove(path);
     Json profile;
     EXPECT_TRUE(Json::parse(text.str(), profile));
-    std::map<std::string, int> passes;
+    Passes found;
     const Json *events = profile.find("traceEvents");
     for (std::size_t i = 0; events && i < events->size(); ++i) {
         const Json &event = events->at(i);
-        if (event.find("name")->asString() == "workload-gen")
-            ++passes[event.find("args")->find("detail")->asString()];
+        const std::string name = event.find("name")->asString();
+        if (name != "workload-gen" && name != "cell-replay")
+            continue;
+        // A stream's detail is <app>[-c<config hash>].
+        const std::string detail =
+            event.find("args")->find("detail")->asString();
+        ++found[name][detail.substr(0, detail.find('-'))];
     }
-    return passes;
+    return found;
 }
 
 /** @p count for every app in @p apps. */
@@ -572,9 +598,10 @@ perApp(const std::vector<std::string> &apps, int count)
     return found;
 }
 
-// prefetch keeps no input at a capacity besides the engine's own, so
-// asking for one filters it again from the resident traces, once.
-TEST(ParallelEvaluation, ReleasedInputsRebuildOnceFromResidentTraces)
+// The engine keeps no filtered input: every later pass over an input
+// filters it again from the resident traces, and reading its facts
+// filters nothing and records no series twice.
+TEST(ParallelEvaluation, LaterPassesFilterAgainFromResidentTraces)
 {
     const ExperimentConfig config = fastConfig(2);
     const std::vector<std::string> apps = {"mozilla", "nedit"};
@@ -589,15 +616,10 @@ TEST(ParallelEvaluation, ReleasedInputsRebuildOnceFromResidentTraces)
         ParallelEvaluation engine(config, options);
         engine.prefetch(sweepCells(apps, sizes));
         const std::map<std::string, double> before = cellSeries(registry);
-        // The engine's own inputs stay resident.
-        EXPECT_TRUE(filterPasses([&] {
-                        for (const std::string &app : apps)
-                            engine.inputs(app);
-                    }).empty());
 
         for (int round = 0; round < 2; ++round) {
             SCOPED_TRACE("round " + std::to_string(round));
-            const std::map<std::string, int> passes = filterPasses([&] {
+            const Passes made = passes([&] {
                 for (std::size_t bytes : sizes) {
                     ExperimentConfig at = config;
                     if (bytes)
@@ -605,7 +627,7 @@ TEST(ParallelEvaluation, ReleasedInputsRebuildOnceFromResidentTraces)
                     for (const std::string &app : apps) {
                         const std::vector<ExecutionInput> reference =
                             referenceInputs(at, app);
-                        EXPECT_EQ(engine.inputs(app, bytes), reference);
+                        EXPECT_EQ(inputsOf(engine, app, bytes), reference);
                         std::uint64_t accesses = 0;
                         for (const ExecutionInput &input : reference)
                             accesses += input.accesses.size();
@@ -614,10 +636,8 @@ TEST(ParallelEvaluation, ReleasedInputsRebuildOnceFromResidentTraces)
                     }
                 }
             });
-            // One filter pass per capacity besides the engine's own;
-            // the second round finds every input in inputs().
-            EXPECT_EQ(passes, (round == 0 ? perApp(apps, 3)
-                                          : std::map<std::string, int>{}));
+            // One pass per forEachExecution call, in every round.
+            EXPECT_EQ(made, (Passes{{"workload-gen", perApp(apps, 4)}}));
         }
 
         // The input and cache counters describe each input once.
@@ -631,9 +651,10 @@ TEST(ParallelEvaluation, ReleasedInputsRebuildOnceFromResidentTraces)
     }
 }
 
-// The benchmark ledger's pattern: pin the engine's own inputs, then
-// prefetch one cell at a time. Nothing may be released or rebuilt.
-TEST(ParallelEvaluation, OneCellPrefetchesAfterPinningRebuildNothing)
+// The benchmark ledger's pattern: record the engine's own input
+// facts, then prefetch one cell at a time. That is one facts-only
+// pass per app, then one stream per cell.
+TEST(ParallelEvaluation, LedgerPatternStreamsOncePerCell)
 {
     const PolicyConfig pcap = PolicyConfig::pcapBase();
     const PolicyConfig tree = PolicyConfig::learningTree();
@@ -644,7 +665,7 @@ TEST(ParallelEvaluation, OneCellPrefetchesAfterPinningRebuildNothing)
         options.jobs = jobs;
         options.metrics = &registry;
         ParallelEvaluation engine(fastConfig(2), options);
-        const std::map<std::string, int> passes = filterPasses([&] {
+        const Passes made = passes([&] {
             engine.prefetchInputs();
             for (const std::string &app : engine.appNames()) {
                 engine.prefetch({{CellMode::Global, app, pcap}});
@@ -652,13 +673,15 @@ TEST(ParallelEvaluation, OneCellPrefetchesAfterPinningRebuildNothing)
                 engine.prefetch({{CellMode::Base, app, {}}});
             }
         });
-        EXPECT_EQ(passes, perApp(engine.appNames(), 1));
+        const std::vector<std::string> &apps = engine.appNames();
+        EXPECT_EQ(made, (Passes{{"workload-gen", perApp(apps, 1)},
+                                {"cell-replay", perApp(apps, 3)}}));
     }
 }
 
-// A sweep whose inputs prefetch dropped answers exactly as one whose
-// inputs inputs() held before it ran.
-TEST(ParallelEvaluation, ReleasedSweepEqualsPinnedSweep)
+// A prefetched sweep answers exactly as the same sweep rendered
+// without a prefetch, each cell and fact computed on demand.
+TEST(ParallelEvaluation, PrefetchedSweepEqualsOnDemandSweep)
 {
     const ExperimentConfig config = fastConfig(2);
     const std::vector<std::string> apps = {"mozilla", "nedit"};
@@ -667,60 +690,75 @@ TEST(ParallelEvaluation, ReleasedSweepEqualsPinnedSweep)
     const std::vector<Cell> cells = sweepCells(apps, sizes);
     for (unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
-        obs::MetricsRegistry releasedRegistry, pinnedRegistry;
+        obs::MetricsRegistry prefetchedRegistry, onDemandRegistry;
         ParallelOptions options;
         options.jobs = jobs;
-        options.metrics = &releasedRegistry;
-        ParallelEvaluation released(config, options);
-        options.metrics = &pinnedRegistry;
-        ParallelEvaluation pinned(config, options);
-        for (const Cell &cell : cells)
-            pinned.inputs(cell.app, cell.cacheBytes);
-        released.prefetch(cells);
-        pinned.prefetch(cells);
+        options.metrics = &prefetchedRegistry;
+        ParallelEvaluation prefetched(config, options);
+        options.metrics = &onDemandRegistry;
+        ParallelEvaluation onDemand(config, options);
+        // One stream per (app, capacity) group, which also records
+        // the group's facts.
+        EXPECT_EQ(passes([&] { prefetched.prefetch(cells); }),
+                  (Passes{{"cell-replay", perApp(apps, 4)}}));
+        // One facts-only pass per capacity, one stream per cell.
+        EXPECT_EQ(passes([&] {
+                      for (const std::string &app : apps) {
+                          onDemand.table1(app);
+                          for (std::size_t bytes : sizes)
+                              onDemand.diskAccesses(app, bytes);
+                      }
+                      for (const Cell &cell : cells) {
+                          if (cell.mode == CellMode::Base)
+                              onDemand.baseRun(cell.app, cell.cacheBytes);
+                          else
+                              onDemand.globalRun(cell.app, cell.policy,
+                                                 cell.cacheBytes);
+                      }
+                  }),
+                  (Passes{{"workload-gen", perApp(apps, 4)},
+                          {"cell-replay", perApp(apps, 8)}}));
 
         for (const std::string &app : apps) {
-            const Table1Row a = released.table1(app);
-            const Table1Row b = pinned.table1(app);
+            const Table1Row a = prefetched.table1(app);
+            const Table1Row b = onDemand.table1(app);
             EXPECT_EQ(a.executions, b.executions);
             EXPECT_EQ(a.globalIdlePeriods, b.globalIdlePeriods);
             EXPECT_EQ(a.localIdlePeriods, b.localIdlePeriods);
             EXPECT_EQ(a.totalIos, b.totalIos);
             for (std::size_t bytes : sizes)
-                EXPECT_EQ(released.diskAccesses(app, bytes),
-                          pinned.diskAccesses(app, bytes));
+                EXPECT_EQ(prefetched.diskAccesses(app, bytes),
+                          onDemand.diskAccesses(app, bytes));
         }
         for (const Cell &cell : cells) {
             SCOPED_TRACE(cell.app + " at " +
                          std::to_string(cell.cacheBytes) + " bytes");
             if (cell.mode == CellMode::Base) {
-                expectSameRun(released.baseRun(cell.app, cell.cacheBytes),
-                              pinned.baseRun(cell.app, cell.cacheBytes));
+                expectSameRun(prefetched.baseRun(cell.app, cell.cacheBytes),
+                              onDemand.baseRun(cell.app, cell.cacheBytes));
                 continue;
             }
             const GlobalOutcome &a =
-                released.globalRun(cell.app, cell.policy, cell.cacheBytes);
+                prefetched.globalRun(cell.app, cell.policy, cell.cacheBytes);
             const GlobalOutcome &b =
-                pinned.globalRun(cell.app, cell.policy, cell.cacheBytes);
+                onDemand.globalRun(cell.app, cell.policy, cell.cacheBytes);
             expectSameRun(a.run, b.run);
             EXPECT_EQ(a.tableEntries, b.tableEntries);
         }
-        EXPECT_EQ(cellSeries(releasedRegistry), cellSeries(pinnedRegistry));
+        EXPECT_EQ(cellSeries(prefetchedRegistry),
+                  cellSeries(onDemandRegistry));
 
-        // Only the released engine filters a sweep input again on
-        // request.
-        EXPECT_EQ(
-            filterPasses([&] { released.inputs(apps[0], sizes[0]); }),
-            perApp({apps[0]}, 1));
-        EXPECT_TRUE(
-            filterPasses([&] { pinned.inputs(apps[0], sizes[0]); })
-                .empty());
+        // Either engine filters an input again on request.
+        for (ParallelEvaluation *engine : {&prefetched, &onDemand}) {
+            EXPECT_EQ(passes([&] { inputsOf(*engine, apps[0], sizes[0]); }),
+                      (Passes{{"workload-gen", perApp({apps[0]}, 1)}}));
+        }
     }
 }
 
 // However few capacities a batch names, prefetch keeps none of its
-// inputs besides the engine's own: each later inputs() call filters
-// its app once more and returns the reference inputs.
+// inputs: each later forEachExecution call filters its app once more
+// and yields the reference inputs.
 TEST(ParallelEvaluation, PrefetchKeepsNoSweepInputAtAnyBatchSize)
 {
     const ExperimentConfig config = fastConfig(2);
@@ -735,12 +773,47 @@ TEST(ParallelEvaluation, PrefetchKeepsNoSweepInputAtAnyBatchSize)
         ParallelEvaluation engine(config, options);
         engine.prefetch(sweepCells(apps, {bytes}));
         for (const std::string &app : apps) {
-            const std::vector<ExecutionInput> *inputs = nullptr;
-            EXPECT_EQ(
-                filterPasses([&] { inputs = &engine.inputs(app, bytes); }),
-                perApp({app}, 1));
-            EXPECT_EQ(*inputs, referenceInputs(at, app));
+            std::vector<ExecutionInput> inputs;
+            EXPECT_EQ(passes([&] { inputs = inputsOf(engine, app, bytes); }),
+                      (Passes{{"workload-gen", perApp({app}, 1)}}));
+            EXPECT_EQ(inputs, referenceInputs(at, app));
         }
+    }
+}
+
+// Any method may be called from any thread: two threads asking for
+// one uncomputed cell get the same memoized outcome from one stream,
+// which writes the cell's artifact once.
+TEST(ParallelEvaluation, TwoThreadsAskingOneCellShareOneStream)
+{
+    const ExperimentConfig config = fastConfig(2);
+    const PolicyConfig pcap = PolicyConfig::pcapBase();
+    TempDir dir("-threads");
+    ParallelOptions options;
+    options.jobs = 2;
+    options.timelineDir = dir.path;
+    ParallelEvaluation engine(config, options);
+    // Each thread reads the outcome as soon as its call returns.
+    const GlobalOutcome *seen[2] = {nullptr, nullptr};
+    GlobalOutcome read[2];
+    const auto ask = [&](int i) {
+        seen[i] = &engine.globalRun("nedit", pcap);
+        read[i] = *seen[i];
+    };
+    const Passes made = passes([&] {
+        std::thread first(ask, 0);
+        std::thread second(ask, 1);
+        first.join();
+        second.join();
+    });
+    EXPECT_EQ(seen[0], seen[1]);
+    EXPECT_EQ(fileNames(dir.path).size(), 1u);
+    EXPECT_EQ(made, (Passes{{"cell-replay", perApp({"nedit"}, 1)}}));
+    const GlobalOutcome expected = referenceRun(
+        referenceInputs(config, "nedit"), CellMode::Global, pcap);
+    for (const GlobalOutcome &outcome : read) {
+        expectSameRun(outcome.run, expected.run);
+        EXPECT_EQ(outcome.tableEntries, expected.tableEntries);
     }
 }
 

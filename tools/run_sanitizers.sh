@@ -4,7 +4,8 @@
 # small fleet: each host streams its executions through buffers it
 # reuses, across multi-app hosts whose executions grow and shrink.
 # Then build again with ThreadSanitizer in build-tsan and run the
-# thread pool's tests, its two engine callers, the span recorder's
+# thread pool's tests, its two engine callers (test_parallel also has
+# two threads ask one engine for one cell), the span recorder's
 # tests (several threads recording at once) and the default suite
 # at four jobs, which nests parallelFor calls three deep and records
 # a span profile with counters from every thread.
