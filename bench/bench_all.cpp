@@ -404,12 +404,13 @@ main(int argc, char **argv)
 
     const Clock::time_point total_start = Clock::now();
 
-    // Phase 1: generate every needed workload, then fan the union
-    // of simulation cells across the pool — reports afterwards only
-    // format memoized results. A selection that queries no
-    // shared-engine cells (e.g. `--report fleet`, which streams its
-    // own workload) skips the materialization entirely, keeping peak
-    // memory bounded.
+    // Phase 1: fan the union of simulation cells across the pool —
+    // reports afterwards only format memoized results. Each app's
+    // stream generates its own executions, so the inputs phase is
+    // empty; it stays so the footer, the .prom and the manifest keep
+    // their phases. A selection that queries no shared-engine cells
+    // (e.g. `--report fleet`, which streams its own workload) skips
+    // both.
     std::vector<sim::Cell> cells;
     for (const bench::Report *report : selected) {
         const std::vector<sim::Cell> report_cells = report->cells();

@@ -19,8 +19,8 @@ HostExecutionSource::next()
     if (!trace)
         return nullptr;
     // fromTrace runs the cache filter and extracts the process
-    // spans — identical to the materialized pipeline's per-trace
-    // step, so a pure single-app profile streams bit-equal inputs.
+    // spans — the experiment engine's per-trace step, so a pure
+    // single-app profile streams bit-equal inputs.
     ExecutionInput::fromTrace(*trace, cacheParams_, slot_);
     trace_ = std::move(*trace);
     return &slot_;

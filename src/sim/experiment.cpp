@@ -1,9 +1,9 @@
 #include "sim/experiment.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <filesystem>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -12,6 +12,7 @@
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/app_model.hpp"
+#include "workload/host_profile.hpp"
 
 namespace pcap::sim {
 
@@ -111,50 +112,6 @@ lookUp(std::mutex &mutex, const Map &map,
 }
 
 } // namespace
-
-std::vector<trace::Trace>
-generateTraces(std::uint64_t seed, const std::string &app,
-               int maxExecutions, unsigned jobs,
-               const obs::ScopedMetrics &scope)
-{
-    const auto model = workload::makeApp(app);
-    if (!model)
-        fatal("generateTraces: unknown application '" + app + "'");
-
-    int executions = model->info().executions;
-    if (maxExecutions > 0)
-        executions = std::min(executions, maxExecutions);
-
-    // Fork the per-execution RNGs sequentially before the parallel
-    // expansion — trace content must not depend on worker count.
-    std::vector<Rng> rngs;
-    rngs.reserve(executions);
-    Rng app_rng(seed ^ hashString(app));
-    for (int execution = 0; execution < executions; ++execution)
-        rngs.push_back(
-            app_rng.fork(static_cast<std::uint64_t>(execution)));
-
-    std::vector<trace::Trace> traces(executions);
-    pcap::parallelFor(jobs, static_cast<std::size_t>(executions),
-                      [&](std::size_t i) {
-                          traces[i] = model->generate(
-                              static_cast<int>(i), rngs[i]);
-                          workload::recordTraceMetrics(traces[i],
-                                                       scope);
-                      });
-    return traces;
-}
-
-std::vector<ExecutionInput>
-inputsFromTraces(const std::vector<trace::Trace> &traces,
-                 const cache::CacheParams &params, unsigned jobs)
-{
-    std::vector<ExecutionInput> result(traces.size());
-    pcap::parallelFor(jobs, traces.size(), [&](std::size_t i) {
-        result[i] = ExecutionInput::fromTrace(traces[i], params);
-    });
-    return result;
-}
 
 std::string
 WorkloadKey::canonical() const
@@ -305,16 +262,53 @@ ParallelEvaluation::appScope(const std::string &app,
         options_.metrics, {{"config", configHash}, {"app", app}});
 }
 
-const std::vector<trace::Trace> &
-ParallelEvaluation::traces(const std::string &app)
+void
+ParallelEvaluation::streamApp(
+    const std::string &app, const std::vector<std::size_t> &capacities,
+    const std::function<void(std::size_t, const ExecutionInput &)> &each)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, fresh] = traces_.try_emplace(app);
-    if (fresh)
-        it->second =
-            generateTraces(config_.seed, app, config_.maxExecutions,
-                           options_.jobs, appScope(app, configHash_));
-    return it->second;
+    // The parity mode of a one-app host: exactly the executions, in
+    // the order and from the RNG forks, of the paper's workload.
+    workload::HostProfile profile;
+    profile.seed = config_.seed;
+    profile.appMix = {{app, 1.0}};
+    profile.maxExecutionsPerApp = config_.maxExecutions;
+    workload::HostWorkloadStream stream(std::move(profile));
+    obs::ScopedMetrics generated;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (generated_.insert(app).second)
+            generated = appScope(app, configHash_);
+    }
+    const auto generate = [&](std::vector<trace::TraceEvent> storage) {
+        std::optional<trace::Trace> trace =
+            stream.next(std::move(storage));
+        if (trace)
+            workload::recordTraceMetrics(*trace, generated);
+        return trace;
+    };
+
+    // A double buffer: while the fan-out filters and replays one
+    // execution, its last index generates the next into the events
+    // of the one before.
+    std::vector<ExecutionInput> inputs(capacities.size());
+    std::vector<trace::TraceEvent> spare;
+    for (std::optional<trace::Trace> trace = generate({}); trace;) {
+        std::optional<trace::Trace> next;
+        pcap::parallelFor(
+            options_.jobs, capacities.size() + 1, [&](std::size_t k) {
+                if (k == capacities.size()) {
+                    next = generate(std::move(spare));
+                    return;
+                }
+                cache::CacheParams params = config_.cache;
+                params.capacityBytes = capacities[k];
+                ExecutionInput::fromTrace(*trace, params, inputs[k]);
+                each(k, inputs[k]);
+            });
+        spare = trace->releaseEvents();
+        trace = std::move(next);
+    }
 }
 
 void
@@ -323,13 +317,10 @@ ParallelEvaluation::forEachExecution(
     const std::function<void(const ExecutionInput &)> &fn)
 {
     obs::Span span("workload-gen", app);
-    cache::CacheParams params = config_.cache;
-    params.capacityBytes = capacityOf(cacheBytes);
-    ExecutionInput input;
-    for (const trace::Trace &trace : traces(app)) {
-        ExecutionInput::fromTrace(trace, params, input);
-        fn(input);
-    }
+    streamApp(app, {capacityOf(cacheBytes)},
+              [&](std::size_t, const ExecutionInput &input) {
+                  fn(input);
+              });
 }
 
 ParallelEvaluation::InputFacts
@@ -373,17 +364,11 @@ ParallelEvaluation::facts(const std::string &app, std::size_t capacity)
         return *known;
     obs::Span span("workload-gen", app);
     obs::PerfRegion perf("workload:generate");
-    const std::vector<trace::Trace> &all = traces(app);
-    cache::CacheParams params = config_.cache;
-    params.capacityBytes = capacity;
-    std::vector<InputFacts> each(all.size());
-    pcap::parallelFor(options_.jobs, all.size(), [&](std::size_t i) {
-        each[i] = factsOf(ExecutionInput::fromTrace(all[i], params),
-                          capacity);
-    });
     InputFacts facts;
-    for (const InputFacts &one : each)
-        facts.merge(one);
+    streamApp(app, {capacity},
+              [&](std::size_t, const ExecutionInput &input) {
+                  facts.merge(factsOf(input, capacity));
+              });
     return recordFacts(app, capacity, facts);
 }
 
@@ -415,62 +400,81 @@ ParallelEvaluation::outcome(const Cell &cell)
 }
 
 void
-ParallelEvaluation::streamGroup(const std::string &app,
-                                std::size_t capacity, const Group &group)
+ParallelEvaluation::replayApp(const std::string &app,
+                              const std::map<std::size_t, Group> &groups)
 {
-    const std::string configHash = configHashAt(capacity);
-    obs::Span span("cell-replay",
-                   capacity == config_.cache.capacityBytes
-                       ? app
-                       : app + "-c" + configHash);
+    obs::Span span("cell-replay", app);
     obs::PerfRegion perf("cells:replay");
-    std::deque<CellRun> runs; // a CellRun must not move
-    for (const auto &entry : group) {
-        const Cell &cell = *entry.first;
-        const PolicyConfig *policy = policyOf(cell);
-        const char *mode = modeName(cell.mode);
-        runs.emplace_back(
-            config_.sim, cell.mode, policy,
-            cellScope(mode, app, policy, configHash),
-            CellArtifacts{options_.provenanceDir, options_.timelineDir,
-                          TimelineObserver::makeMeta(
-                              cellFileStem(mode, app, policy, configHash),
-                              mode, app, policy ? policy->label : "")});
+    struct Lane
+    {
+        std::size_t capacity;
+        const Group *group;
+        std::deque<CellRun> runs; // a CellRun must not move
+        bool counting;            // the first pass over this input
+        InputFacts facts;
+    };
+    std::vector<std::size_t> capacities;
+    std::deque<Lane> lanes;
+    for (const auto &[capacity, group] : groups) {
+        capacities.push_back(capacity);
+        Lane &lane = lanes.emplace_back();
+        lane.capacity = capacity;
+        lane.group = &group;
+        lane.counting = !lookUp(mutex_, facts_, {app, capacity});
+        const std::string configHash = configHashAt(capacity);
+        for (const auto &entry : group) {
+            const Cell &cell = *entry.first;
+            const PolicyConfig *policy = policyOf(cell);
+            const char *mode = modeName(cell.mode);
+            lane.runs.emplace_back(
+                config_.sim, cell.mode, policy,
+                cellScope(mode, app, policy, configHash),
+                CellArtifacts{
+                    options_.provenanceDir, options_.timelineDir,
+                    TimelineObserver::makeMeta(
+                        cellFileStem(mode, app, policy, configHash),
+                        mode, app, policy ? policy->label : "")});
+        }
     }
 
-    // The first pass over the input also adds up its facts, as one
-    // more task beside the cells' replays of each execution.
-    const bool counting = !lookUp(mutex_, facts_, {app, capacity});
-    InputFacts facts;
-    cache::CacheParams params = config_.cache;
-    params.capacityBytes = capacity;
-    ExecutionInput input;
-    for (const trace::Trace &trace : traces(app)) {
-        ExecutionInput::fromTrace(trace, params, input);
-        pcap::parallelFor(
-            options_.jobs, group.size() + counting, [&](std::size_t c) {
-                if (c == group.size())
-                    facts.merge(factsOf(input, capacity));
-                else
-                    group[c].second->run.merge(runs[c].replay(input));
-            });
+    // Each capacity's cells replay an execution beside one more task
+    // that adds up its facts on the input's first pass.
+    streamApp(app, capacities,
+              [&](std::size_t k, const ExecutionInput &input) {
+                  Lane &lane = lanes[k];
+                  const Group &group = *lane.group;
+                  pcap::parallelFor(
+                      options_.jobs, group.size() + lane.counting,
+                      [&](std::size_t c) {
+                          if (c == group.size())
+                              lane.facts.merge(
+                                  factsOf(input, lane.capacity));
+                          else
+                              group[c].second->run.merge(
+                                  lane.runs[c].replay(input));
+                      });
+              });
+    for (Lane &lane : lanes) {
+        const Group &group = *lane.group;
+        pcap::parallelFor(options_.jobs, group.size(),
+                          [&](std::size_t c) {
+                              group[c].second->tableEntries =
+                                  lane.runs[c].finish();
+                          });
+        if (lane.counting)
+            recordFacts(app, lane.capacity, lane.facts);
     }
-    pcap::parallelFor(options_.jobs, group.size(), [&](std::size_t c) {
-        group[c].second->tableEntries = runs[c].finish();
-    });
-    if (counting)
-        recordFacts(app, capacity, facts);
 }
 
 void
 ParallelEvaluation::prefetch(const std::vector<Cell> &cells)
 {
     std::lock_guard<std::mutex> streams(streams_);
-    // Memo slots for the cells still to compute, grouped by (app,
-    // capacity); a duplicate or computed cell already has its slot.
-    // A reader of a slot first waits here for streams_, so none sees
-    // one unfinished.
-    std::map<std::pair<std::string, std::size_t>, Group> groups;
+    // Memo slots for the cells still to compute, grouped by app,
+    // then capacity; a duplicate or computed cell already has its
+    // slot. A reader of a slot first waits here for streams_, so
+    // none sees one unfinished.
+    std::map<std::string, std::map<std::size_t, Group>> apps;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (const Cell &cell : cells) {
@@ -478,27 +482,15 @@ ParallelEvaluation::prefetch(const std::vector<Cell> &cells)
             const auto [slot, fresh] = cells_.try_emplace(
                 cellKey(cell.mode, cell.app, capacity, policyOf(cell)));
             if (fresh)
-                groups[{cell.app, capacity}].emplace_back(&cell,
-                                                          &slot->second);
+                apps[cell.app][capacity].emplace_back(&cell,
+                                                      &slot->second);
         }
     }
 
-    // Generate the traces first, one app at a time with its own
-    // inner parallelism, so no stream waits on a generation.
-    for (const auto &[key, group] : groups)
-        traces(key.first);
-
-    pcap::parallelFor(options_.jobs, groups.size(), [&](std::size_t g) {
-        const auto &[key, group] = *std::next(groups.begin(), g);
-        streamGroup(key.first, key.second, group);
+    pcap::parallelFor(options_.jobs, apps.size(), [&](std::size_t a) {
+        const auto &[app, groups] = *std::next(apps.begin(), a);
+        replayApp(app, groups);
     });
-}
-
-void
-ParallelEvaluation::prefetchInputs()
-{
-    for (const std::string &app : appNames_)
-        facts(app, config_.cache.capacityBytes);
 }
 
 } // namespace pcap::sim

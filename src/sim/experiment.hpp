@@ -4,12 +4,12 @@
  * the replay kernel together, so every report and integration test
  * asks one object for the paper's numbers.
  *
- * ParallelEvaluation generates each application's traces exactly
- * once, streams them through the file cache one execution at a
- * time, memoizes every (mode x app x policy x capacity) cell, and
- * can prefetch a batch of cells across a thread pool. Each cell
- * replays on a private PolicySession, so results do not depend on
- * the thread count; at jobs = 1 everything runs on the caller.
+ * ParallelEvaluation generates each application's executions and
+ * streams them through the file cache one at a time, memoizes every
+ * (mode x app x policy x capacity) cell, and can prefetch a batch of
+ * cells across a thread pool. Each cell replays on a private
+ * PolicySession, so results do not depend on the thread count; at
+ * jobs = 1 everything runs on the caller.
  */
 
 #ifndef PCAP_SIM_EXPERIMENT_HPP
@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -83,31 +84,6 @@ struct GlobalOutcome
     RunResult run;
     std::size_t tableEntries = 0; ///< Table 3
 };
-
-/**
- * Generate every execution of @p app from @p seed. Per-execution
- * RNGs are forked sequentially from the app RNG before the parallel
- * expansion, so results do not depend on @p jobs. Generation does
- * not read the file-cache parameters; only the filter below does.
- *
- * @p maxExecutions caps the paper's execution count when positive
- * (0 runs the full Table 1 count). @p scope receives the
- * pcap_workload_generated_* counters (a disabled scope records
- * nothing).
- */
-std::vector<trace::Trace>
-generateTraces(std::uint64_t seed, const std::string &app,
-               int maxExecutions, unsigned jobs,
-               const obs::ScopedMetrics &scope);
-
-/**
- * The cache-dependent half of input generation: filter each trace
- * through a cold file cache with @p params and extract its process
- * spans.
- */
-std::vector<ExecutionInput>
-inputsFromTraces(const std::vector<trace::Trace> &traces,
-                 const cache::CacheParams &params, unsigned jobs);
 
 /**
  * Stable identity of a PolicyConfig for result memoization: every
@@ -183,12 +159,17 @@ struct ParallelOptions
  * engine's label their metrics and artifacts with the config hash
  * of the config with that capacity substituted.
  *
- * Memory: raw traces, cell outcomes and each input's facts (Table 1
- * counts, disk accesses) stay resident; no filtered input does. A
- * cell replays in the stream of its (app, capacity) group, which
- * filters one execution into a reused input, replays it on every
- * cell of the group and moves on. The first pass over an input, a
- * stream or a facts-only pass, records its facts and series.
+ * Memory: cell outcomes and each input's facts (Table 1 counts,
+ * disk accesses) stay resident; no trace and no filtered input
+ * does. Every pass generates its app's executions in order, as a
+ * parity-mode workload::HostWorkloadStream does for the fleet, and
+ * filters each into one reused input per capacity: a live pass holds
+ * two traces (the current one and the next, generated beside the
+ * replays) plus those inputs. A cell replays in the stream of its
+ * app, which replays each execution on every cell of the batch
+ * naming that app and moves on. The first pass over an input, a
+ * stream or a facts-only pass, records its facts and series; the
+ * first pass over an app records its generated-trace series.
  *
  * Results do not depend on the thread count or on how a batch is
  * split: the input of an execution is the same deterministic
@@ -215,7 +196,8 @@ class ParallelEvaluation
     }
 
     /** Call @p fn on every execution of @p app in order, filtered at
-     * @p cacheBytes into one reused input: a fresh pass per call. */
+     * @p cacheBytes into one reused input: a fresh pass per call,
+     * which may run @p fn on a pool thread, one call at a time. */
     void forEachExecution(
         const std::string &app, std::size_t cacheBytes,
         const std::function<void(const ExecutionInput &)> &fn);
@@ -272,17 +254,19 @@ class ParallelEvaluation
 
     /**
      * Compute every cell across the worker pool, then join.
-     * Duplicate and computed cells cost nothing. After generating
-     * the batch's traces, each (app, capacity) group of cells is one
-     * task that streams the app's executions through the filter and
-     * replays each on the group's cells in a nested fan-out. Calls
-     * take turns, so each cell replays in exactly one stream.
+     * Duplicate and computed cells cost nothing. Each app the batch
+     * names is one task that streams its executions: one fan-out
+     * per execution filters it at each of the app's capacities and
+     * replays it on that capacity's cells in a nested fan-out, while
+     * one more index generates the next execution. Calls take turns,
+     * so each cell replays in exactly one stream.
      */
     void prefetch(const std::vector<Cell> &cells);
 
-    /** Generate every application's traces and record the facts of
-     * its input at the engine's capacity. */
-    void prefetchInputs();
+    /** Does nothing: every pass streams the inputs it reads. Kept
+     * because bench_all and the benchmark harness in perfbench/
+     * still call it. */
+    void prefetchInputs() {}
 
   private:
     /** What a pass over one (app, capacity) input adds up. */
@@ -296,9 +280,18 @@ class ParallelEvaluation
         void merge(const InputFacts &other);
     };
 
-    /** The generated traces of @p app (cached); generation records
-     * into the engine's own config label and holds mutex_. */
-    const std::vector<trace::Trace> &traces(const std::string &app);
+    /**
+     * One pass over @p app: generate its executions in order, filter
+     * each at every one of @p capacities into a reused input and
+     * call each(k, input of capacities[k]) for every k, in one
+     * fan-out whose last index generates the next execution. The
+     * first pass over the app records its generated-trace series.
+     */
+    void streamApp(
+        const std::string &app,
+        const std::vector<std::size_t> &capacities,
+        const std::function<void(std::size_t, const ExecutionInput &)>
+            &each);
 
     /** @p cacheBytes with 0 resolved to the engine's capacity. */
     std::size_t capacityOf(std::size_t cacheBytes) const
@@ -318,8 +311,8 @@ class ParallelEvaluation
     InputFacts factsOf(const ExecutionInput &input,
                        std::size_t capacity) const;
 
-    /** The facts of (app, resolved capacity), from a parallel
-     * facts-only pass if none recorded them; takes streams_. */
+    /** The facts of (app, resolved capacity), from a facts-only pass
+     * if none recorded them; takes streams_. */
     const InputFacts &facts(const std::string &app,
                             std::size_t capacity);
 
@@ -333,10 +326,10 @@ class ParallelEvaluation
      * slot its outcome goes to. */
     using Group = std::vector<std::pair<const Cell *, GlobalOutcome *>>;
 
-    /** Replay @p group at resolved @p capacity in one pass over the
-     * app's traces. The caller holds streams_. */
-    void streamGroup(const std::string &app, std::size_t capacity,
-                     const Group &group);
+    /** Replay every group of @p app, keyed by resolved capacity, in
+     * one streamApp() pass. The caller holds streams_. */
+    void replayApp(const std::string &app,
+                   const std::map<std::size_t, Group> &groups);
 
     /**
      * File stem identifying one cell:
@@ -370,8 +363,8 @@ class ParallelEvaluation
     /** Held by every pass that records facts or outcomes. */
     std::mutex streams_;
     std::mutex mutex_; ///< guards the maps below
-    /** Keyed by app; every capacity refilters the same traces. */
-    std::map<std::string, std::vector<trace::Trace>> traces_;
+    /** Apps whose generated-trace series are recorded. */
+    std::set<std::string> generated_;
     /** Keyed by (app, capacity). */
     std::map<std::pair<std::string, std::size_t>, InputFacts> facts_;
     /** Keyed by cellKey(mode, app, capacity, policy). */

@@ -285,7 +285,7 @@ class FleetDriver
      * One host cell, streamed generate-replay-discard; run() folds
      * exactly this per host. Public for parity tests: a pure
      * single-app profile with scale 1.0 must be RunResult-field-equal
-     * to ParallelEvaluation::globalRun over materialized inputs.
+     * to ParallelEvaluation::globalRun on the same app.
      */
     HostCellResult
     runHost(const workload::HostProfile &profile,

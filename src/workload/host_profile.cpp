@@ -42,7 +42,7 @@ executionPlan(const HostProfile &profile)
     std::vector<PlannedExecution> plan;
     if (profile.executions <= 0) {
         // Full-run mode: every mix application's complete execution
-        // set, in mix order — the materialized path's schedule.
+        // set, in mix order — the paper workload's schedule.
         for (const AppShare &share : profile.appMix) {
             const auto model = makeApp(share.app);
             if (!model)
@@ -182,7 +182,7 @@ HostWorkloadStream::next(std::vector<trace::TraceEvent> storage)
         fatal("HostWorkloadStream: out-of-order execution plan for '" +
               planned.app + "'");
     // Sequential forks from the persistent app RNG — exactly the
-    // derivation sim::generateTraces uses for the materialized path.
+    // derivation of the paper's workload (see the file comment).
     Rng execution_rng = stream.rng.fork(
         static_cast<std::uint64_t>(stream.nextFork));
     ++stream.nextFork;

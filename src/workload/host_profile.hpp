@@ -11,12 +11,13 @@
  * and host index.
  *
  * The derivation is parity-critical: a pure single-app profile with
- * thinkTimeScale == 1 must generate byte-identical traces to
- * sim::generateTraces (the materialized path). generateTraces forks
- * per-execution RNGs *sequentially* from one app RNG — and Rng::fork
- * advances the parent — so HostWorkloadStream keeps one persistent
- * RNG per application and forks executions in increasing index
- * order, replaying exactly that sequence.
+ * thinkTimeScale == 1 generates the paper's workload of that app,
+ * which the experiment engine (sim::ParallelEvaluation) streams this
+ * way. Execution i of an app replays an RNG forked from one app RNG
+ * (seeded by the workload seed and the app name) after forks
+ * 0..i-1 — and Rng::fork advances the parent — so HostWorkloadStream
+ * keeps one persistent RNG per application and forks executions in
+ * increasing index order, replaying exactly that sequence.
  */
 
 #ifndef PCAP_WORKLOAD_HOST_PROFILE_HPP
@@ -63,7 +64,8 @@ struct HostProfile
      * Number of executions to draw from the mix (weighted, from the
      * host's schedule RNG). 0 streams every mix application's full
      * Table 1 execution count in mix order — the parity mode, where
-     * a single-app mix reproduces the materialized path exactly.
+     * a single-app mix generates exactly the paper's workload of
+     * that app.
      */
     int executions = 0;
 

@@ -5,8 +5,8 @@
  *  - Host profiles: deterministic in (fleet seed, host index) alone,
  *    bounded by their FleetConfig ranges.
  *  - Streaming parity: a pure single-app host streams inputs
- *    byte-identical to the materialized generateTraces path, and a
- *    1-host fleet cell is RunResult-field-equal to the materialized
+ *    byte-identical to the reference generateTraces path, and a
+ *    1-host fleet cell is RunResult-field-equal to the
  *    ParallelEvaluation engine: same numbers, bounded memory.
  *  - Fleet determinism: a 64-host fleet is field-equal across thread
  *    counts.
@@ -29,6 +29,7 @@
 
 #include "obs/alerts.hpp"
 #include "obs/metrics.hpp"
+#include "reference_workload.hpp"
 #include "sim/execution_source.hpp"
 #include "sim/experiment.hpp"
 #include "sim/fleet.hpp"
@@ -197,11 +198,8 @@ TEST(HostExecutionSource, SingleAppStreamMatchesMaterializedPath)
     const int executions = 2;
     const cache::CacheParams cacheParams;
 
-    obs::ScopedMetrics silent(nullptr, {});
-    const auto traces =
-        generateTraces(seed, app, executions, /*jobs=*/1, silent);
-    const auto expected =
-        inputsFromTraces(traces, cacheParams, /*jobs=*/1);
+    const auto expected = inputsFromTraces(
+        generateTraces(seed, app, executions), cacheParams);
 
     workload::HostProfile profile;
     profile.seed = seed;

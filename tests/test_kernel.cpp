@@ -249,7 +249,9 @@ TEST(ReportCells, RenderReplaysNoUndeclaredCell)
         ParallelEvaluation eval(config, options);
         bench::ReportContext ctx{.eval = eval};
 
-        eval.prefetchInputs();
+        // Table 1's facts are no cell: record them first.
+        for (const std::string &app : eval.appNames())
+            eval.table1(app);
         eval.prefetch(report.cells());
         const std::size_t declared = registry.seriesCount();
         std::ostringstream text;
@@ -281,10 +283,8 @@ TEST(ReportCells, AblationCacheRendersTheSamePrefetchedOrOnDemand)
             options.jobs = jobs;
             ParallelEvaluation eval(config, options);
             bench::ReportContext ctx{.eval = eval};
-            if (prefetched) {
-                eval.prefetchInputs();
+            if (prefetched)
                 eval.prefetch(sweep->cells());
-            }
             std::ostringstream os;
             sweep->run(ctx, os);
             text[prefetched] = os.str();

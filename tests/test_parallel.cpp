@@ -8,12 +8,13 @@
  * (artifact files, metric series), its metrics export must roll the
  * cell series up over `app` unless asked for detail, cells at other
  * file-cache capacities must match engines built at them while
- * sharing one generation per app, every cell must replay in one
- * stream per (app, capacity) group whose first pass records the
- * input's facts once (a prefetched batch and the same cells asked
- * one at a time answer alike; asking for an input filters it once
- * more), two threads asking for one cell must share its one stream,
- * and the workload key must cover every field of the recipe.
+ * recording one generation per app, every cell must replay in one
+ * stream per app per batch whose first pass over each input records
+ * its facts once (a prefetched batch and the same cells asked one at
+ * a time answer alike; asking for an input generates and filters it
+ * once more), two threads asking for one cell must share its one
+ * stream, and the workload key must cover every field of the
+ * recipe.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracing.hpp"
+#include "reference_workload.hpp"
 #include "sim/drivers.hpp"
 #include "sim/experiment.hpp"
 #include "sim/kernel.hpp"
@@ -52,10 +54,9 @@ fastConfig(int executions = 3)
 std::vector<ExecutionInput>
 referenceInputs(const ExperimentConfig &config, const std::string &app)
 {
-    return inputsFromTraces(generateTraces(config.seed, app,
-                                           config.maxExecutions, 1,
-                                           {}),
-                            config.cache, 1);
+    return inputsFromTraces(
+        generateTraces(config.seed, app, config.maxExecutions),
+        config.cache);
 }
 
 /** Every execution of @p app's input at @p cacheBytes, collected in
@@ -553,9 +554,9 @@ seriesNamed(const obs::MetricsRegistry &registry, const std::string &name)
 using Passes = std::map<std::string, std::map<std::string, int>>;
 
 /** Run @p body with a span recorder installed; the passes over an
- * app's traces it made: `workload-gen` spans (facts-only passes and
- * forEachExecution) and `cell-replay` spans (group streams), counted
- * per app. */
+ * app's executions it made: `workload-gen` spans (facts-only passes
+ * and forEachExecution) and `cell-replay` spans (app streams),
+ * counted per app. */
 template <typename Body>
 Passes
 passes(Body body)
@@ -580,10 +581,7 @@ passes(Body body)
         const std::string name = event.find("name")->asString();
         if (name != "workload-gen" && name != "cell-replay")
             continue;
-        // A stream's detail is <app>[-c<config hash>].
-        const std::string detail =
-            event.find("args")->find("detail")->asString();
-        ++found[name][detail.substr(0, detail.find('-'))];
+        ++found[name][event.find("args")->find("detail")->asString()];
     }
     return found;
 }
@@ -598,10 +596,11 @@ perApp(const std::vector<std::string> &apps, int count)
     return found;
 }
 
-// The engine keeps no filtered input: every later pass over an input
-// filters it again from the resident traces, and reading its facts
-// filters nothing and records no series twice.
-TEST(ParallelEvaluation, LaterPassesFilterAgainFromResidentTraces)
+// The engine keeps no trace and no filtered input: every later pass
+// over an input generates and filters it again, reading its facts
+// streams nothing, and no series is recorded twice — the generated
+// trace series still count one generation per app.
+TEST(ParallelEvaluation, LaterPassesRegenerateButRecordOneGeneration)
 {
     const ExperimentConfig config = fastConfig(2);
     const std::vector<std::string> apps = {"mozilla", "nedit"};
@@ -645,15 +644,15 @@ TEST(ParallelEvaluation, LaterPassesFilterAgainFromResidentTraces)
         const std::map<std::string, double> generated =
             seriesNamed(registry, "pcap_workload_generated_traces_total");
         ASSERT_EQ(generated.size(), apps.size());
-        // Filter passes never generate again.
+        // Later passes generate again but record nothing.
         for (const auto &[key, value] : generated)
             EXPECT_EQ(value, 2.0) << key;
     }
 }
 
-// The benchmark ledger's pattern: record the engine's own input
-// facts, then prefetch one cell at a time. That is one facts-only
-// pass per app, then one stream per cell.
+// The benchmark ledger's pattern: prefetchInputs(), then prefetch one
+// cell at a time. prefetchInputs() streams nothing, and each prefetch
+// is one stream of its app, the first also counting the app's facts.
 TEST(ParallelEvaluation, LedgerPatternStreamsOncePerCell)
 {
     const PolicyConfig pcap = PolicyConfig::pcapBase();
@@ -665,8 +664,8 @@ TEST(ParallelEvaluation, LedgerPatternStreamsOncePerCell)
         options.jobs = jobs;
         options.metrics = &registry;
         ParallelEvaluation engine(fastConfig(2), options);
+        EXPECT_EQ(passes([&] { engine.prefetchInputs(); }), Passes{});
         const Passes made = passes([&] {
-            engine.prefetchInputs();
             for (const std::string &app : engine.appNames()) {
                 engine.prefetch({{CellMode::Global, app, pcap}});
                 engine.prefetch({{CellMode::Local, app, tree}});
@@ -674,8 +673,7 @@ TEST(ParallelEvaluation, LedgerPatternStreamsOncePerCell)
             }
         });
         const std::vector<std::string> &apps = engine.appNames();
-        EXPECT_EQ(made, (Passes{{"workload-gen", perApp(apps, 1)},
-                                {"cell-replay", perApp(apps, 3)}}));
+        EXPECT_EQ(made, (Passes{{"cell-replay", perApp(apps, 3)}}));
     }
 }
 
@@ -697,10 +695,10 @@ TEST(ParallelEvaluation, PrefetchedSweepEqualsOnDemandSweep)
         ParallelEvaluation prefetched(config, options);
         options.metrics = &onDemandRegistry;
         ParallelEvaluation onDemand(config, options);
-        // One stream per (app, capacity) group, which also records
-        // the group's facts.
+        // One stream per app, which also records the facts at every
+        // capacity.
         EXPECT_EQ(passes([&] { prefetched.prefetch(cells); }),
-                  (Passes{{"cell-replay", perApp(apps, 4)}}));
+                  (Passes{{"cell-replay", perApp(apps, 1)}}));
         // One facts-only pass per capacity, one stream per cell.
         EXPECT_EQ(passes([&] {
                       for (const std::string &app : apps) {
@@ -753,6 +751,62 @@ TEST(ParallelEvaluation, PrefetchedSweepEqualsOnDemandSweep)
             EXPECT_EQ(passes([&] { inputsOf(*engine, apps[0], sizes[0]); }),
                       (Passes{{"workload-gen", perApp({apps[0]}, 1)}}));
         }
+    }
+}
+
+// A batch streams each app it names once, whatever its capacities:
+// one fan-out per execution filters it at all four and replays every
+// cell there. A second batch on the same apps streams each once more,
+// and both answer as an engine asked one cell at a time.
+TEST(ParallelEvaluation, PrefetchStreamsEachAppOncePerBatch)
+{
+    const ExperimentConfig config = fastConfig(2);
+    const std::vector<std::string> apps = {"mozilla", "nedit"};
+    const std::vector<std::size_t> sizes = {64 * 1024, 0, 512 * 1024,
+                                            1024 * 1024};
+    std::vector<std::vector<Cell>> batches = {sweepCells(apps, sizes), {}};
+    for (std::size_t bytes : sizes) {
+        for (const std::string &app : apps)
+            batches[1].push_back({CellMode::Global, app,
+                                  PolicyConfig::timeoutPolicy(), bytes});
+    }
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        obs::MetricsRegistry registry;
+        ParallelOptions options;
+        options.jobs = jobs;
+        options.metrics = &registry;
+        ParallelEvaluation engine(config, options);
+        for (const std::vector<Cell> &batch : batches)
+            EXPECT_EQ(passes([&] { engine.prefetch(batch); }),
+                      (Passes{{"cell-replay", perApp(apps, 1)}}));
+
+        options.metrics = nullptr;
+        ParallelEvaluation onDemand(config, options);
+        for (const std::vector<Cell> &batch : batches) {
+            for (const Cell &cell : batch) {
+                SCOPED_TRACE(cell.app + " at " +
+                             std::to_string(cell.cacheBytes) + " bytes");
+                if (cell.mode == CellMode::Base) {
+                    expectSameRun(
+                        engine.baseRun(cell.app, cell.cacheBytes),
+                        onDemand.baseRun(cell.app, cell.cacheBytes));
+                    continue;
+                }
+                const GlobalOutcome &a = engine.globalRun(
+                    cell.app, cell.policy, cell.cacheBytes);
+                const GlobalOutcome &b = onDemand.globalRun(
+                    cell.app, cell.policy, cell.cacheBytes);
+                expectSameRun(a.run, b.run);
+                EXPECT_EQ(a.tableEntries, b.tableEntries);
+            }
+        }
+        // Two batches, one recorded generation per app.
+        const std::map<std::string, double> generated =
+            seriesNamed(registry, "pcap_workload_generated_traces_total");
+        ASSERT_EQ(generated.size(), apps.size());
+        for (const auto &[key, value] : generated)
+            EXPECT_EQ(value, 2.0) << key;
     }
 }
 

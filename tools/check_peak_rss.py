@@ -7,19 +7,20 @@ FOOTER is a file holding bench_all's stdout (or just its timings
 footer); its `peak rss: X MiB` line is the getrusage high-water mark
 at the end of the report phase. The bound holds for Release builds
 only: sanitizer builds read several times higher. The default suite
-peaks near 44 MiB at 4 jobs and near 58 MiB at 16 on a 4-core box;
-64 MiB leaves room for those and fails if the engine keeps its
-inputs resident again (72 MiB at 4 jobs when it did).
+peaks near 15 MiB at 1 job, 21 MiB at 4 and 26 MiB at 16 on a 4-core
+box; 32 MiB leaves room for those and fails if the engine keeps its
+raw traces resident again (41 MiB at 1 job and 44 at 4 when it did)
+or its filtered inputs too (72 MiB at 4 jobs).
 
 Exit status:
-  0  the peak is at most 64 MiB
+  0  the peak is at most 32 MiB
   1  the peak is above the bound, or the file has no `peak rss` line
 """
 
 import re
 import sys
 
-BOUND_MIB = 64
+BOUND_MIB = 32
 
 text = open(sys.argv[1]).read()
 match = re.search(r"^peak rss: +([0-9.]+) MiB$", text, re.M)

@@ -28,7 +28,7 @@
 #      and a PCAP_PERF_BACKEND=software run must mark the forced
 #      fallback honestly
 #   8. run 1's timings footer reports a peak RSS of at most
-#      64 MiB (the suite peaks near 44 MiB at 4 jobs; Release
+#      32 MiB (the suite peaks near 21 MiB at 4 jobs; Release
 #      builds only, so the check stays out of ctest, whose suite
 #      also runs under the sanitizers)
 #   9. a timestamped BENCH_<tag>.json (+ .prom + manifest) lands at
@@ -80,7 +80,7 @@ EOF
 done
 
 echo
-echo "== peak RSS (run 1 footer, bound 64 MiB) =="
+echo "== peak RSS (run 1 footer, bound 32 MiB) =="
 python3 "$root/tools/check_peak_rss.py" "$scratch/run1.txt"
 
 echo
